@@ -2,9 +2,12 @@
 
 Everything downstream computes over the rationals with no rounding anywhere:
 scalars are ``fractions.Fraction``, dimensions live in ``GradedDims`` (a thin
-degree -> dimension mapping), permutations are index tuples, and null spaces
-are computed by sparse Gaussian elimination with a deterministic pivot order
-so that identical inputs always produce identical bases.
+degree -> dimension mapping), and permutations are index tuples.  All exact
+linear algebra goes through one incremental kernel, ``Echelon``: vectors are
+admitted one at a time into a fully reduced row echelon form, so a span is
+grown, tested and solved against without eliminating anything twice, and
+null spaces come out of the unique reduced form, identical for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -194,85 +197,119 @@ class SparseMatrix:
                 out[r] += v * vec[c]
         return out
 
-    def _row_list(self):
+    def _echelon(self):
+        ech = Echelon()
         rows = [dict() for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             rows[r][c] = v
-        return rows
+        for row in rows:
+            ech.add(row)
+        return ech
 
     def rank(self):
-        return len(_eliminate(self._row_list())[0])
+        return self._echelon().rank
 
     def kernel_basis(self):
-        """Basis of the null space, deterministic.
-
-        Elimination takes rows in natural order and pivots each row at its
-        smallest-index nonzero column (first nonzero pivot).  Free columns
-        get one basis vector each, normalized with a 1 in the free slot.
-        """
-        pivots, reduced = _eliminate(self._row_list())
-        pivot_cols = dict(pivots)  # col -> row dict
-        basis = []
-        for c in range(self.cols):
-            if c in pivot_cols:
-                continue
-            vec = [Q(0)] * self.cols
-            vec[c] = Q(1)
-            for pc, row in pivots:
-                if c in row:
-                    vec[pc] = -row[c]
-            basis.append(tuple(vec))
-        return basis
+        """Basis of the null space, deterministic: rows are taken in natural
+        order, and each free column gets one basis vector with a 1 in its
+        slot (see ``Echelon.kernel_basis``)."""
+        return self._echelon().kernel_basis(self.cols)
 
 
-def _eliminate(rows):
-    """Reduced row echelon on a list of sparse row dicts (in place).
+class Echelon:
+    """Incremental fully reduced row echelon form over Fraction.
 
-    Returns (pivots, rows) where pivots is a list of (pivot_col, row_dict)
-    in the deterministic order they were found.  Rows are scanned in their
-    given order; each surviving row pivots at its first nonzero column.
+    Vectors are sparse dicts col -> scalar.  ``rows`` maps each pivot column
+    to its row: the row is 1 at its pivot, which is its smallest column, and
+    0 at every other pivot column.  So subtracting one row from a vector
+    never brings in another pivot column, and ``reduce`` visits only the
+    pivot columns present in the vector, not every row.  The rows are the
+    unique reduced echelon form of the span, whatever the order of ``add``.
     """
-    pivots = []
-    for row in rows:
-        for pc, prow in pivots:
-            f = row.get(pc)
-            if f:
-                for c, v in prow.items():
-                    nv = row.get(c, Q(0)) - f * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
+
+    def __init__(self):
+        self.rows = {}
+        self.added = []  # the independent vectors, in the order added
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        """The remainder of vec against the rows: a new dict, empty exactly
+        when vec lies in the span."""
+        out = {c: v for c, v in vec.items() if v}
+        rows = self.rows
+        for p, f in [(p, f) for p, f in out.items() if p in rows]:
+            for c, v in rows[p].items():
+                nv = out.get(c, 0) - f * v
+                if nv:
+                    out[c] = nv
+                else:
+                    del out[c]
+        return out
+
+    def add(self, vec):
+        """Admit vec unless it lies in the span; True when it was admitted.
+        The caller must not change vec afterwards (``solve`` reads it)."""
+        row = self.reduce(vec)
         if not row:
-            continue
-        pc = min(row)
-        inv = Q(1) / row[pc]
-        for c in list(row):
+            return False
+        p = min(row)
+        inv = Q(1) / row[p]
+        for c in row:
             row[c] *= inv
-        # back-substitute into earlier pivot rows to get fully reduced form
-        for _, prow in pivots:
-            f = prow.get(pc)
+        for other in self.rows.values():
+            f = other.get(p)
             if f:
                 for c, v in row.items():
-                    nv = prow.get(c, Q(0)) - f * v
+                    nv = other.get(c, 0) - f * v
                     if nv:
-                        prow[c] = nv
+                        other[c] = nv
                     else:
-                        prow.pop(c, None)
-        pivots.append((pc, row))
-    pivots.sort(key=lambda p: p[0])
-    return pivots, rows
+                        del other[c]
+        self.rows[p] = row
+        self.added.append(vec)
+        return True
+
+    def solve(self, vec):
+        """Exact coefficients {i: c_i}, nonzero only, with vec the sum of
+        c_i times the i-th vector admitted by ``add``.  Raises
+        ArithmeticError when vec lies outside the span.
+
+        Read at the pivot columns, the admitted vectors form an invertible
+        square matrix, so the coefficients solve sum_i c_i v_i[p] = vec[p];
+        the echelon form of that system, with vec as its last column, is the
+        identity followed by the solution."""
+        if self.reduce(vec):
+            raise ArithmeticError("vector lies outside the span")
+        n = len(self.added)
+        system = Echelon()
+        for p in self.rows:
+            eq = {i: v[p] for i, v in enumerate(self.added) if v.get(p)}
+            eq[n] = vec.get(p, 0)
+            system.add(eq)
+        return {i: row[n] for i, row in sorted(system.rows.items()) if row.get(n)}
+
+    def kernel_basis(self, cols):
+        """Basis of the vectors of length ``cols`` orthogonal to every row:
+        one per free column c, with 1 at c and -row[c] at each pivot."""
+        basis = {c: [Q(0)] * cols for c in range(cols) if c not in self.rows}
+        for c, vec in basis.items():
+            vec[c] = Q(1)
+        for p, row in self.rows.items():
+            for c, v in row.items():
+                if c != p:
+                    basis[c][p] = -v
+        return [tuple(vec) for vec in basis.values()]
 
 
 def span_rank(vectors):
     """Rank of a list of dense Fraction tuples (or dicts col->Fraction)."""
-    rows = []
+    ech = Echelon()
     for v in vectors:
-        if isinstance(v, dict):
-            rows.append({c: Q(x) for c, x in v.items() if x})
-        else:
-            rows.append({c: Q(x) for c, x in enumerate(v) if x})
-    return len(_eliminate(rows)[0])
+        ech.add(v if isinstance(v, dict) else dict(enumerate(v)))
+    return ech.rank
 
 
 def parse_rational(text):

@@ -11,6 +11,14 @@ bracket family iota_k = Delta(x1...xk), generation of the kernel by that
 family, the embedded bracket suboperad of dimension (k-1)!, and the
 agreement of the b=3 and b=1 dimension tables under degree tripling.
 
+Generated sub-sequences are grown, not recomputed: each (arity, degree)
+keeps one incremental ``Echelon``, a candidate is eliminated once when it
+is offered, and orbits are closed under the k-1 adjacent transpositions
+(which generate S_k) instead of all k! permutations.
+
+Only odd b >= 1 is in the model's domain; the kernel and the oracle reject
+any other bracket degree.
+
 Arity 1 is rejected throughout: Delta vanishes on the one-dimensional
 unary component, so its kernel is not the image and the unary gravity
 term lies outside this finite model.
@@ -21,24 +29,23 @@ from __future__ import annotations
 import itertools
 
 from .bv import delta_apply
-from .exact import GradedDims, Q, SparseMatrix, poly_coeffs_product, span_rank
+from .exact import (
+    Echelon,
+    GradedDims,
+    Q,
+    SparseMatrix,
+    perm_transposition,
+    poly_coeffs_product,
+)
 from .operads import CheckReport
 from .poisson import (
+    EngineConfig,
     PoissonElement,
     compose_i,
     enumerate_basis,
     from_mono,
-    mono_degree,
     sigma_act,
 )
-
-
-def _basis_elements(k, degree, b=1):
-    support = frozenset(range(1, k + 1))
-    return [
-        (mono, PoissonElement(support, {mono: Q(1)}))
-        for mono in enumerate_basis(k, degree=degree, b=b)
-    ]
 
 
 def _delta_matrix(k, degree, b=1):
@@ -78,6 +85,7 @@ def gravity_basis(k, b=1):
     """Exact kernel of Delta per degree; rejects the unary arity."""
     if k < 2:
         raise ValueError("gravity model starts at arity 2")
+    EngineConfig(b)  # rejects a bracket degree outside the model
     support = frozenset(range(1, k + 1))
     elements = {}
     for j in range(k):
@@ -103,6 +111,7 @@ def moduli_dimension_oracle(k, b=1):
     t^b prod_{j=2}^{k-1}(1 + j t^b)."""
     if k < 2:
         raise ValueError("oracle starts at arity 2")
+    EngineConfig(b)  # rejects a bracket degree outside the model
     shift = [0] * b + [1]
     factors = [shift]
     for j in range(2, k):
@@ -263,89 +272,48 @@ def check_suboperad_closure(max_arity, b=1):
 
 def _closure_dims(generators, max_arity, b=1):
     """Per-arity per-degree dimensions of the symmetric sub-sequence
-    generated by ``generators`` under composition and relabeling."""
-    span = {k: [] for k in range(1, max_arity + 1)}
+    generated by ``generators`` under composition and relabeling.
+
+    Each (arity, degree) keeps one ``Echelon`` that admits a candidate only
+    when it is independent of the elements kept so far.  A worklist takes
+    each kept element once: it applies the k-1 adjacent transpositions,
+    which generate S_k, and composes the element with every element taken
+    before it, in both orders.  When the worklist is empty, the span is
+    closed under composition and under a generating set of S_k, hence under
+    all of S_k."""
+    echelons = {}
+    done = {k: [] for k in range(1, max_arity + 1)}
+    fresh = []
+
+    def admit(k, x):
+        if x.is_zero():
+            return
+        d = x.degree(b)
+        if (k, d) not in echelons:
+            basis = enumerate_basis(k, degree=d, b=b)
+            echelons[k, d] = Echelon(), {m: c for c, m in enumerate(basis)}
+        ech, index = echelons[k, d]
+        if ech.add({index[m]: c for m, c in x.terms.items()}):
+            fresh.append((k, x))
+
     for k, x in generators:
-        span[k].append(x)
-
-    def orbit_closure():
-        for k in range(2, max_arity + 1):
-            extended = list(span[k])
-            for x in span[k]:
-                for perm in itertools.permutations(range(1, k + 1)):
-                    extended.append(sigma_act(perm, x))
-            span[k] = _reduce_span(k, extended, b)
-
-    def _dims():
-        return {
-            k: _span_dims(k, span[k], b) for k in range(1, max_arity + 1)
-        }
-
-    orbit_closure()
-    current = _dims()
-    while True:
-        new_elements = {k: list(span[k]) for k in span}
-        for k in range(2, max_arity + 1):
-            for l in range(2, max_arity + 1):
-                if k + l - 1 > max_arity:
-                    continue
-                for x in span[k]:
-                    for y in span[l]:
-                        for i in range(1, k + 1):
-                            new_elements[k + l - 1].append(compose_i(x, y, i))
-        for k in new_elements:
-            span[k] = _reduce_span(k, new_elements[k], b)
-        orbit_closure()
-        nxt = _dims()
-        if nxt == current:
-            return {k: GradedDims(v) for k, v in current.items()}
-        current = nxt
-
-
-def _vector(x, index, size):
-    vec = {}
-    for m, c in x.terms.items():
-        vec[index[m]] = c
-    return vec
-
-
-def _span_dims(k, elements, b=1):
-    by_degree = {}
-    for x in elements:
-        if x.is_zero():
-            continue
-        d = x.degree(b)
-        by_degree.setdefault(d, []).append(x)
-    dims = {}
-    for d, xs in by_degree.items():
-        basis = enumerate_basis(k, degree=d, b=b)
-        index = {m: c for c, m in enumerate(basis)}
-        dims[d] = span_rank([_vector(x, index, len(basis)) for x in xs])
-    return {d: n for d, n in dims.items() if n}
-
-
-def _reduce_span(k, elements, b=1):
-    """Independent subset of the given elements, per degree, keeping the
-    first spanning occurrences (deterministic)."""
-    by_degree = {}
-    out = []
-    for x in elements:
-        if x.is_zero():
-            continue
-        d = x.degree(b)
-        by_degree.setdefault(d, []).append(x)
-    for d in sorted(by_degree):
-        basis = enumerate_basis(k, degree=d, b=b)
-        index = {m: c for c, m in enumerate(basis)}
-        kept = []
-        vecs = []
-        for x in by_degree[d]:
-            trial = vecs + [_vector(x, index, len(basis))]
-            if span_rank(trial) > len(vecs):
-                vecs = trial
-                kept.append(x)
-        out.extend(kept)
-    return out
+        admit(k, x)
+    while fresh:
+        k, x = fresh.pop(0)
+        for a in range(1, k):
+            admit(k, sigma_act(perm_transposition(k, a, a + 1), x))
+        done[k].append(x)
+        for l in range(2, max_arity + 2 - k):
+            for y in done[l]:
+                for i in range(1, k + 1):
+                    admit(k + l - 1, compose_i(x, y, i))
+                if y is not x:
+                    for i in range(1, l + 1):
+                        admit(k + l - 1, compose_i(y, x, i))
+    dims = {k: {} for k in range(1, max_arity + 1)}
+    for (k, d), (ech, _) in echelons.items():
+        dims[k][d] = ech.rank
+    return {k: GradedDims(v) for k, v in dims.items()}
 
 
 def check_lie_embedding(max_arity, b=1):

@@ -66,7 +66,15 @@ class CheckReport:
 
     @property
     def passed(self):
-        return not self.failures
+        """True when at least one case was checked and none failed: a check
+        with no cases proves nothing, so it fails."""
+        return self.total > 0 and not self.failures
+
+    def witnesses(self):
+        """Up to three reasons for a failed verdict."""
+        if not self.total:
+            return ["no cases were checked"]
+        return self.failures[:3]
 
     def count(self, ok, witness=None):
         self.total += 1
@@ -75,7 +83,7 @@ class CheckReport:
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
-        extra = "" if self.passed else "  e.g. %s" % self.failures[0]
+        extra = "" if self.passed else "  e.g. %s" % self.witnesses()[0]
         return "%s %s (%d cases)%s" % (status, self.check_id, self.total, extra)
 
     def to_dict(self):
@@ -86,8 +94,8 @@ class CheckReport:
             "cases": self.total,
             "verdict": "pass" if self.passed else "fail",
         }
-        if self.failures:
-            out["witnesses"] = self.failures[:3]
+        if not self.passed:
+            out["witnesses"] = self.witnesses()
         return out
 
 

@@ -562,7 +562,9 @@ class EngineConfig:
 
     def __init__(self, bracket_degree=1):
         if bracket_degree < 1 or bracket_degree % 2 == 0:
-            raise ValueError("bracket degree must be odd and positive")
+            raise ValueError(
+                "bracket degree must be odd and positive, got %r" % bracket_degree
+            )
         self.bracket_degree = bracket_degree
 
     def __repr__(self):

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exact import Q, format_rational, parse_rational
+from .exact import Echelon, Q, format_rational, parse_rational
 from .operads import CheckReport
 
 
@@ -623,70 +623,16 @@ def pair_from_presentation(data):
     operator to them, and p solves delta(x) = tau(p(x)).  The pair laws
     hold by construction."""
     n = data.dim
+    images = Echelon()
     pivots = []
-    span = []
     for j in range(n):
-        col = data.delta.get(j, {})
-        if not col:
-            continue
-        if _extend_span(span, col):
+        if data.delta.get(j) and images.add(data.delta[j]):
             pivots.append(j)
     b_names = tuple("t_" + data.names[j] for j in pivots)
     b_degrees = tuple(data.degrees[j] for j in pivots)
     tau = {m: dict(data.delta[j]) for m, j in enumerate(pivots)}
-    images = [data.delta[j] for j in pivots]
-    p = {}
-    for j in range(n):
-        target = data.delta.get(j, {})
-        if not target:
-            continue
-        coeffs = _solve_in_span(images, target)
-        p[j] = {m: c for m, c in enumerate(coeffs) if c}
+    p = {j: images.solve(data.delta[j]) for j in range(n) if data.delta.get(j)}
     return EquivariantPair(data, b_names, b_degrees, tau, p)
-
-
-def _extend_span(span, vec):
-    """Reduce vec against the row-echelon span; append and report True if
-    independent."""
-    v = dict(vec)
-    for piv, row in span:
-        if piv in v:
-            v = _vec_add(v, row, -v[piv])
-    if not v:
-        return False
-    piv = min(v)
-    span.append((piv, _vec_scale(v, Q(1) / v[piv])))
-    return True
-
-
-def _solve_in_span(images, target):
-    """Exact coefficients writing target as a combination of the
-    independent images."""
-    cols = list(images)
-    rows = sorted({r for col in cols for r in col} | set(target))
-    mat = [[col.get(r, Q(0)) for col in cols] + [target.get(r, Q(0))] for r in rows]
-    m, n = len(mat), len(cols)
-    row = 0
-    where = [-1] * n
-    for col in range(n):
-        sel = next((r for r in range(row, m) if mat[r][col]), None)
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        inv = Q(1) / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(m):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
-        where[col] = row
-        row += 1
-    coeffs = [mat[where[c]][n] if where[c] >= 0 else Q(0) for c in range(n)]
-    # consistency: residual rows must be zero
-    for r in range(row, m):
-        if mat[r][n]:
-            raise ArithmeticError("target lies outside the image span")
-    return coeffs
 
 
 def check_nested_gravity(k, l, check_id=None):

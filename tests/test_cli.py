@@ -28,6 +28,23 @@ def test_dims_tables(capsys):
     assert out.strip() == "{3: 1, 6: 5, 9: 6}"
 
 
+def test_dims_reject_bracket_degree_outside_the_model(capsys):
+    for table in ("grav", "moduli"):
+        for b in ("2", "0", "-1"):
+            code, out, err = run(
+                capsys, "dims", table, "--arity", "3", "--bracket-degree", b
+            )
+            assert code == 2
+            assert out == ""
+            assert "bracket degree must be odd and positive, got %s" % b in err
+
+
+def test_verify_with_no_cases_fails(capsys):
+    code, out, _ = run(capsys, "verify", "closure", "--max-arity", "2")
+    assert code == 1
+    assert out.strip() == "FAIL gravity-closure-2-b1 (0 cases)  e.g. no cases were checked"
+
+
 def test_verify_commands(capsys):
     code, out, _ = run(capsys, "verify", "jacobi", "--k", "3", "--l", "1")
     assert code == 0

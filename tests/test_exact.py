@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from operadkit.exact import (
+    Echelon,
     GradedDims,
     SparseMatrix,
     format_rational,
@@ -141,6 +142,109 @@ def test_span_rank_dependent_vectors():
     assert span_rank([]) == 0
     # dense tuples are accepted too
     assert span_rank([(Q(1), Q(0)), (Q(0), Q(1))]) == 2
+
+
+def _eliminate(rows):
+    """Reference reduced row echelon: rows in order, each row reduced
+    against every pivot found so far, pivoted at its first nonzero column,
+    then back-substituted into the earlier pivot rows."""
+    pivots = []
+    for row in rows:
+        for pc, prow in pivots:
+            f = row.get(pc)
+            if f:
+                for c, v in prow.items():
+                    nv = row.get(c, Q(0)) - f * v
+                    if nv:
+                        row[c] = nv
+                    else:
+                        row.pop(c, None)
+        if not row:
+            continue
+        pc = min(row)
+        inv = Q(1) / row[pc]
+        for c in list(row):
+            row[c] *= inv
+        for _, prow in pivots:
+            f = prow.get(pc)
+            if f:
+                for c, v in row.items():
+                    nv = prow.get(c, Q(0)) - f * v
+                    if nv:
+                        prow[c] = nv
+                    else:
+                        prow.pop(c, None)
+        pivots.append((pc, row))
+    pivots.sort(key=lambda p: p[0])
+    return pivots
+
+
+def _reference_kernel(pivots, cols):
+    basis = []
+    pivot_cols = dict(pivots)
+    for c in range(cols):
+        if c in pivot_cols:
+            continue
+        vec = [Q(0)] * cols
+        vec[c] = Q(1)
+        for pc, row in pivots:
+            if c in row:
+                vec[pc] = -row[c]
+        basis.append(tuple(vec))
+    return basis
+
+
+# Small rationals, zero half the time, so that ranks and kernels vary.
+scalars = st.one_of(
+    st.just(Q(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3)
+)
+
+
+@st.composite
+def matrices(draw):
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(1, 6))
+    data = [[draw(scalars) for _ in range(cols)] for _ in range(rows)]
+    # a dependent row now and then: a combination of two earlier rows
+    if rows >= 3 and draw(st.booleans()):
+        a, b = draw(scalars), draw(scalars)
+        data[-1] = [a * x + b * y for x, y in zip(data[0], data[1])]
+    return rows, cols, data
+
+
+@given(matrices())
+def test_echelon_matches_reference_elimination(case):
+    rows, cols, data = case
+    entries = {(r, c): v for r, row in enumerate(data) for c, v in enumerate(row) if v}
+    m = SparseMatrix(rows, cols, entries)
+    dicts = [{c: v for c, v in enumerate(row) if v} for row in data]
+    pivots = _eliminate([dict(d) for d in dicts])
+    assert m.rank() == len(pivots)
+    assert m.kernel_basis() == _reference_kernel(pivots, cols)
+    # add admits a row exactly when the reference rank of the prefix grows
+    ech = Echelon()
+    for n, d in enumerate(dicts):
+        grows = len(_eliminate([dict(e) for e in dicts[: n + 1]])) > ech.rank
+        assert ech.add(d) == grows
+    assert ech.rows == dict(pivots)
+
+
+@given(matrices(), st.lists(scalars, min_size=6, max_size=6))
+def test_echelon_solve_recovers_coefficients(case, weights):
+    _, cols, data = case
+    ech = Echelon()
+    for row in data:
+        ech.add({c: v for c, v in enumerate(row) if v})
+    target = {}
+    for i, w in enumerate(weights[: ech.rank]):
+        for c, v in ech.added[i].items():
+            target[c] = target.get(c, 0) + w * v
+    want = {i: w for i, w in enumerate(weights[: ech.rank]) if w}
+    assert ech.solve(target) == want
+    if ech.rank < cols:
+        (free, *_) = [c for c in range(cols) if c not in ech.rows]
+        with pytest.raises(ArithmeticError):
+            ech.solve({**target, free: target.get(free, 0) + 1})
 
 
 @given(st.fractions(max_denominator=10**6))

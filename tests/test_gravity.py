@@ -1,13 +1,15 @@
 """Kernel of the circle operator: dimension tables, the bracket family and
 its quadratic relation, closure under composition, scaled-degree models."""
 
+import itertools
 import math
 
 import pytest
 
 from operadkit.bv import delta_apply
-from operadkit.exact import GradedDims
+from operadkit.exact import GradedDims, span_rank
 from operadkit.gravity import (
+    _closure_dims,
     borel_homology,
     bracket_generator,
     check_free_module,
@@ -19,7 +21,7 @@ from operadkit.gravity import (
     moduli_dimension_oracle,
     verify_generalized_jacobi,
 )
-from operadkit.poisson import compose_i, from_mono, gen
+from operadkit.poisson import compose_i, enumerate_basis, from_mono, gen, sigma_act
 
 
 def test_arity_two_kernel_is_the_bracket():
@@ -115,3 +117,69 @@ def test_degree_tripling_table():
 def test_scaled_degree_kernel_tables():
     for k in (2, 3, 4):
         assert gravity_basis(k, b=3).dims() == moduli_dimension_oracle(k, b=3)
+
+
+def _closure_dims_oracle(generators, max_arity, b=1):
+    """Slow reference for the generated sub-sequence: every round applies
+    all k! permutations and every composition to the whole span, prunes it
+    to an independent subset, and stops when the dimensions stop changing."""
+    span = {k: [] for k in range(1, max_arity + 1)}
+    for k, x in generators:
+        span[k].append(x)
+
+    def by_degree(k, xs):
+        out = {}
+        for x in xs:
+            if not x.is_zero():
+                out.setdefault(x.degree(b), []).append(x)
+        return out
+
+    def vector(k, x):
+        basis = enumerate_basis(k, degree=x.degree(b), b=b)
+        index = {m: c for c, m in enumerate(basis)}
+        return {index[m]: c for m, c in x.terms.items()}
+
+    def prune(k, xs):
+        kept = []
+        for xs_d in by_degree(k, xs).values():
+            vecs = []
+            for x in xs_d:
+                if span_rank(vecs + [vector(k, x)]) > len(vecs):
+                    vecs.append(vector(k, x))
+                    kept.append(x)
+        return kept
+
+    def dims():
+        return {
+            k: GradedDims({d: len(xs) for d, xs in by_degree(k, span[k]).items()})
+            for k in span
+        }
+
+    current = None
+    while True:
+        grown = {k: list(xs) for k, xs in span.items()}
+        for k, xs in span.items():
+            for x in xs:
+                for perm in itertools.permutations(range(1, k + 1)):
+                    grown[k].append(sigma_act(perm, x))
+            for l in range(2, max_arity + 2 - k):
+                for x in xs:
+                    for y in span[l]:
+                        for i in range(1, k + 1):
+                            grown[k + l - 1].append(compose_i(x, y, i))
+        span = {k: prune(k, xs) for k, xs in grown.items()}
+        nxt = dims()
+        if nxt == current:
+            return current
+        current = nxt
+
+
+@pytest.mark.parametrize("max_arity", [2, 3, 4])
+def test_closure_by_adjacent_transpositions_matches_full_orbits(max_arity):
+    for b in (1, 3):
+        lie = [(2, bracket_generator(2, b))]
+        family = [(m, bracket_generator(m, b)) for m in range(2, max_arity + 1)]
+        for gens in (lie, family):
+            assert _closure_dims(gens, max_arity, b) == _closure_dims_oracle(
+                gens, max_arity, b
+            )

@@ -43,6 +43,15 @@ def test_check_report_shape():
     assert "witnesses" not in ok.to_dict()
 
 
+def test_check_with_no_cases_fails():
+    rep = CheckReport("empty-check", "a claim")
+    assert not rep.passed
+    assert rep.line() == "FAIL empty-check (0 cases)  e.g. no cases were checked"
+    d = rep.to_dict()
+    assert d["verdict"] == "fail"
+    assert d["witnesses"] == ["no cases were checked"]
+
+
 def test_full_gamma_insertion_orders_agree():
     op = operad_instance()
     rng = random.Random(4)

@@ -64,6 +64,33 @@ def test_markdown_contains_table_and_times():
     assert "verdict: **pass**" in md
 
 
+def test_list_thunk_time_is_counted_once(monkeypatch):
+    import operadkit.reports as reports
+
+    ticks = iter([10.0, 14.0, 20.0, 21.0])
+    monkeypatch.setattr(reports.time, "perf_counter", lambda: next(ticks))
+    doc = ReportDocument("unit")
+
+    def pair():
+        out = [CheckReport("z-first", "claim z"), CheckReport("a-second", "claim a")]
+        for rep in out:
+            rep.count(True)
+        return out
+
+    def single():
+        rep = CheckReport("m-single", "claim m")
+        rep.count(True)
+        return rep
+
+    doc.run(pair)
+    doc.run(single)
+    assert doc.wall_times == {"z-first": 4.0, "m-single": 1.0}
+    md = doc.to_markdown()
+    assert "| z-first | 1 | pass | 4.00s | claim z |" in md
+    assert "| a-second | 1 | pass | with z-first | claim a |" in md
+    assert "| m-single | 1 | pass | 1.00s | claim m |" in md
+
+
 def test_e2_dims_check():
     rep = check_e2_dims(5)
     assert rep.passed, rep.line()

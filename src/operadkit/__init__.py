@@ -17,7 +17,6 @@ from .grammar import element_to_text, normalize, parse_expr
 from .gravity import gravity_basis, moduli_dimension_oracle
 from .groups import FiniteGroupTable, bundled_groups, tom_dieck_summands
 from .poisson import (
-    EngineConfig,
     PoissonElement,
     compose_i,
     enumerate_basis,
@@ -30,7 +29,6 @@ from .stringbr import EquivariantPair, m_bar, validate_bv
 
 __all__ = [
     "BVElement",
-    "EngineConfig",
     "EquivariantPair",
     "FiniteGroupTable",
     "GradedDims",

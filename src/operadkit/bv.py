@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import itertools
 
-from .exact import Q
+from .exact import LinComb, Q, add_into
 from .operads import CheckReport, OperadInstance
 from .poisson import (
     PoissonElement,
-    _resupport,
+    check_bracket_degree,
     compose_i,
     enumerate_basis,
     from_mono,
@@ -56,24 +56,31 @@ from .poisson import (
 
 def delta_apply(x):
     """Circle operator on a poisson element; degree rises by b."""
+    return _delta(x, signed=True)
+
+
+def _delta(x, signed):
     out = PoissonElement(x.support)
     for mono, c in x.terms.items():
-        out = out + _delta_mono(mono, x.support).scale(c)
+        out.add_scaled(_delta_mono(mono, x.support, signed), c)
     return out
 
 
-def _delta_mono(mono, support):
+def _delta_mono(mono, support, signed):
     # Delta(B.M') = (-1)^{|B|}([B, M'] + B.Delta(M')); the Koszul prefactor
     # (rather than the bare deviation recursion) is forced by Delta^2 = 0
     # together with the cyclic three-block relation of the bracket.
+    # signed=False drops it: the negative control of check_bv_relations.
+    out = PoissonElement(support)
     if len(mono) <= 1:
-        return PoissonElement(support)
+        return out
     head = from_mono(mono[:1])
     rest = from_mono(mono[1:])
-    term1 = _resupport(head.bracket(rest), support)
-    term2 = _resupport(head.mul(_delta_mono(mono[1:], rest.support)), support)
-    sign = -1 if (tree_nleaves(mono[0]) - 1) % 2 else 1
-    return (term1 + term2).scale(sign)
+    sign = -1 if signed and (tree_nleaves(mono[0]) - 1) % 2 else 1
+    add_into(out.terms, head.bracket(rest).terms, sign)
+    tail = _delta_mono(mono[1:], rest.support, signed)
+    add_into(out.terms, head.mul(tail).terms, sign)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -84,41 +91,21 @@ def _norm_marking(marking):
     return frozenset(int(i) for i in marking)
 
 
-class BVElement:
+class BVElement(LinComb):
     """Finitely supported map (normal monomial, marked-slot subset) -> Q."""
 
-    __slots__ = ("support", "terms")
+    __slots__ = ()
 
     def __init__(self, support, terms=None):
         self.support = frozenset(support)
-        clean = {}
-        if terms:
-            for (mono, marking), c in terms.items():
-                c = Q(c)
-                if not c:
-                    continue
-                marking = _norm_marking(marking)
-                if not marking <= self.support:
-                    raise ValueError(
-                        "marked slots %s outside the arity range" % sorted(marking)
-                    )
-                key = (mono, marking)
-                c = clean.get(key, Q(0)) + c
-                if c:
-                    clean[key] = c
-                else:
-                    clean.pop(key, None)
-        self.terms = clean
-
-    @property
-    def arity(self):
-        k = len(self.support)
-        if self.support != frozenset(range(1, k + 1)):
-            raise ValueError("support %s is not 1..k" % sorted(self.support))
-        return k
-
-    def is_zero(self):
-        return not self.terms
+        self.terms = {}
+        for (mono, marking), c in (terms or {}).items():
+            marking = _norm_marking(marking)
+            if not marking <= self.support:
+                raise ValueError(
+                    "marked slots %s outside the arity range" % sorted(marking)
+                )
+            add_into(self.terms, {(mono, marking): Q(c)})
 
     def degree(self, b=1):
         degs = {mono_degree(m, b) + b * len(s) for (m, s) in self.terms}
@@ -127,38 +114,6 @@ class BVElement:
         if len(degs) > 1:
             raise ValueError("element is not homogeneous: degrees %s" % sorted(degs))
         return degs.pop()
-
-    def scale(self, c):
-        c = Q(c)
-        return BVElement(self.support, {k: v * c for k, v in self.terms.items()})
-
-    def __add__(self, other):
-        if self.support != other.support:
-            raise ValueError("cannot add elements with different supports")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            w = terms.get(k, Q(0)) + v
-            if w:
-                terms[k] = w
-            else:
-                terms.pop(k, None)
-        return BVElement(self.support, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BVElement)
-            and self.support == other.support
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.support, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -214,10 +169,7 @@ def bv_sigma_act(perm, x):
         px = sigma_act(perm, PoissonElement(x.support, {mono: c}))
         sign = -1 if _inv_count(perm[s - 1] for s in sorted(marking)) % 2 else 1
         new_marking = frozenset(perm[s - 1] for s in marking)
-        out = out + BVElement(
-            x.support,
-            {(m, new_marking): v * sign for m, v in px.terms.items()},
-        )
+        _attach(out, px, new_marking, sign)
     return out
 
 
@@ -234,10 +186,9 @@ def _koszul_reorder_sign(source, target, odd):
     return sign
 
 
-def _attach(core, marking, coef, support):
-    return BVElement(
-        support, {(m, marking): c * coef for m, c in core.terms.items()}
-    )
+def _attach(out, core, marking, coef):
+    """out += coef * core, with every term of core marked by ``marking``."""
+    add_into(out.terms, {(m, marking): c for m, c in core.terms.items()}, coef)
 
 
 def bv_compose(x, y, i):
@@ -286,14 +237,14 @@ def bv_compose(x, y, i):
                 sign = _koszul_reorder_sign(source, target, odd)
                 marking = frozenset(f for f, _ in kept)
                 core = compose_i(q_el, r_el, i)
-                out = out + _attach(core, marking, coef * sign, support)
+                _attach(out, core, marking, coef * sign)
                 continue
             # the slot marking acts on the inserted poisson part as Delta
             target = [("Q",), ("g", i), ("R",)] + [lab for _, lab in sorted(kept)]
             sign = _koszul_reorder_sign(source, target, odd)
             marking = frozenset(f for f, _ in kept)
             acted = compose_i(q_el, delta_apply(r_el), i)
-            out = out + _attach(acted, marking, coef * sign, support)
+            _attach(out, acted, marking, coef * sign)
             # ... or transfers to one of the unmarked inserted slots
             core = compose_i(q_el, r_el, i)
             for j in range(1, l + 1):
@@ -303,7 +254,7 @@ def bv_compose(x, y, i):
                 target = [("Q",), ("R",)] + [lab for _, lab in sorted(placed)]
                 sign = _koszul_reorder_sign(source, target, odd)
                 marking = frozenset(f for f, _ in placed)
-                out = out + _attach(core, marking, coef * sign, support)
+                _attach(out, core, marking, coef * sign)
     return out
 
 
@@ -332,12 +283,11 @@ def random_bv_element(k, rng, terms=3, coeff_bound=3):
         if 0 <= target - mono_degree(m) <= k
         for s in itertools.combinations(slots, target - mono_degree(m))
     ]
-    out = BVElement(range(1, k + 1))
+    out = {}
     for _ in range(terms):
         m, s = pool[rng.randrange(len(pool))]
-        c = rng.randint(-coeff_bound, coeff_bound) or 1
-        out = out + BVElement(out.support, {(m, s): Q(c)})
-    return out
+        add_into(out, {(m, s): rng.randint(-coeff_bound, coeff_bound) or 1})
+    return BVElement(range(1, k + 1), out)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +300,8 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
     is a graded derivation of the bracket.  Returns three reports."""
     if k < 1:
         raise ValueError("arity must be positive")
-    delta = _corrupted_delta if _corrupt_delta else delta_apply
+    check_bracket_degree(b)
+    delta = (lambda x: _delta(x, signed=False)) if _corrupt_delta else delta_apply
     basis = enumerate_basis(k)
     support = frozenset(range(1, k + 1))
 
@@ -377,11 +328,10 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
                 for cmono in enumerate_basis(len(cset)):
                     a = _embed(amono, aset)
                     c = _embed(cmono, cset)
-                    prod = _resupport(a.mul(c), support)
                     sign = -1 if mono_degree(amono, b) % 2 else 1
-                    lhs = delta(prod) - _resupport(delta(a).mul(c), support)
-                    lhs = lhs - _resupport(a.mul(delta(c)), support).scale(sign)
-                    rhs = _resupport(a.bracket(c), support).scale(sign)
+                    lhs = delta(a.mul(c)) - delta(a).mul(c)
+                    lhs = lhs - a.mul(delta(c)).scale(sign)
+                    rhs = a.bracket(c).scale(sign)
                     ok = lhs == rhs
                     rep_dev.count(
                         ok, None if ok else "a=%r c=%r" % (amono, cmono)
@@ -399,10 +349,10 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
                 for cmono in enumerate_basis(len(cset)):
                     a = _embed(amono, aset)
                     c = _embed(cmono, cset)
-                    lhs = delta(_resupport(a.bracket(c), support))
-                    rhs = _resupport(delta(a).bracket(c), support)
+                    lhs = delta(a.bracket(c))
+                    rhs = delta(a).bracket(c)
                     sign = -1 if (mono_degree(amono, b) + b) % 2 else 1
-                    rhs = rhs + _resupport(a.bracket(delta(c)), support).scale(sign)
+                    rhs = rhs + a.bracket(delta(c)).scale(sign)
                     ok = lhs == rhs
                     rep_der.count(
                         ok, None if ok else "a=%r c=%r" % (amono, cmono)
@@ -417,24 +367,6 @@ def _embed(mono, letters):
     mapping = {j + 1: letters[j] for j in range(len(letters))}
     base = PoissonElement(range(1, len(letters) + 1), {mono: Q(1)})
     return relabel(base, mapping)
-
-
-def _corrupted_delta(x):
-    """Negative control: the recursion with the Koszul factor dropped."""
-    out = PoissonElement(x.support)
-    for mono, c in x.terms.items():
-        out = out + _corrupted_delta_mono(mono, x.support).scale(c)
-    return out
-
-
-def _corrupted_delta_mono(mono, support):
-    if len(mono) <= 1:
-        return PoissonElement(support)
-    head = from_mono(mono[:1])
-    rest = from_mono(mono[1:])
-    term1 = _resupport(head.bracket(rest), support)
-    term2 = _resupport(head.mul(_corrupted_delta_mono(mono[1:], rest.support)), support)
-    return term1 + term2
 
 
 # ---------------------------------------------------------------------------
@@ -490,17 +422,15 @@ def eval_bv_ast(node):
     if kind == "mark":
         inner = eval_bv_ast(node[1])
         added = sorted(set(node[2]))
-        out = BVElement(inner.support)
+        terms = {}
         for (mono, marking), c in inner.terms.items():
             new = marking | frozenset(added)
             if len(new) != len(marking) + len(added):
                 continue  # doubled marking: exterior square is zero
             # appended letters resort into the ascending marking word
             inv = sum(1 for s in marking for t in added if t < s)
-            out = out + BVElement(
-                inner.support, {(mono, new): -c if inv % 2 else c}
-            )
-        return out
+            add_into(terms, {(mono, new): c}, -1 if inv % 2 else 1)
+        return BVElement(inner.support, terms)
     if kind in ("add", "sub"):
         a, c = eval_bv_ast(node[1]), eval_bv_ast(node[2])
         return a + c if kind == "add" else a - c

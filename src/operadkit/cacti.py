@@ -26,12 +26,9 @@ diag(c o_i d) with the composite of diag(c) and diag(d).
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .exact import format_rational, parse_rational
-from .operads import CheckReport, OperadInstance
-
-Q = Fraction
+from .exact import Q, format_rational, parse_rational
+from .operads import CheckReport, OperadInstance, require_at_least
 
 
 def circle_point(q):
@@ -455,6 +452,11 @@ def cacti_operad_instance():
 # seeded verification batches
 
 
+def _check_batch(max_arity, samples, least_arity=1):
+    require_at_least("max arity", max_arity, least_arity)
+    require_at_least("sample count", samples, 0)
+
+
 def _sample_theta(rng, max_denominator):
     den = rng.randint(1, max_denominator)
     return Q(rng.randrange(den), den)
@@ -463,6 +465,7 @@ def _sample_theta(rng, max_denominator):
 def check_associativity_batch(max_arity=5, samples=1000, seed=0, max_denominator=64):
     """Nested and disjoint associativity on seeded random cacti; two cases
     per sampled triple."""
+    _check_batch(max_arity, samples, least_arity=2)
     rep = CheckReport(
         "cacti-associativity-%d" % max_arity,
         "the splice composition satisfies both operad associativity shapes",
@@ -501,6 +504,7 @@ def check_associativity_batch(max_arity=5, samples=1000, seed=0, max_denominator
 
 def check_cocycle(max_arity=5, samples=1000, seed=0, max_denominator=64):
     """Cocycle law on seeded random instances plus all arc-boundary times."""
+    _check_batch(max_arity, samples)
     rep = CheckReport(
         "cacti-cocycle-%d" % max_arity,
         "diag(c)(theta+phi) = diag(rotate(c,theta))(phi) + diag(c)(theta)",
@@ -525,6 +529,7 @@ def check_cocycle(max_arity=5, samples=1000, seed=0, max_denominator=64):
 
 def check_rotation_equivariance(max_arity=4, samples=1000, seed=0, max_denominator=64):
     """Composition commutes with rotation through the i-th diagonal."""
+    _check_batch(max_arity, samples)
     rep = CheckReport(
         "cacti-equivariance-%d" % max_arity,
         "rotate(c o_i d, theta) = rotate(c,theta) o_i rotate(d, diag_i(c)(theta))",
@@ -547,6 +552,7 @@ def check_rotation_equivariance(max_arity=4, samples=1000, seed=0, max_denominat
 def check_coend(max_arity=4, samples=1000, seed=0, max_denominator=64):
     """The diagonal is a map into the coEnd operad: pointwise at sampled and
     arc-boundary times, and as full PL data."""
+    _check_batch(max_arity, samples)
     rep = CheckReport(
         "cacti-coend-%d" % max_arity,
         "diag(c o_i d) equals the coEnd composite of diag(c) and diag(d)",
@@ -574,6 +580,7 @@ def check_coend(max_arity=4, samples=1000, seed=0, max_denominator=64):
 
 def check_rotation_action(max_arity=5, samples=500, seed=0, max_denominator=64):
     """rotate is an action of R/Z: identity, additivity, full cycle."""
+    _check_batch(max_arity, samples)
     rep = CheckReport(
         "cacti-rotation-action-%d" % max_arity,
         "rotate(c,0) = c, rotate(rotate(c,a),b) = rotate(c,a+b), full cycle = c",
@@ -606,6 +613,7 @@ def check_rotation_action(max_arity=5, samples=500, seed=0, max_denominator=64):
 def check_winding(max_arity=5, samples=200, seed=0, max_denominator=64):
     """Total winding one per coordinate for every generated diagonal; the
     PLDiagonal constructor enforces it, this check exercises the generator."""
+    _check_batch(max_arity, samples)
     rep = CheckReport(
         "cacti-winding-%d" % max_arity,
         "every coordinate of the homotopy diagonal winds exactly once",

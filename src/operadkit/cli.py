@@ -12,6 +12,7 @@ import json
 import sys
 
 from .exact import GradedDims
+from .operads import require_at_least
 
 
 def _dims_table(dims):
@@ -107,6 +108,7 @@ def _cmd_group(args):
         print("cannot load group table %r: %s" % (args.table, err), file=sys.stderr)
         return 2
     if args.action == "fixed-points":
+        require_at_least("arity", args.arity, 1)
         for k in range(1, args.arity + 1):
             fixed = groups.fixed_point_operad(G, k)
             print("arity %d: %d fixed tuples (center^%d)" % (k, len(fixed), k))

@@ -2,12 +2,20 @@
 
 Everything downstream computes over the rationals with no rounding anywhere:
 scalars are ``fractions.Fraction``, dimensions live in ``GradedDims`` (a thin
-degree -> dimension mapping), and permutations are index tuples.  All exact
-linear algebra goes through one incremental kernel, ``Echelon``: vectors are
-admitted one at a time into a fully reduced row echelon form, so a span is
-grown, tested and solved against without eliminating anything twice, and
-null spaces come out of the unique reduced form, identical for identical
-inputs.
+degree -> dimension mapping), and permutations are index tuples.
+
+A finite linear combination is a sparse dict key -> nonzero scalar, and the
+one sparse axpy, ``add_into(acc, terms, c)``, adds ``c * terms`` into ``acc``
+in place, dropping keys that cancel.  ``LinComb`` holds such a dict over a
+letter set and carries the vector-space operations shared by poisson and BV
+elements; the same ``add_into`` serves the plain dict vectors of the string
+bracket presentations and the rows of the elimination.
+
+All exact linear algebra goes through one incremental kernel, ``Echelon``:
+vectors are admitted one at a time into a fully reduced row echelon form, so
+a span is grown, tested and solved against without eliminating anything
+twice, and null spaces come out of the unique reduced form, identical for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -167,6 +175,82 @@ def koszul_sign(perm, degrees):
 # sparse exact linear algebra
 
 
+def add_into(acc, terms, c=1):
+    """acc += c * terms, in place over sparse dicts; keys whose coefficient
+    cancels are dropped.  Returns acc.  Only ever pass an ``acc`` the caller
+    owns: never a cached or stored dict."""
+    get = acc.get
+    for k, v in terms.items():
+        nv = get(k, 0) + c * v
+        if nv:
+            acc[k] = nv
+        else:
+            acc.pop(k, None)
+    return acc
+
+
+class LinComb:
+    """Finitely supported exact combination ``terms`` (key -> nonzero
+    Fraction) over the letter set ``support``.
+
+    Subclasses supply the validating constructor; the operations here build
+    results through ``_of``, which trusts its already clean terms.  Every
+    operation returns a new element except ``add_scaled``, which adds into
+    ``self`` and is meant for accumulators the caller created.
+    """
+
+    __slots__ = ("support", "terms")
+
+    @classmethod
+    def _of(cls, support, terms):
+        out = object.__new__(cls)
+        out.support = support
+        out.terms = terms
+        return out
+
+    @property
+    def arity(self):
+        k = len(self.support)
+        if self.support != frozenset(range(1, k + 1)):
+            raise ValueError("support %s is not {1..%d}" % (sorted(self.support), k))
+        return k
+
+    def is_zero(self):
+        return not self.terms
+
+    def scale(self, q):
+        q = Q(q)
+        if not q:
+            return self._of(self.support, {})
+        return self._of(self.support, {m: c * q for m, c in self.terms.items()})
+
+    def add_scaled(self, other, c=1):
+        """self += c * other, in place; returns self."""
+        if self.support != other.support:
+            raise ValueError("support mismatch in sum")
+        add_into(self.terms, other.terms, c)
+        return self
+
+    def __add__(self, other):
+        return self._of(self.support, dict(self.terms)).add_scaled(other)
+
+    def __sub__(self, other):
+        return self._of(self.support, dict(self.terms)).add_scaled(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.support == other.support
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.support, frozenset(self.terms.items())))
+
+
 class SparseMatrix:
     """Immutable-by-convention sparse matrix over Fraction.
 
@@ -241,12 +325,7 @@ class Echelon:
         out = {c: v for c, v in vec.items() if v}
         rows = self.rows
         for p, f in [(p, f) for p, f in out.items() if p in rows]:
-            for c, v in rows[p].items():
-                nv = out.get(c, 0) - f * v
-                if nv:
-                    out[c] = nv
-                else:
-                    del out[c]
+            add_into(out, rows[p], -f)
         return out
 
     def add(self, vec):
@@ -262,12 +341,7 @@ class Echelon:
         for other in self.rows.values():
             f = other.get(p)
             if f:
-                for c, v in row.items():
-                    nv = other.get(c, 0) - f * v
-                    if nv:
-                        other[c] = nv
-                    else:
-                        del other[c]
+                add_into(other, row, -f)
         self.rows[p] = row
         self.added.append(vec)
         return True

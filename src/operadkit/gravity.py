@@ -39,8 +39,8 @@ from .exact import (
 )
 from .operads import CheckReport
 from .poisson import (
-    EngineConfig,
     PoissonElement,
+    check_bracket_degree,
     compose_i,
     enumerate_basis,
     from_mono,
@@ -85,7 +85,7 @@ def gravity_basis(k, b=1):
     """Exact kernel of Delta per degree; rejects the unary arity."""
     if k < 2:
         raise ValueError("gravity model starts at arity 2")
-    EngineConfig(b)  # rejects a bracket degree outside the model
+    check_bracket_degree(b)
     support = frozenset(range(1, k + 1))
     elements = {}
     for j in range(k):
@@ -111,7 +111,7 @@ def moduli_dimension_oracle(k, b=1):
     t^b prod_{j=2}^{k-1}(1 + j t^b)."""
     if k < 2:
         raise ValueError("oracle starts at arity 2")
-    EngineConfig(b)  # rejects a bracket degree outside the model
+    check_bracket_degree(b)
     shift = [0] * b + [1]
     factors = [shift]
     for j in range(2, k):
@@ -277,10 +277,12 @@ def _closure_dims(generators, max_arity, b=1):
     Each (arity, degree) keeps one ``Echelon`` that admits a candidate only
     when it is independent of the elements kept so far.  A worklist takes
     each kept element once: it applies the k-1 adjacent transpositions,
-    which generate S_k, and composes the element with every element taken
-    before it, in both orders.  When the worklist is empty, the span is
-    closed under composition and under a generating set of S_k, hence under
-    all of S_k."""
+    which generate S_k, and composes the element at slot 1 with every
+    element taken before it, in both orders.  When the worklist is empty,
+    the span is closed under a generating set of S_k, hence under all of
+    S_k, and under composition at slot 1.  That gives every slot: by
+    equivariance x o_i y is a permutation of (sigma.x) o_1 y, where sigma
+    moves slot i to slot 1, and sigma.x lies in the span."""
     echelons = {}
     done = {k: [] for k in range(1, max_arity + 1)}
     fresh = []
@@ -305,11 +307,9 @@ def _closure_dims(generators, max_arity, b=1):
         done[k].append(x)
         for l in range(2, max_arity + 2 - k):
             for y in done[l]:
-                for i in range(1, k + 1):
-                    admit(k + l - 1, compose_i(x, y, i))
+                admit(k + l - 1, compose_i(x, y, 1))
                 if y is not x:
-                    for i in range(1, l + 1):
-                        admit(k + l - 1, compose_i(y, x, i))
+                    admit(k + l - 1, compose_i(y, x, 1))
     dims = {k: {} for k in range(1, max_arity + 1)}
     for (k, d), (ech, _) in echelons.items():
         dims[k][d] = ech.rank

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .operads import CheckReport, OperadInstance
+from .operads import CheckReport, OperadInstance, require_at_least
 
 
 class FiniteGroupTable:
@@ -129,8 +129,7 @@ def tuple_relabel(perm, t):
 def fixed_point_operad(G, k):
     """Conjugation-fixed tuples; verified to be Z(G)^k and closed under
     substitution."""
-    if k < 1:
-        raise ValueError("arity must be positive")
+    require_at_least("arity", k, 1)
     fixed = [
         t
         for t in itertools.product(range(G.order), repeat=k)
@@ -460,6 +459,7 @@ def _parity(p):
 
 
 def check_fixed_points(G, max_arity=3):
+    require_at_least("arity", max_arity, 1)
     rep = CheckReport(
         "group-fixed-points-%s" % G.name,
         "conjugation-fixed tuples equal the center tuples and stay closed",
@@ -476,6 +476,7 @@ def check_fixed_points(G, max_arity=3):
 
 
 def check_conjugation_equivariance(G, samples=200, seed=0):
+    require_at_least("sample count", samples, 0)
     rep = CheckReport(
         "group-conjugation-equivariance-%s" % G.name,
         "conjugation commutes with blockwise substitution",

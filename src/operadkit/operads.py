@@ -30,6 +30,12 @@ import random
 from .exact import perm_block_insert, perm_identity
 
 
+def require_at_least(what, value, least):
+    """Reject a count or arity bound below ``least``, naming the value."""
+    if value < least:
+        raise ValueError("%s must be at least %d, got %r" % (what, least, value))
+
+
 class OperadInstance:
     """Adapter bundling one concrete operad's operations.
 

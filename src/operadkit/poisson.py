@@ -43,10 +43,9 @@ exact rationals by the test suite.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Q
+from .exact import LinComb, Q, add_into
 
 # ---------------------------------------------------------------------------
 # bracket trees: a leaf is an int letter, a node is a pair (left, right)
@@ -96,15 +95,6 @@ def comb_parts(t):
     return t, tuple(tail)
 
 
-def is_normal_tree(t):
-    """Left-combed with the minimal letter at the head."""
-    try:
-        head, tail = comb_parts(t)
-    except ValueError:
-        return False
-    return all(head < x for x in tail)
-
-
 def tree_key(t):
     if is_leaf(t):
         return (0, t)
@@ -137,15 +127,11 @@ def tree_bracket(s, t):
     if is_leaf(t):
         return {(s, t): 1}
     t2, last = t  # t = [t2, last], last a leaf since t is a comb
-    out = {}
-    for u, c in tree_bracket(s, t2).items():
-        v = (u, last)  # last exceeds the head of u, so this is normal
-        out[v] = out.get(v, 0) + c
+    # last exceeds the head of every u, so (u, last) is normal
+    out = {(u, last): c for u, c in tree_bracket(s, t2).items()}
     # - (-1)^{||t2|| ||last||} [[s,last], t2], with ||last|| odd
     sgn = 1 if tree_nleaves(t2) % 2 else -1
-    for u, c in tree_bracket((s, last), t2).items():
-        out[u] = out.get(u, 0) + sgn * c
-    return {u: c for u, c in out.items() if c}
+    return add_into(out, tree_bracket((s, last), t2), sgn)
 
 
 def lie_normal_form(t):
@@ -155,9 +141,8 @@ def lie_normal_form(t):
     out = {}
     for u, cu in lie_normal_form(t[0]).items():
         for v, cv in lie_normal_form(t[1]).items():
-            for w, cw in tree_bracket(u, v).items():
-                out[w] = out.get(w, 0) + cu * cv * cw
-    return {w: c for w, c in out.items() if c}
+            add_into(out, tree_bracket(u, v), cu * cv)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +198,14 @@ def merge_monos(m1, m2):
 # elements
 
 
-class PoissonElement:
+class PoissonElement(LinComb):
     """Finitely supported rational combination of normal monomials.
 
     ``support`` is the frozenset of letters (for operad elements of arity k
     this is {1..k}); all monomials use exactly these letters, once each.
     """
 
-    __slots__ = ("support", "terms")
+    __slots__ = ()
 
     def __init__(self, support, terms=None):
         self.support = frozenset(support)
@@ -229,16 +214,6 @@ class PoissonElement:
             c = Q(c)
             if c:
                 self.terms[mono] = c
-
-    @property
-    def arity(self):
-        k = len(self.support)
-        if self.support != frozenset(range(1, k + 1)):
-            raise ValueError("support %s is not {1..%d}" % (sorted(self.support), k))
-        return k
-
-    def is_zero(self):
-        return not self.terms
 
     def degrees(self, b=1):
         return sorted({mono_degree(m, b) for m in self.terms})
@@ -257,34 +232,6 @@ class PoissonElement:
             {m: c for m, c in self.terms.items() if mono_degree(m, b) == d},
         )
 
-    def scale(self, q):
-        q = Q(q)
-        return PoissonElement(self.support, {m: c * q for m, c in self.terms.items()})
-
-    def __add__(self, other):
-        if self.support != other.support:
-            raise ValueError("support mismatch in sum")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Q(0)) + c
-        return PoissonElement(self.support, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PoissonElement)
-            and self.support == other.support
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.support, tuple(sorted(self.terms.items(), key=lambda t: mono_key(t[0])))))
-
     def mul(self, other):
         """Graded-commutative product; letters must be disjoint."""
         if self.support & other.support:
@@ -295,8 +242,8 @@ class PoissonElement:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 sign, m = merge_monos(m1, m2)
-                out[m] = out.get(m, Q(0)) + sign * c1 * c2
-        return PoissonElement(self.support | other.support, out)
+                out[m] = sign * c1 * c2  # distinct pairs merge to distinct monomials
+        return PoissonElement._of(self.support | other.support, out)
 
     def bracket(self, other):
         """The Lie bracket, extended to products by the Leibniz rule."""
@@ -305,11 +252,11 @@ class PoissonElement:
                 "not multilinear: letters %s repeat" % sorted(self.support & other.support)
             )
         support = self.support | other.support
-        out = PoissonElement(support)
+        out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                out = out + _resupport(_bracket_monos(m1, m2), support).scale(c1 * c2)
-        return out
+                add_into(out, _bracket_monos(m1, m2).terms, c1 * c2)
+        return PoissonElement._of(support, out)
 
     def __repr__(self):
         from .grammar import element_to_text
@@ -350,23 +297,17 @@ def _bracket_monos(m1, m2):
         p_rest = sum(_block_deg_parity(t) for t in rest) % 2
         p_nsh = (sum(tree_nleaves(t) - 1 for t in m2) + 1) % 2
         sign = -1 if p_rest and p_nsh else 1
-        term1 = _bracket_monos((b0,), m2).mul(from_mono(rest)).scale(sign)
+        term1 = _bracket_monos((b0,), m2).mul(from_mono(rest))
         term2 = from_mono((b0,)).mul(_bracket_monos(rest, m2))
-        return term1 + term2
+        return term2.add_scaled(term1, sign)
     # len(m2) > 1: [B, C.N'] = [B,C].N' + (-1)^{|C|(|B|+b)} C.[B,N']
     c0, rest = m2[0], m2[1:]
     p_c = _block_deg_parity(c0)
     p_bsh = tree_nleaves(m1[0]) % 2
     sign = -1 if p_c and p_bsh else 1
     term1 = _bracket_monos(m1, (c0,)).mul(from_mono(rest))
-    term2 = from_mono((c0,)).mul(_bracket_monos(m1, rest)).scale(sign)
-    return term1 + term2
-
-
-def _resupport(x, support):
-    if x.support == support:
-        return x
-    return PoissonElement(support, x.terms)
+    term2 = from_mono((c0,)).mul(_bracket_monos(m1, rest))
+    return term1.add_scaled(term2, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +323,7 @@ def relabel(x, mapping, renormalize=False):
         for mono, c in x.terms.items():
             m = tuple(relabel_tree(t, mapping) for t in mono)
             terms[m] = c
-        return PoissonElement(support, terms)
+        return PoissonElement._of(support, terms)
     out = PoissonElement(support)
     for mono, c in x.terms.items():
         acc = None
@@ -390,7 +331,7 @@ def relabel(x, mapping, renormalize=False):
             block_support = frozenset(mapping[i] for i in tree_leaves(t))
             piece = _single(lie_normal_form(relabel_tree(t, mapping)), block_support)
             acc = piece if acc is None else acc.mul(piece)
-        out = out + acc.scale(c)
+        out.add_scaled(acc, c)
     return out
 
 
@@ -441,7 +382,7 @@ def compose_i(x, y, i):
     support = frozenset(range(1, k + l))
     out = PoissonElement(support)
     for parity in (0, 1):
-        yd = PoissonElement(
+        yd = PoissonElement._of(
             yr.support,
             {m: c for m, c in yr.terms.items() if mono_degree(m) % 2 == parity},
         )
@@ -459,7 +400,7 @@ def compose_i(x, y, i):
             acc = pieces[0]
             for p in pieces[1:]:
                 acc = acc.mul(p)
-            out = out + _resupport(acc, support).scale(c)
+            add_into(out.terms, acc.terms, c)
     return out
 
 
@@ -512,6 +453,7 @@ def poincare_polynomial(k, b=1):
 
     if k < 1:
         raise ValueError("arity must be >= 1")
+    check_bracket_degree(b)
     counts = {}
     for blocks in set_partitions(tuple(range(1, k + 1))):
         n = 1
@@ -535,8 +477,7 @@ def random_element(k, rng, terms=3, coeff_bound=3, homogeneous=True):
     out = {}
     for _ in range(min(terms, len(basis))):
         m = rng.choice(basis)
-        c = rng.randint(-coeff_bound, coeff_bound) or 1
-        out[m] = out.get(m, Q(0)) + c
+        add_into(out, {m: rng.randint(-coeff_bound, coeff_bound) or 1})
     return PoissonElement(range(1, k + 1), out)
 
 
@@ -555,17 +496,7 @@ def operad_instance():
     )
 
 
-class EngineConfig:
-    """Bracket degree parameter; only odd degrees are meaningful here."""
-
-    __slots__ = ("bracket_degree",)
-
-    def __init__(self, bracket_degree=1):
-        if bracket_degree < 1 or bracket_degree % 2 == 0:
-            raise ValueError(
-                "bracket degree must be odd and positive, got %r" % bracket_degree
-            )
-        self.bracket_degree = bracket_degree
-
-    def __repr__(self):
-        return "EngineConfig(bracket_degree=%d)" % self.bracket_degree
+def check_bracket_degree(b):
+    """Reject a bracket degree outside the model, which needs odd b >= 1."""
+    if b < 1 or b % 2 == 0:
+        raise ValueError("bracket degree must be odd and positive, got %r" % b)

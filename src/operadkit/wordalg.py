@@ -15,6 +15,7 @@ code with the rewriting engine.
 
 from __future__ import annotations
 
+from .exact import add_into
 from .poisson import comb, is_leaf, tree_nleaves
 
 
@@ -29,18 +30,16 @@ def tree_to_words(t):
     out = {}
     for u, cu in wl.items():
         for v, cv in wr.items():
-            out[u + v] = out.get(u + v, 0) + cu * cv
-            out[v + u] = out.get(v + u, 0) + sign * cu * cv
-    return {w: c for w, c in out.items() if c}
+            add_into(out, {u + v: 1, v + u: sign}, cu * cv)
+    return out
 
 
 def combination_to_words(trees):
     """Expansion of a dict {tree: coefficient}."""
     out = {}
     for t, c in trees.items():
-        for w, cw in tree_to_words(t).items():
-            out[w] = out.get(w, 0) + c * cw
-    return {w: c for w, c in out.items() if c}
+        add_into(out, tree_to_words(t), c)
+    return out
 
 
 def lie_from_words(words):

@@ -4,6 +4,8 @@
 import json
 import os
 
+import pytest
+
 from operadkit.cacti import cactus_to_dict, random_cactus
 from operadkit.cli import run_cli
 
@@ -29,7 +31,7 @@ def test_dims_tables(capsys):
 
 
 def test_dims_reject_bracket_degree_outside_the_model(capsys):
-    for table in ("grav", "moduli"):
+    for table in ("e2", "grav", "moduli"):
         for b in ("2", "0", "-1"):
             code, out, err = run(
                 capsys, "dims", table, "--arity", "3", "--bracket-degree", b
@@ -37,6 +39,30 @@ def test_dims_reject_bracket_degree_outside_the_model(capsys):
             assert code == 2
             assert out == ""
             assert "bracket degree must be odd and positive, got %s" % b in err
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["cacti", "verify", "cocycle", "--samples", "-5", "--max-arity", "3"],
+         "sample count must be at least 0, got -5"),
+        (["cacti", "verify", "cocycle", "--max-arity", "0"],
+         "max arity must be at least 1, got 0"),
+        (["cacti", "verify", "associativity", "--max-arity", "1"],
+         "max arity must be at least 2, got 1"),
+        (["group", "fixed-points", "--table", "S3", "--arity", "0"],
+         "arity must be at least 1, got 0"),
+        (["group", "verify", "--table", "S3", "--arity", "0"],
+         "arity must be at least 1, got 0"),
+    ],
+    ids=["cocycle-samples", "cocycle-arity", "associativity-arity",
+         "fixed-points-arity", "group-verify-arity"],
+)
+def test_cacti_and_group_reject_counts_outside_the_domain(capsys, argv, bad):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert bad in err
 
 
 def test_verify_with_no_cases_fails(capsys):

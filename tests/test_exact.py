@@ -3,14 +3,19 @@ signs, sparse rank/kernel, rational parsing."""
 
 from fractions import Fraction as Q
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from operadkit.bv import BVElement, delta_apply, random_bv_element
 from operadkit.exact import (
     Echelon,
     GradedDims,
+    LinComb,
     SparseMatrix,
+    add_into,
     format_rational,
     koszul_sign,
     parse_rational,
@@ -24,6 +29,12 @@ from operadkit.exact import (
     perm_transposition,
     poly_coeffs_product,
     span_rank,
+)
+from operadkit.poisson import (
+    PoissonElement,
+    compose_i,
+    random_element,
+    relabel,
 )
 
 perms = st.integers(2, 6).flatmap(lambda k: st.permutations(range(1, k + 1)))
@@ -256,3 +267,87 @@ def test_parse_rational_rejects_garbage():
     for bad in ["", "1/", "/2", "a/b", "1.5", "1/0"]:
         with pytest.raises((ValueError, ZeroDivisionError)):
             parse_rational(bad)
+
+
+# ---------------------------------------------------------------------------
+# sparse linear combinations
+
+
+def _old_vec_add(u, v, scale=Q(1)):
+    """The out-of-place sparse axpy every layer used to copy: a new dict."""
+    out = dict(u)
+    for i, c in v.items():
+        out[i] = out.get(i, Q(0)) + scale * c
+    return {i: c for i, c in out.items() if c}
+
+
+sparse = st.dictionaries(st.integers(0, 5), scalars, max_size=5)
+nonzero_sparse = sparse.map(lambda d: {k: v for k, v in d.items() if v})
+
+
+@given(nonzero_sparse, sparse, scalars)
+def test_add_into_matches_the_out_of_place_sum(u, v, c):
+    want = _old_vec_add(u, v, c)
+    v_before = dict(v)
+    acc = dict(u)
+    assert add_into(acc, v, c) is acc
+    assert acc == want
+    assert all(acc.values())
+    assert v == v_before
+
+
+def _elements(kind, k, seed):
+    rng = random.Random(seed)
+    if kind == "poisson":
+        return random_element(k, rng, homogeneous=False), random_element(k, rng)
+    return random_bv_element(k, rng), random_bv_element(k, rng)
+
+
+def _snapshot(*xs):
+    return [(type(x), x.support, dict(x.terms)) for x in xs]
+
+
+@given(
+    st.sampled_from(["poisson", "bv"]),
+    st.integers(1, 4),
+    st.integers(0, 10**6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+def test_lincomb_arithmetic_matches_the_out_of_place_sum(kind, k, seed, c):
+    x, y = _elements(kind, k, seed)
+    before = _snapshot(x, y)
+    assert (x + y).terms == _old_vec_add(x.terms, y.terms)
+    assert (x - y).terms == _old_vec_add(x.terms, y.terms, Q(-1))
+    assert x.scale(c).terms == _old_vec_add({}, x.terms, c)
+    assert (-x).terms == _old_vec_add({}, x.terms, Q(-1))
+    assert all(type(z) is type(x) for z in (x + y, x - y, x.scale(c), -x))
+    assert _snapshot(x, y) == before  # no operand is changed
+    acc = x + type(x)(x.support)
+    assert acc.add_scaled(y, c) is acc
+    assert acc.terms == _old_vec_add(x.terms, y.terms, c)
+    assert (acc == x + y.scale(c)) and hash(acc) == hash(x + y.scale(c))
+    assert _snapshot(x, y) == before
+    with pytest.raises(ValueError, match="support mismatch"):
+        acc.add_scaled(type(x)(range(1, k + 2)))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10**6))
+def test_engine_operations_leave_their_operands_alone(k, l, seed):
+    rng = random.Random(seed)
+    x, y = random_element(k, rng), random_element(l, rng)
+    z = relabel(y, {j: j + k for j in range(1, l + 1)})  # letters disjoint from x
+    before = _snapshot(x, y, z)
+    x + x, x - x, x.scale(2), -x
+    delta_apply(x)
+    x.bracket(z)
+    z.bracket(x)
+    for i in range(1, k + 1):
+        compose_i(x, y, i)
+    assert _snapshot(x, y, z) == before
+
+
+def test_elements_inherit_all_arithmetic_from_lincomb():
+    shared = ("scale", "__add__", "__sub__", "__neg__", "__eq__", "is_zero", "arity")
+    for cls in (PoissonElement, BVElement):
+        assert issubclass(cls, LinComb)
+        assert not set(shared) & set(vars(cls))

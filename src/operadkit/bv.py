@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exact import LinComb, Q, add_into
+from .exact import LinComb, Q, add_into, scalar
 from .operads import CheckReport, OperadInstance
 from .poisson import (
     PoissonElement,
@@ -92,7 +92,8 @@ def _norm_marking(marking):
 
 
 class BVElement(LinComb):
-    """Finitely supported map (normal monomial, marked-slot subset) -> Q."""
+    """Finitely supported map (normal monomial, marked-slot subset) ->
+    scalar, an int when integral, else a Fraction."""
 
     __slots__ = ()
 
@@ -105,7 +106,7 @@ class BVElement(LinComb):
                 raise ValueError(
                     "marked slots %s outside the arity range" % sorted(marking)
                 )
-            add_into(self.terms, {(mono, marking): Q(c)})
+            add_into(self.terms, {(mono, marking): scalar(c)})
 
     def degree(self, b=1):
         degs = {mono_degree(m, b) + b * len(s) for (m, s) in self.terms}
@@ -211,9 +212,9 @@ def bv_compose(x, y, i):
     ys = frozenset(range(1, l + 1))
     out = BVElement(support)
     for (mono_q, s_set), cq in x.terms.items():
-        q_el = PoissonElement(xs, {mono_q: Q(1)})
+        q_el = PoissonElement(xs, {mono_q: 1})
         for (mono_r, t_set), cr in y.terms.items():
-            r_el = PoissonElement(ys, {mono_r: Q(1)})
+            r_el = PoissonElement(ys, {mono_r: 1})
             source = (
                 [("Q",)]
                 + [("g", s) for s in sorted(s_set)]
@@ -311,7 +312,7 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
         {"arity": k, "bracket_degree": b},
     )
     for mono in basis:
-        x = PoissonElement(support, {mono: Q(1)})
+        x = PoissonElement(support, {mono: 1})
         val = delta(delta(x))
         rep_sq.count(val.is_zero(), None if val.is_zero() else repr(mono))
 
@@ -365,7 +366,7 @@ def _embed(mono, letters):
     """Poisson element for a basis monomial on 1..s relabeled into the
     letter set ``letters`` (ascending)."""
     mapping = {j + 1: letters[j] for j in range(len(letters))}
-    base = PoissonElement(range(1, len(letters) + 1), {mono: Q(1)})
+    base = PoissonElement(range(1, len(letters) + 1), {mono: 1})
     return relabel(base, mapping)
 
 

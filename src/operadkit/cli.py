@@ -12,7 +12,16 @@ import json
 import sys
 
 from .exact import GradedDims
-from .operads import require_at_least
+from .operads import require_at_least, require_at_most
+
+# Largest arity each command accepts, refused above before any enumeration:
+# bases grow like k! (|G|^k for groups).  Times at each limit are in CHANGES.md.
+ARITY_BUDGET = {
+    "dims e2": 11, "dims grav": 7, "dims moduli": 40,
+    "verify jacobi": 9, "verify bv": 7, "verify free-module": 8,
+    "verify closure": 7, "verify generation": 7, "verify lie": 8, "verify grav4": 7,
+    "group fixed-points": 5, "group verify": 5, "cacti verify": 10,
+}
 
 
 def _dims_table(dims):
@@ -33,6 +42,7 @@ def _cmd_dims(args):
     from .gravity import gravity_basis, moduli_dimension_oracle
     from .poisson import poincare_polynomial
 
+    require_at_most("arity", args.arity, ARITY_BUDGET["dims " + args.table])
     b = args.bracket_degree
     if args.table == "e2":
         dims = poincare_polynomial(args.arity, b)
@@ -47,24 +57,29 @@ def _cmd_dims(args):
 def _cmd_verify(args):
     from . import bv, gravity
 
-    if args.law == "jacobi":
+    law = args.law
+    if law == "jacobi":
+        require_at_most("arity k+l", args.k + args.l, ARITY_BUDGET["verify jacobi"])
         return _emit([gravity.verify_generalized_jacobi(args.k, args.l)])
-    if args.law == "bv":
-        return _emit(bv.check_bv_relations(args.arity))
-    if args.law == "free-module":
+    if law in ("bv", "free-module"):
+        require_at_most("arity", args.arity, ARITY_BUDGET["verify " + law])
+        if law == "bv":
+            return _emit(bv.check_bv_relations(args.arity))
         return _emit([gravity.check_free_module(args.arity)])
-    if args.law == "closure":
-        return _emit([gravity.check_suboperad_closure(args.max_arity)])
-    if args.law == "generation":
-        return _emit([gravity.check_generation(args.max_arity)])
-    if args.law == "lie":
-        return _emit([gravity.check_lie_embedding(args.max_arity)])
-    return _emit([gravity.grav4_table(args.max_arity)])
+    require_at_most("max arity", args.max_arity, ARITY_BUDGET["verify " + law])
+    check = {
+        "closure": gravity.check_suboperad_closure,
+        "generation": gravity.check_generation,
+        "lie": gravity.check_lie_embedding,
+        "grav4": gravity.grav4_table,
+    }[law]
+    return _emit([check(args.max_arity)])
 
 
 def _cmd_cacti_verify(args):
     from . import cacti
 
+    require_at_most("max arity", args.max_arity, ARITY_BUDGET["cacti verify"])
     fn = {
         "cocycle": cacti.check_cocycle,
         "coend": cacti.check_coend,
@@ -102,6 +117,8 @@ def _load_group(spec):
 def _cmd_group(args):
     from . import groups
 
+    if args.action != "tomdieck":
+        require_at_most("arity", args.arity, ARITY_BUDGET["group " + args.action])
     try:
         G = _load_group(args.table)
     except (OSError, ValueError, KeyError) as err:

@@ -1,8 +1,9 @@
 """Exact scalars, graded bookkeeping, Koszul signs, and exact linear algebra.
 
 Everything downstream computes over the rationals with no rounding anywhere:
-scalars are ``fractions.Fraction``, dimensions live in ``GradedDims`` (a thin
-degree -> dimension mapping), and permutations are index tuples.
+scalars are ``int`` when integral, else ``fractions.Fraction`` (``scalar``
+normalises), dimensions live in ``GradedDims`` (a thin degree -> dimension
+mapping), and permutations are index tuples.
 
 A finite linear combination is a sparse dict key -> nonzero scalar, and the
 one sparse axpy, ``add_into(acc, terms, c)``, adds ``c * terms`` into ``acc``
@@ -175,6 +176,14 @@ def koszul_sign(perm, degrees):
 # sparse exact linear algebra
 
 
+def scalar(v):
+    """v as an int when it is integral, else as a Fraction."""
+    if type(v) is int:
+        return v
+    v = Q(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 def add_into(acc, terms, c=1):
     """acc += c * terms, in place over sparse dicts; keys whose coefficient
     cancels are dropped.  Returns acc.  Only ever pass an ``acc`` the caller
@@ -191,7 +200,7 @@ def add_into(acc, terms, c=1):
 
 class LinComb:
     """Finitely supported exact combination ``terms`` (key -> nonzero
-    Fraction) over the letter set ``support``.
+    scalar, int when integral, else Fraction) over the letters ``support``.
 
     Subclasses supply the validating constructor; the operations here build
     results through ``_of``, which trusts its already clean terms.  Every
@@ -219,7 +228,7 @@ class LinComb:
         return not self.terms
 
     def scale(self, q):
-        q = Q(q)
+        q = scalar(q)
         if not q:
             return self._of(self.support, {})
         return self._of(self.support, {m: c * q for m, c in self.terms.items()})
@@ -252,10 +261,10 @@ class LinComb:
 
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix over Fraction.
+    """Immutable-by-convention sparse matrix over the rationals.
 
-    Entries live in a dict (row, col) -> Fraction with no stored zeros.
-    Rows and columns are 0-indexed.
+    Entries live in a dict (row, col) -> scalar (int when integral, else
+    Fraction) with no stored zeros.  Rows and columns are 0-indexed.
     """
 
     def __init__(self, rows, cols, entries=None):
@@ -265,17 +274,17 @@ class SparseMatrix:
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise ValueError("entry (%d,%d) out of range" % (r, c))
-            v = Q(v)
+            v = scalar(v)
             if v:
                 self.entries[(r, c)] = v
 
     def __getitem__(self, rc):
-        return self.entries.get(rc, Q(0))
+        return self.entries.get(rc, 0)
 
     def mat_vec(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = [Q(0)] * self.rows
+        out = [0] * self.rows
         for (r, c), v in self.entries.items():
             if vec[c]:
                 out[r] += v * vec[c]
@@ -301,13 +310,14 @@ class SparseMatrix:
 
 
 class Echelon:
-    """Incremental fully reduced row echelon form over Fraction.
+    """Incremental fully reduced row echelon form over the rationals.
 
-    Vectors are sparse dicts col -> scalar.  ``rows`` maps each pivot column
-    to its row: the row is 1 at its pivot, which is its smallest column, and
-    0 at every other pivot column.  So subtracting one row from a vector
-    never brings in another pivot column, and ``reduce`` visits only the
-    pivot columns present in the vector, not every row.  The rows are the
+    Vectors are sparse dicts col -> scalar (int when integral, else
+    Fraction); int vectors whose pivots are +-1 keep int rows.  ``rows`` maps
+    each pivot column to its row: the row is 1 at its pivot, which is its
+    smallest column, and 0 at every other pivot column.  So subtracting one
+    row from a vector never brings in another pivot column, and ``reduce``
+    visits only the pivot columns present in the vector, not every row.  The rows are the
     unique reduced echelon form of the span, whatever the order of ``add``.
     """
 
@@ -335,9 +345,10 @@ class Echelon:
         if not row:
             return False
         p = min(row)
-        inv = Q(1) / row[p]
-        for c in row:
-            row[c] *= inv
+        inv = scalar(Q(1) / row[p])
+        if inv != 1:
+            for c in row:
+                row[c] = scalar(row[c] * inv)
         for other in self.rows.values():
             f = other.get(p)
             if f:
@@ -347,9 +358,9 @@ class Echelon:
         return True
 
     def solve(self, vec):
-        """Exact coefficients {i: c_i}, nonzero only, with vec the sum of
-        c_i times the i-th vector admitted by ``add``.  Raises
-        ArithmeticError when vec lies outside the span.
+        """Exact coefficients {i: c_i}, nonzero only and normalised by
+        ``scalar``, with vec the sum of c_i times the i-th vector admitted
+        by ``add``.  Raises ArithmeticError when vec lies outside the span.
 
         Read at the pivot columns, the admitted vectors form an invertible
         square matrix, so the coefficients solve sum_i c_i v_i[p] = vec[p];
@@ -363,14 +374,14 @@ class Echelon:
             eq = {i: v[p] for i, v in enumerate(self.added) if v.get(p)}
             eq[n] = vec.get(p, 0)
             system.add(eq)
-        return {i: row[n] for i, row in sorted(system.rows.items()) if row.get(n)}
+        return {i: scalar(r[n]) for i, r in sorted(system.rows.items()) if r.get(n)}
 
     def kernel_basis(self, cols):
         """Basis of the vectors of length ``cols`` orthogonal to every row:
         one per free column c, with 1 at c and -row[c] at each pivot."""
-        basis = {c: [Q(0)] * cols for c in range(cols) if c not in self.rows}
+        basis = {c: [0] * cols for c in range(cols) if c not in self.rows}
         for c, vec in basis.items():
-            vec[c] = Q(1)
+            vec[c] = 1
         for p, row in self.rows.items():
             for c, v in row.items():
                 if c != p:
@@ -379,7 +390,7 @@ class Echelon:
 
 
 def span_rank(vectors):
-    """Rank of a list of dense Fraction tuples (or dicts col->Fraction)."""
+    """Rank of a list of dense scalar tuples (or dicts col -> scalar)."""
     ech = Echelon()
     for v in vectors:
         ech.add(v if isinstance(v, dict) else dict(enumerate(v)))

@@ -32,7 +32,6 @@ from .bv import delta_apply
 from .exact import (
     Echelon,
     GradedDims,
-    Q,
     SparseMatrix,
     perm_transposition,
     poly_coeffs_product,
@@ -57,7 +56,7 @@ def _delta_matrix(k, degree, b=1):
     support = frozenset(range(1, k + 1))
     entries = {}
     for c, mono in enumerate(cols):
-        image = delta_apply(PoissonElement(support, {mono: Q(1)}))
+        image = delta_apply(PoissonElement(support, {mono: 1}))
         for m, v in image.terms.items():
             entries[(row_index[m], c)] = v
     return SparseMatrix(len(rows), len(cols), entries), cols, rows

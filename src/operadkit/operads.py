@@ -36,6 +36,12 @@ def require_at_least(what, value, least):
         raise ValueError("%s must be at least %d, got %r" % (what, least, value))
 
 
+def require_at_most(what, value, most):
+    """Reject an arity above its budget ``most``, naming the value."""
+    if value > most:
+        raise ValueError("%s must be at most %d, got %r" % (what, most, value))
+
+
 class OperadInstance:
     """Adapter bundling one concrete operad's operations.
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .exact import LinComb, Q, add_into
+from .exact import LinComb, add_into, scalar
 
 # ---------------------------------------------------------------------------
 # bracket trees: a leaf is an int letter, a node is a pair (left, right)
@@ -199,7 +199,8 @@ def merge_monos(m1, m2):
 
 
 class PoissonElement(LinComb):
-    """Finitely supported rational combination of normal monomials.
+    """Finitely supported exact combination of normal monomials; the
+    coefficients are ints when integral, else Fractions.
 
     ``support`` is the frozenset of letters (for operad elements of arity k
     this is {1..k}); all monomials use exactly these letters, once each.
@@ -211,7 +212,7 @@ class PoissonElement(LinComb):
         self.support = frozenset(support)
         self.terms = {}
         for mono, c in (terms or {}).items():
-            c = Q(c)
+            c = scalar(c)
             if c:
                 self.terms[mono] = c
 
@@ -225,12 +226,6 @@ class PoissonElement(LinComb):
         if len(ds) > 1:
             raise ValueError("element is not homogeneous: degrees %s" % ds)
         return ds[0]
-
-    def component(self, d, b=1):
-        return PoissonElement(
-            self.support,
-            {m: c for m, c in self.terms.items() if mono_degree(m, b) == d},
-        )
 
     def mul(self, other):
         """Graded-commutative product; letters must be disjoint."""
@@ -271,7 +266,7 @@ def zero(support=()):
 def gen(i):
     if i < 1:
         raise ValueError("letters are positive integers")
-    return PoissonElement((i,), {(i,): Q(1)})
+    return PoissonElement((i,), {(i,): 1})
 
 
 def unit():
@@ -280,11 +275,11 @@ def unit():
 
 
 def from_mono(mono):
-    return PoissonElement(mono_support(mono), {tuple(mono): Q(1)})
+    return PoissonElement(mono_support(mono), {tuple(mono): 1})
 
 
 def _single(tree_terms, support):
-    return PoissonElement(support, {(t,): Q(c) for t, c in tree_terms.items()})
+    return PoissonElement(support, {(t,): c for t, c in tree_terms.items()})
 
 
 def _bracket_monos(m1, m2):
@@ -466,7 +461,7 @@ def poincare_polynomial(k, b=1):
 
 
 def random_element(k, rng, terms=3, coeff_bound=3, homogeneous=True):
-    """Random rational combination of normal monomials of arity k.
+    """Random integer combination of normal monomials of arity k.
 
     Homogeneous by default (Koszul-signed identities need a degree).
     """

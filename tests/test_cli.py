@@ -54,9 +54,31 @@ def test_dims_reject_bracket_degree_outside_the_model(capsys):
          "arity must be at least 1, got 0"),
         (["group", "verify", "--table", "S3", "--arity", "0"],
          "arity must be at least 1, got 0"),
+        (["dims", "e2", "--arity", "12"], "arity must be at most 11, got 12"),
+        (["dims", "grav", "--arity", "8"], "arity must be at most 7, got 8"),
+        (["dims", "moduli", "--arity", "41"], "arity must be at most 40, got 41"),
+        (["verify", "bv", "--arity", "9"], "arity must be at most 7, got 9"),
+        (["verify", "free-module", "--arity", "9"], "arity must be at most 8, got 9"),
+        (["verify", "jacobi", "--k", "8", "--l", "2"],
+         "arity k+l must be at most 9, got 10"),
+        (["verify", "closure", "--max-arity", "8"], "max arity must be at most 7, got 8"),
+        (["verify", "generation", "--max-arity", "8"],
+         "max arity must be at most 7, got 8"),
+        (["verify", "lie", "--max-arity", "9"], "max arity must be at most 8, got 9"),
+        (["verify", "grav4", "--max-arity", "8"], "max arity must be at most 7, got 8"),
+        (["group", "fixed-points", "--table", "S3", "--arity", "6"],
+         "arity must be at most 5, got 6"),
+        (["group", "verify", "--table", "S3", "--arity", "9"],
+         "arity must be at most 5, got 9"),
+        (["cacti", "verify", "coend", "--max-arity", "11"],
+         "max arity must be at most 10, got 11"),
     ],
     ids=["cocycle-samples", "cocycle-arity", "associativity-arity",
-         "fixed-points-arity", "group-verify-arity"],
+         "fixed-points-arity", "group-verify-arity",
+         "dims-e2-budget", "dims-grav-budget", "dims-moduli-budget", "bv-budget",
+         "free-module-budget", "jacobi-budget", "closure-budget", "generation-budget",
+         "lie-budget", "grav4-budget", "fixed-points-budget", "group-verify-budget",
+         "cacti-budget"],
 )
 def test_cacti_and_group_reject_counts_outside_the_domain(capsys, argv, bad):
     code, out, err = run(capsys, *argv)

@@ -205,9 +205,12 @@ def _reference_kernel(pivots, cols):
     return basis
 
 
-# Small rationals, zero half the time, so that ranks and kernels vary.
+# Small ints and rationals, zero often, so that ranks and kernels vary and
+# the elimination meets both int rows and non-unit pivots (Fraction rows).
 scalars = st.one_of(
-    st.just(Q(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
 )
 
 
@@ -232,12 +235,24 @@ def test_echelon_matches_reference_elimination(case):
     pivots = _eliminate([dict(d) for d in dicts])
     assert m.rank() == len(pivots)
     assert m.kernel_basis() == _reference_kernel(pivots, cols)
-    # add admits a row exactly when the reference rank of the prefix grows
+    # add admits a row exactly when the reference rank of the prefix grows;
+    # int rows that only ever meet pivots +-1 keep every entry an int
     ech = Echelon()
+    integral = True
     for n, d in enumerate(dicts):
         grows = len(_eliminate([dict(e) for e in dicts[: n + 1]])) > ech.rank
+        rest = ech.reduce(d)
+        integral = (
+            integral
+            and all(type(v) is int for v in d.values())
+            and (not rest or rest[min(rest)] in (1, -1))
+        )
         assert ech.add(d) == grows
+        if integral:
+            assert all(type(v) is int for row in ech.rows.values() for v in row.values())
     assert ech.rows == dict(pivots)
+    if integral:
+        assert all(type(v) is int for vec in m.kernel_basis() for v in vec)
 
 
 @given(matrices(), st.lists(scalars, min_size=6, max_size=6))
@@ -251,7 +266,10 @@ def test_echelon_solve_recovers_coefficients(case, weights):
         for c, v in ech.added[i].items():
             target[c] = target.get(c, 0) + w * v
     want = {i: w for i, w in enumerate(weights[: ech.rank]) if w}
-    assert ech.solve(target) == want
+    got = ech.solve(target)
+    assert got == want
+    # integral coefficients come back as ints, whatever the pivots were
+    assert all(type(got[i]) is int for i, w in want.items() if w.denominator == 1)
     if ech.rank < cols:
         (free, *_) = [c for c in range(cols) if c not in ech.rows]
         with pytest.raises(ArithmeticError):

@@ -16,12 +16,20 @@ from operadkit.gravity import (
     check_generation,
     check_lie_embedding,
     check_suboperad_closure,
+    _delta_matrix,
     grav4_table,
     gravity_basis,
     moduli_dimension_oracle,
     verify_generalized_jacobi,
 )
-from operadkit.poisson import compose_i, enumerate_basis, from_mono, gen, sigma_act
+from operadkit.poisson import (
+    compose_i,
+    enumerate_basis,
+    from_mono,
+    gen,
+    relabel,
+    sigma_act,
+)
 
 
 def test_arity_two_kernel_is_the_bracket():
@@ -53,6 +61,36 @@ def test_free_module_split():
     for k in range(2, 6):
         rep = check_free_module(k)
         assert rep.passed, rep.line()
+
+
+def _integral(terms):
+    return all(type(c) is int for c in terms.values())
+
+
+def test_engine_and_delta_eliminations_stay_integral():
+    # every structure constant is an integer, so basis operations and the
+    # eliminations of the Delta matrices (pivots +-1) never need a Fraction
+    for k in range(1, 6):
+        for m in enumerate_basis(k):
+            assert _integral(delta_apply(from_mono(m)).terms), m
+    for k, l in itertools.product(range(1, 6), repeat=2):
+        if k + l > 6:
+            continue
+        ys = [from_mono(m) for m in enumerate_basis(l)]
+        shifted = [relabel(y, {j: j + k for j in range(1, l + 1)}) for y in ys]
+        for mx in enumerate_basis(k):
+            x = from_mono(mx)
+            for y, z in zip(ys, shifted):
+                if k + l <= 5:
+                    assert _integral(x.bracket(z).terms)
+                for i in range(1, k + 1):
+                    assert _integral(compose_i(x, y, i).terms)
+    for k in range(2, 7):
+        for j in range(k):
+            matrix, _, _ = _delta_matrix(k, j)
+            ech = matrix._echelon()
+            assert all(_integral(row) for row in ech.rows.values()), (k, j)
+            assert all(type(v) is int for vec in ech.kernel_basis(matrix.cols) for v in vec)
 
 
 def test_borel_table_is_shifted_kernel_table():

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import itertools
 
-from .exact import LinComb, Q, add_into, scalar
+from .exact import LinComb, Q, add_into, koszul_sign, scalar
+from .grammar import eval_ast, parse_expr
 from .operads import CheckReport, OperadInstance
 from .poisson import (
     PoissonElement,
@@ -149,16 +150,6 @@ def bv_unit():
 # symmetric action and composition
 
 
-def _inv_count(pairs):
-    n = 0
-    seq = list(pairs)
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                n += 1
-    return n
-
-
 def bv_sigma_act(perm, x):
     """Left action: slot j becomes perm(j); markings relabel with the
     exterior resort sign of the marked-slot word."""
@@ -168,23 +159,10 @@ def bv_sigma_act(perm, x):
     out = BVElement(x.support)
     for (mono, marking), c in x.terms.items():
         px = sigma_act(perm, PoissonElement(x.support, {mono: c}))
-        sign = -1 if _inv_count(perm[s - 1] for s in sorted(marking)) % 2 else 1
+        sign = koszul_sign([perm[s - 1] for s in sorted(marking)], [1] * len(marking))
         new_marking = frozenset(perm[s - 1] for s in marking)
         _attach(out, px, new_marking, sign)
     return out
-
-
-def _koszul_reorder_sign(source, target, odd):
-    """Koszul sign of rearranging a word of graded letters; a transposition
-    contributes only when both letters are odd."""
-    pos = {lab: n for n, lab in enumerate(target)}
-    seq = [(pos[lab], lab in odd) for lab in source]
-    sign = 1
-    for a in range(len(seq)):
-        for c in range(a + 1, len(seq)):
-            if seq[a][0] > seq[c][0] and seq[a][1] and seq[c][1]:
-                sign = -sign
-    return sign
 
 
 def _attach(out, core, marking, coef):
@@ -221,11 +199,14 @@ def bv_compose(x, y, i):
                 + [("R",)]
                 + [("h", t) for t in sorted(t_set)]
             )
-            odd = {lab for lab in source if lab[0] in ("g", "h")}
-            if mono_degree(mono_q) % 2:
-                odd.add(("Q",))
-            if mono_degree(mono_r) % 2:
-                odd.add(("R",))
+            degrees = [1] * len(source)
+            degrees[0] = mono_degree(mono_q)
+            degrees[1 + len(s_set)] = mono_degree(mono_r)
+
+            def reorder_sign(target):
+                pos = {lab: n for n, lab in enumerate(target)}
+                return koszul_sign([pos[lab] for lab in source], degrees)
+
             fx = {s: (s if s < i else s + l - 1) for s in s_set}
             fy = {t: t + i - 1 for t in t_set}
             coef = cq * cr
@@ -235,14 +216,14 @@ def bv_compose(x, y, i):
             ]
             if i not in s_set:
                 target = [("Q",), ("R",)] + [lab for _, lab in sorted(kept)]
-                sign = _koszul_reorder_sign(source, target, odd)
+                sign = reorder_sign(target)
                 marking = frozenset(f for f, _ in kept)
                 core = compose_i(q_el, r_el, i)
                 _attach(out, core, marking, coef * sign)
                 continue
             # the slot marking acts on the inserted poisson part as Delta
             target = [("Q",), ("g", i), ("R",)] + [lab for _, lab in sorted(kept)]
-            sign = _koszul_reorder_sign(source, target, odd)
+            sign = reorder_sign(target)
             marking = frozenset(f for f, _ in kept)
             acted = compose_i(q_el, delta_apply(r_el), i)
             _attach(out, acted, marking, coef * sign)
@@ -253,7 +234,7 @@ def bv_compose(x, y, i):
                     continue
                 placed = kept + [(j + i - 1, ("g", i))]
                 target = [("Q",), ("R",)] + [lab for _, lab in sorted(placed)]
-                sign = _koszul_reorder_sign(source, target, odd)
+                sign = reorder_sign(target)
                 marking = frozenset(f for f, _ in placed)
                 _attach(out, core, marking, coef * sign)
     return out
@@ -265,7 +246,6 @@ def bv_operad_instance():
         arity=lambda x: x.arity,
         compose=bv_compose,
         act=bv_sigma_act,
-        equal=lambda a, c: a == c,
         degree=lambda x: (x.degree() or 0) if not x.is_zero() else 0,
         scale=lambda x, c: x.scale(c),
         unit=bv_unit(),
@@ -322,22 +302,6 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
         "(-1)^{|a|} [a, c]",
         {"arity": k, "bracket_degree": b},
     )
-    for asize in range(1, k):
-        for aset in itertools.combinations(range(1, k + 1), asize):
-            cset = tuple(sorted(set(range(1, k + 1)) - set(aset)))
-            for amono in enumerate_basis(len(aset)):
-                for cmono in enumerate_basis(len(cset)):
-                    a = _embed(amono, aset)
-                    c = _embed(cmono, cset)
-                    sign = -1 if mono_degree(amono, b) % 2 else 1
-                    lhs = delta(a.mul(c)) - delta(a).mul(c)
-                    lhs = lhs - a.mul(delta(c)).scale(sign)
-                    rhs = a.bracket(c).scale(sign)
-                    ok = lhs == rhs
-                    rep_dev.count(
-                        ok, None if ok else "a=%r c=%r" % (amono, cmono)
-                    )
-
     rep_der = CheckReport(
         "bv-bracket-derivation-%d-b%d" % (k, b),
         "Delta[a, c] = [Delta a, c] + (-1)^{|a|+b} [a, Delta c]",
@@ -347,17 +311,20 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
         for aset in itertools.combinations(range(1, k + 1), asize):
             cset = tuple(sorted(set(range(1, k + 1)) - set(aset)))
             for amono in enumerate_basis(len(aset)):
+                a = _embed(amono, aset)
+                da = delta(a)
+                # (-1)^{|a|}; the derivation law's (-1)^{|a|+b} is -sign, b odd
+                sign = -1 if mono_degree(amono, b) % 2 else 1
                 for cmono in enumerate_basis(len(cset)):
-                    a = _embed(amono, aset)
                     c = _embed(cmono, cset)
+                    dc = delta(c)
+                    witness = "a=%r c=%r" % (amono, cmono)
+                    lhs = delta(a.mul(c)) - da.mul(c) - a.mul(dc).scale(sign)
+                    ok = lhs == a.bracket(c).scale(sign)
+                    rep_dev.count(ok, None if ok else witness)
                     lhs = delta(a.bracket(c))
-                    rhs = delta(a).bracket(c)
-                    sign = -1 if (mono_degree(amono, b) + b) % 2 else 1
-                    rhs = rhs + a.bracket(delta(c)).scale(sign)
-                    ok = lhs == rhs
-                    rep_der.count(
-                        ok, None if ok else "a=%r c=%r" % (amono, cmono)
-                    )
+                    ok = lhs == da.bracket(c) - a.bracket(dc).scale(sign)
+                    rep_der.count(ok, None if ok else witness)
 
     return [rep_sq, rep_dev, rep_der]
 
@@ -374,48 +341,6 @@ def _embed(mono, letters):
 # grammar hook: evaluate ASTs with D(...) and slot markings
 
 
-def eval_delta_ast(node):
-    """Evaluate the plain grammar extended with D(e) to a PoissonElement
-    (or a scalar); marking postfixes are rejected at this level."""
-    from .grammar import eval_ast
-
-    kind = node[0]
-    if kind == "delta":
-        inner = eval_delta_ast(node[1])
-        if isinstance(inner, Q):
-            raise ValueError("D() applies to elements, not scalars")
-        return delta_apply(inner)
-    if kind == "mark":
-        raise ValueError("slot markings cannot appear inside D(), products or brackets")
-    if kind == "neg":
-        v = eval_delta_ast(node[1])
-        return -v if isinstance(v, Q) else v.scale(-1)
-    if kind in ("add", "sub", "mul", "br"):
-        a, c = eval_delta_ast(node[1]), eval_delta_ast(node[2])
-        return _eval_binary(kind, a, c)
-    return eval_ast(node)
-
-
-def _eval_binary(kind, a, c):
-    if kind in ("add", "sub"):
-        if isinstance(a, Q) and isinstance(c, Q):
-            return a + c if kind == "add" else a - c
-        if isinstance(a, Q) or isinstance(c, Q):
-            raise ValueError("cannot add a scalar to an element")
-        return a + c if kind == "add" else a - c
-    if kind == "mul":
-        if isinstance(a, Q) and isinstance(c, Q):
-            return a * c
-        if isinstance(a, Q):
-            return c.scale(a)
-        if isinstance(c, Q):
-            return a.scale(c)
-        return a.mul(c)
-    if isinstance(a, Q) or isinstance(c, Q):
-        raise ValueError("bracket arguments must be elements")
-    return a.bracket(c)
-
-
 def eval_bv_ast(node):
     """Evaluate a parsed expression tree into a BVElement; supports the
     plain grammar plus D(e) and the slot-marking postfix e @ {i,...}."""
@@ -429,8 +354,8 @@ def eval_bv_ast(node):
             if len(new) != len(marking) + len(added):
                 continue  # doubled marking: exterior square is zero
             # appended letters resort into the ascending marking word
-            inv = sum(1 for s in marking for t in added if t < s)
-            add_into(terms, {(mono, new): c}, -1 if inv % 2 else 1)
+            word = sorted(marking) + added
+            add_into(terms, {(mono, new): c}, koszul_sign(word, [1] * len(word)))
         return BVElement(inner.support, terms)
     if kind in ("add", "sub"):
         a, c = eval_bv_ast(node[1]), eval_bv_ast(node[2])
@@ -444,9 +369,7 @@ def eval_bv_ast(node):
             return eval_bv_ast(right).scale(left[1])
         if right[0] == "num":
             return eval_bv_ast(left).scale(right[1])
-        value = eval_delta_ast(node)
-        return bv_from_poisson(value)
-    value = eval_delta_ast(node)
+    value = eval_ast(node, delta_apply)
     if isinstance(value, Q):
         raise ValueError("expression is a bare scalar, not an element")
     return bv_from_poisson(value)
@@ -454,8 +377,6 @@ def eval_bv_ast(node):
 
 def normalize_bv(source):
     """Parse and evaluate decorated-element text into a BVElement."""
-    from .grammar import parse_expr
-
     node = source if isinstance(source, tuple) else parse_expr(source)
     out = eval_bv_ast(node)
     out.arity  # validates contiguous support

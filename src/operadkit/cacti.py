@@ -443,7 +443,6 @@ def cacti_operad_instance():
         arity=lambda c: c.arity,
         compose=compose_i,
         act=cactus_relabel,
-        equal=lambda a, b: a == b,
         unit=SpinelessCactus(1, [(1, Q(1))]),
     )
 

@@ -5,6 +5,10 @@ scalars are ``int`` when integral, else ``fractions.Fraction`` (``scalar``
 normalises), dimensions live in ``GradedDims`` (a thin degree -> dimension
 mapping), and permutations are index tuples.
 
+``koszul_sign(perm, degrees)`` is the one sign rule for reordering graded
+letters: the BV marking words, the finite-group parity, the Koszul correction
+of total composition and the string-operation Jacobi sums all call it.
+
 A finite linear combination is a sparse dict key -> nonzero scalar, and the
 one sparse axpy, ``add_into(acc, terms, c)``, adds ``c * terms`` into ``acc``
 in place, dropping keys that cancel.  ``LinComb`` holds such a dict over a
@@ -157,7 +161,8 @@ def perm_block_insert(sigma, i, tau):
 def koszul_sign(perm, degrees):
     """Sign of permuting graded symbols: symbol at position i (degree
     degrees[i-1]) moves to position perm(i); each transposed odd-odd pair
-    contributes -1.
+    contributes -1.  Only the order of the targets matters, so perm may be
+    any sequence of distinct comparable values.
     """
     if len(perm) != len(degrees):
         raise ValueError("size mismatch: %d vs %d" % (len(perm), len(degrees)))

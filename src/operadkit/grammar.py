@@ -6,8 +6,11 @@
     atom   := generator | '[' expr ',' expr ']' | '(' expr ')' | 'D' '(' expr ')'
     gen    := x<digits> | x{<digits>}
 
-'D' and the '@' marking postfix belong to the operator extension; the plain
-evaluator rejects them.  Parsing yields a small tuple AST:
+'D' and the '@' marking postfix belong to the operator extension.  The one
+evaluator, ``eval_ast(node, delta)``, evaluates D through the hook ``delta``
+(the BV layer passes its circle operator) and rejects D when no hook is
+given; it always rejects markings, which only the BV layer reads.  Parsing
+yields a small tuple AST:
 
     ("gen", i) ("num", q) ("add", a, b) ("sub", a, b) ("neg", a)
     ("mul", a, b) ("br", a, b) ("delta", a) ("mark", a, (i, ...))
@@ -140,25 +143,31 @@ def parse_expr(text):
     return node
 
 
-def eval_ast(node):
-    """Evaluate an AST to a PoissonElement or a plain rational scalar."""
+def eval_ast(node, delta=None):
+    """Evaluate an AST to a PoissonElement or a plain rational scalar; a
+    D(e) node applies the hook ``delta`` to the element e."""
     op = node[0]
     if op == "gen":
         return gen(node[1])
     if op == "num":
         return node[1]
     if op == "neg":
-        v = eval_ast(node[1])
+        v = eval_ast(node[1], delta)
         return -v if isinstance(v, Q) else v.scale(-1)
+    if op == "delta" and delta is not None:
+        v = eval_ast(node[1], delta)
+        if isinstance(v, Q):
+            raise ValueError("D() applies to elements, not scalars")
+        return delta(v)
     if op in ("add", "sub"):
-        a, b = eval_ast(node[1]), eval_ast(node[2])
+        a, b = eval_ast(node[1], delta), eval_ast(node[2], delta)
         if isinstance(a, Q) and isinstance(b, Q):
             return a + b if op == "add" else a - b
         if isinstance(a, Q) or isinstance(b, Q):
             raise ValueError("cannot add a scalar to an element")
         return a + b if op == "add" else a - b
     if op == "mul":
-        a, b = eval_ast(node[1]), eval_ast(node[2])
+        a, b = eval_ast(node[1], delta), eval_ast(node[2], delta)
         if isinstance(a, Q) and isinstance(b, Q):
             return a * b
         if isinstance(a, Q):
@@ -167,7 +176,7 @@ def eval_ast(node):
             return a.scale(b)
         return a.mul(b)
     if op == "br":
-        a, b = eval_ast(node[1]), eval_ast(node[2])
+        a, b = eval_ast(node[1], delta), eval_ast(node[2], delta)
         if isinstance(a, Q) or isinstance(b, Q):
             raise ValueError("bracket arguments must be elements")
         return a.bracket(b)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from .exact import koszul_sign
 from .operads import CheckReport, OperadInstance, require_at_least
 
 
@@ -126,24 +127,29 @@ def tuple_relabel(perm, t):
     return tuple(out)
 
 
-def fixed_point_operad(G, k):
-    """Conjugation-fixed tuples; verified to be Z(G)^k and closed under
-    substitution."""
-    require_at_least("arity", k, 1)
-    fixed = [
+def _conjugation_fixed(G, k):
+    return [
         t
         for t in itertools.product(range(G.order), repeat=k)
         if all(conjugation_act(G, g, t) == t for g in range(G.order))
     ]
+
+
+def fixed_point_operad(G, k):
+    """Conjugation-fixed tuples; verified to be Z(G)^k, and closed under
+    composition with the fixed pairs at every slot (first 8 of each)."""
+    require_at_least("arity", k, 1)
+    fixed = _conjugation_fixed(G, k)
     center = G.center()
     expected = sorted(itertools.product(center, repeat=k))
     if sorted(fixed) != expected:
         raise AssertionError("fixed tuples differ from the center tuples")
-    for g in fixed[: min(len(fixed), 8)]:
-        hs = [(center[0],)] * k
-        out = substitute(G, g, hs)
-        if any(x not in center for x in out):
-            raise AssertionError("fixed tuples are not closed under substitution")
+    pairs = fixed if k == 2 else _conjugation_fixed(G, 2)
+    for g in fixed[:8]:
+        for h in pairs[:8]:
+            for i in range(1, k + 1):
+                if any(x not in center for x in group_compose(G, g, h, i)):
+                    raise AssertionError("fixed tuples are not closed under substitution")
     return fixed
 
 
@@ -153,7 +159,6 @@ def group_operad_instance(G):
         arity=lambda t: len(t),
         compose=lambda x, y, i: group_compose(G, x, y, i),
         act=tuple_relabel,
-        equal=lambda a, b: a == b,
         unit=(G.identity,),
     )
 
@@ -436,22 +441,13 @@ def bundled_groups():
 
 def _alternating4():
     perms = sorted(
-        p for p in itertools.permutations(range(4)) if _parity(p) == 0
+        p for p in itertools.permutations(range(4)) if koszul_sign(p, (1,) * 4) > 0
     )
     index = {p: i for i, p in enumerate(perms)}
     table = [
         [index[tuple(p[q[i]] for i in range(4))] for q in perms] for p in perms
     ]
     return FiniteGroupTable("A4", table, identity=index[tuple(range(4))])
-
-
-def _parity(p):
-    n = 0
-    for a in range(len(p)):
-        for b in range(a + 1, len(p)):
-            if p[a] > p[b]:
-                n += 1
-    return n % 2
 
 
 # ---------------------------------------------------------------------------

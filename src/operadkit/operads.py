@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .exact import perm_block_insert, perm_identity
+from .exact import koszul_sign, perm_block_insert, perm_identity
 
 
 def require_at_least(what, value, least):
@@ -47,11 +47,11 @@ class OperadInstance:
 
     compose(x, y, i), act(perm, x), arity(x) are required.  degree(x) may be
     None for ungraded operads; scale(x, s) is required when degree is given
-    (Koszul signs need it).  equal defaults to ==.
+    (Koszul signs need it).  Elements are compared with ==.
     """
 
     def __init__(self, name, compose, act, arity, degree=None, scale=None,
-                 unit=None, equal=None):
+                 unit=None):
         self.name = name
         self.compose = compose
         self.act = act
@@ -59,7 +59,6 @@ class OperadInstance:
         self.degree = degree
         self.scale = scale
         self.unit = unit
-        self.equal = equal or (lambda a, b: a == b)
         if degree is not None and scale is None:
             raise ValueError("graded operads need scale for Koszul signs")
 
@@ -132,9 +131,10 @@ def check_associativity(op, arities, sampler, sample_count, seed=0):
             for j in range(1, l + 1):
                 lhs = op.compose(op.compose(x, y, i), z, i + j - 1)
                 rhs = op.compose(x, op.compose(y, z, j), i)
+                ok = lhs == rhs
                 rep.count(
-                    op.equal(lhs, rhs),
-                    None if op.equal(lhs, rhs) else
+                    ok,
+                    None if ok else
                     "nested sample=%d i=%d j=%d x=%r y=%r z=%r" % (n, i, j, x, y, z),
                 )
         for i, j in itertools.combinations(range(1, k + 1), 2):
@@ -143,9 +143,10 @@ def check_associativity(op, arities, sampler, sample_count, seed=0):
             sign = _sign_between(op, y, z)
             if sign != 1:
                 rhs = op.scale(rhs, sign)
+            ok = lhs == rhs
             rep.count(
-                op.equal(lhs, rhs),
-                None if op.equal(lhs, rhs) else
+                ok,
+                None if ok else
                 "disjoint sample=%d i=%d j=%d x=%r y=%r z=%r" % (n, i, j, x, y, z),
             )
     return rep
@@ -181,9 +182,10 @@ def check_equivariance(op, arities, sampler, sample_count, seed=0):
                 for i in range(1, k + 1):
                     lhs = op.compose(op.act(sigma, x), op.act(tau, y), sigma[i - 1])
                     rhs = op.act(perm_block_insert(sigma, i, tau), op.compose(x, y, i))
+                    ok = lhs == rhs
                     rep.count(
-                        op.equal(lhs, rhs),
-                        None if op.equal(lhs, rhs) else
+                        ok,
+                        None if ok else
                         "sample=%d sigma=%r tau=%r i=%d x=%r y=%r" % (n, sigma, tau, i, x, y),
                     )
     return rep
@@ -203,10 +205,10 @@ def check_units(op, max_arity, sampler, sample_count, seed=0):
         for k in range(1, max_arity + 1):
             x = sampler(k, rng)
             left = op.compose(op.unit, x, 1)
-            rep.count(op.equal(left, x), "left unit sample=%d k=%d x=%r" % (n, k, x))
+            rep.count(left == x, "left unit sample=%d k=%d x=%r" % (n, k, x))
             for i in range(1, k + 1):
                 right = op.compose(x, op.unit, i)
-                rep.count(op.equal(right, x), "right unit sample=%d k=%d i=%d x=%r" % (n, k, i, x))
+                rep.count(right == x, "right unit sample=%d k=%d i=%d x=%r" % (n, k, i, x))
     return rep
 
 
@@ -232,13 +234,9 @@ def full_gamma_ltr(op, c, ds):
     for i in range(1, k + 1):
         out = op.compose(out, ds[i - 1], i + offset)
         offset += op.arity(ds[i - 1]) - 1
-    if op.degree is not None:
-        odd = [op.degree(d) % 2 for d in ds]
-        inv = sum(
-            1 for a in range(k) for b in range(a + 1, k) if odd[a] and odd[b]
-        )
-        if inv % 2:
-            out = op.scale(out, -1)
+    # the right-to-left order reverses the inserted elements
+    if op.degree is not None and koszul_sign(range(k, 0, -1), [op.degree(d) for d in ds]) < 0:
+        out = op.scale(out, -1)
     return out
 
 
@@ -258,8 +256,9 @@ def check_gamma_order(op, arities, sampler, sample_count, seed=0):
             raise ValueError("arity list does not match head arity")
         lhs = full_gamma(op, c, ds)
         rhs = full_gamma_ltr(op, c, ds)
+        ok = lhs == rhs
         rep.count(
-            op.equal(lhs, rhs),
-            None if op.equal(lhs, rhs) else "sample=%d c=%r ds=%r" % (n, c, ds),
+            ok,
+            None if ok else "sample=%d c=%r ds=%r" % (n, c, ds),
         )
     return rep

@@ -164,7 +164,7 @@ def mono_key(mono):
     return tuple(tree_key(t) for t in mono)
 
 
-def _block_deg_parity(t):
+def _block_odd(t):
     return (tree_nleaves(t) - 1) % 2
 
 
@@ -174,18 +174,18 @@ def merge_monos(m1, m2):
     Returns (sign, merged tuple).  Letters must be disjoint.
     """
     sign = 1
-    odd_left = sum(_block_deg_parity(t) for t in m1)
+    odd_left = sum(_block_odd(t) for t in m1)
     out = []
     i = j = 0
     oi = odd_left
     while i < len(m1) and j < len(m2):
         if tree_min(m1[i]) < tree_min(m2[j]):
-            oi -= _block_deg_parity(m1[i])
+            oi -= _block_odd(m1[i])
             out.append(m1[i])
             i += 1
         else:
             # block from m2 jumps over the remaining odd blocks of m1
-            if _block_deg_parity(m2[j]) and oi % 2:
+            if _block_odd(m2[j]) and oi % 2:
                 sign = -sign
             out.append(m2[j])
             j += 1
@@ -289,7 +289,7 @@ def _bracket_monos(m1, m2):
     if len(m1) > 1:
         # [B.M', N] = (-1)^{|M'|(|N|+b)} [B,N].M' + B.[M',N]
         b0, rest = m1[0], m1[1:]
-        p_rest = sum(_block_deg_parity(t) for t in rest) % 2
+        p_rest = sum(_block_odd(t) for t in rest) % 2
         p_nsh = (sum(tree_nleaves(t) - 1 for t in m2) + 1) % 2
         sign = -1 if p_rest and p_nsh else 1
         term1 = _bracket_monos((b0,), m2).mul(from_mono(rest))
@@ -297,7 +297,7 @@ def _bracket_monos(m1, m2):
         return term2.add_scaled(term1, sign)
     # len(m2) > 1: [B, C.N'] = [B,C].N' + (-1)^{|C|(|B|+b)} C.[B,N']
     c0, rest = m2[0], m2[1:]
-    p_c = _block_deg_parity(c0)
+    p_c = _block_odd(c0)
     p_bsh = tree_nleaves(m1[0]) % 2
     sign = -1 if p_c and p_bsh else 1
     term1 = _bracket_monos(m1, (c0,)).mul(from_mono(rest))

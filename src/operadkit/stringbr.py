@@ -33,13 +33,22 @@ from __future__ import annotations
 
 import itertools
 
-from .exact import Echelon, Q, add_into, format_rational, parse_rational
+from .exact import Echelon, add_into, format_rational, koszul_sign, parse_rational, perm_inverse
 from .operads import CheckReport
 
 
 def _vec_eq(u, v, c=1):
     """u == c * v for sparse vectors, stored zeros ignored."""
     return not any(add_into(dict(u), v, -c).values())
+
+
+def _apply(cols, u):
+    """Image of the sparse vector u under the matrix with sparse columns
+    cols (column j is the image of basis vector j)."""
+    out = {}
+    for j, c in u.items():
+        add_into(out, cols.get(j, {}), c)
+    return out
 
 
 def _format_vec(vec, names):
@@ -81,19 +90,13 @@ class BVAlgebraData:
                     add_into(out, entry, ci * cj)
         return out
 
-    def delta_vec(self, u):
-        out = {}
-        for j, c in u.items():
-            add_into(out, self.delta.get(j, {}), c)
-        return out
-
     def bracket(self, i, j):
         """Deviation bracket of two basis elements."""
-        a, c = {i: Q(1)}, {j: Q(1)}
-        out = self.delta_vec(self.mul(a, c))
-        add_into(out, self.mul(self.delta_vec(a), c), Q(-1))
-        sign = Q(-1) if self.degrees[i] % 2 else Q(1)
-        return add_into(out, self.mul(a, self.delta_vec(c)), -sign)
+        a, c = {i: 1}, {j: 1}
+        out = _apply(self.delta, self.mul(a, c))
+        add_into(out, self.mul(_apply(self.delta, a), c), -1)
+        sign = -1 if self.degrees[i] % 2 else 1
+        return add_into(out, self.mul(a, _apply(self.delta, c)), -sign)
 
 
 def structure_errors(data):
@@ -111,7 +114,7 @@ def structure_errors(data):
     for i in range(n):
         for j in range(n):
             lhs = data.product.get((i, j), {})
-            sign = Q(-1) if (deg[i] % 2) and (deg[j] % 2) else Q(1)
+            sign = -1 if (deg[i] % 2) and (deg[j] % 2) else 1
             if not _vec_eq(lhs, data.product.get((j, i), {}), sign):
                 errors.append(
                     "graded commutativity fails at (%s, %s)" % (names[i], names[j])
@@ -119,8 +122,8 @@ def structure_errors(data):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = data.mul(data.product.get((i, j), {}), {k: Q(1)})
-                rhs = data.mul({i: Q(1)}, data.product.get((j, k), {}))
+                lhs = data.mul(data.product.get((i, j), {}), {k: 1})
+                rhs = data.mul({i: 1}, data.product.get((j, k), {}))
                 if not _vec_eq(lhs, rhs):
                     errors.append(
                         "associativity fails at (%s, %s, %s)"
@@ -131,7 +134,7 @@ def structure_errors(data):
             if c and deg[r] != deg[j] + 1:
                 errors.append("delta(%s) has a degree %d term" % (names[j], deg[r]))
     for j in range(n):
-        if not _vec_eq(data.delta_vec(data.delta.get(j, {})), {}):
+        if not _vec_eq(_apply(data.delta, data.delta.get(j, {})), {}):
             errors.append("delta^2(%s) is nonzero" % names[j])
     return errors
 
@@ -148,6 +151,15 @@ def _parse_basis(raw):
     if len(set(names)) != len(names):
         raise ValueError("duplicate basis names")
     return tuple(names), tuple(degrees)
+
+
+def _format_cols(cols, nrows, ncols):
+    """Row-major rational strings of a matrix held as sparse columns; the
+    inverse of _parse_matrix_cols."""
+    return [
+        [format_rational(cols.get(c, {}).get(r, 0)) for c in range(ncols)]
+        for r in range(nrows)
+    ]
 
 
 def _parse_matrix_cols(rows, nrows, ncols, what):
@@ -174,7 +186,7 @@ def bv_data_from_dict(raw, check=True):
         product[(i, j)] = {m: c for m, c in entry.items() if c}
     for (i, j) in list(product):
         if (j, i) not in product:
-            sign = Q(-1) if (degrees[i] % 2) and (degrees[j] % 2) else Q(1)
+            sign = -1 if (degrees[i] % 2) and (degrees[j] % 2) else 1
             product[(j, i)] = add_into({}, product[(i, j)], sign)
     delta = _parse_matrix_cols(raw.get("delta", [[0] * n for _ in range(n)]), n, n, "delta")
     return BVAlgebraData(names, degrees, product, delta, check=check)
@@ -187,18 +199,12 @@ def bv_data_to_dict(data):
             {"name": nm, "degree": d} for nm, d in zip(data.names, data.degrees)
         ],
         "product": [],
-        "delta": [
-            [
-                format_rational(data.delta.get(j, {}).get(r, Q(0)))
-                for j in range(n)
-            ]
-            for r in range(n)
-        ],
+        "delta": _format_cols(data.delta, n, n),
     }
     for (i, j), entry in sorted(data.product.items()):
         if not entry:
             continue
-        coeffs = [format_rational(entry.get(m, Q(0))) for m in range(n)]
+        coeffs = [format_rational(entry.get(m, 0)) for m in range(n)]
         out["product"].append([i, j, coeffs])
     return out
 
@@ -275,19 +281,19 @@ def validate_bv(raw):
         return out
 
     def shift_sign(d1, d2):
-        return Q(-1) if (d1 % 2) and (d2 % 2) else Q(1)
+        return -1 if (d1 % 2) and (d2 % 2) else 1
 
     findings = []
     for i in range(n):
         for j in range(n):
             sign = shift_sign(deg[i] + 1, deg[j] + 1)
-            lhs = nb({i: Q(1)}, {j: Q(1)})
-            if not _vec_eq(lhs, nb({j: Q(1)}, {i: Q(1)}), -sign):
+            lhs = nb({i: 1}, {j: 1})
+            if not _vec_eq(lhs, nb({j: 1}, {i: 1}), -sign):
                 findings.append(("antisymmetry", "(%s, %s)" % (names[i], names[j])))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                ei, ej, ek = {i: Q(1)}, {j: Q(1)}, {k: Q(1)}
+                ei, ej, ek = {i: 1}, {j: 1}, {k: 1}
                 lhs = nb(ei, nb(ej, ek))
                 rhs = nb(nb(ei, ej), ek)
                 sign = shift_sign(deg[i] + 1, deg[j] + 1)
@@ -331,18 +337,6 @@ class EquivariantPair:
     def b_dim(self):
         return len(self.b_names)
 
-    def tau_vec(self, u):
-        out = {}
-        for j, c in u.items():
-            add_into(out, self.tau.get(j, {}), c)
-        return out
-
-    def p_vec(self, u):
-        out = {}
-        for j, c in u.items():
-            add_into(out, self.p.get(j, {}), c)
-        return out
-
 
 def pair_errors(pair):
     errors = []
@@ -357,11 +351,11 @@ def pair_errors(pair):
                 errors.append("p(%s) is not of degree 0" % A.names[j])
     for j in range(A.dim):
         lhs = A.delta.get(j, {})
-        rhs = pair.tau_vec(pair.p.get(j, {}))
+        rhs = _apply(pair.tau, pair.p.get(j, {}))
         if not _vec_eq(lhs, rhs):
             errors.append("delta != tau o p at %s" % A.names[j])
     for j in range(pair.b_dim):
-        if not _vec_eq(pair.p_vec(pair.tau.get(j, {})), {}):
+        if not _vec_eq(_apply(pair.p, pair.tau.get(j, {})), {}):
             errors.append("p o tau != 0 at %s" % pair.b_names[j])
     return errors
 
@@ -384,17 +378,8 @@ def pair_to_dict(pair):
             for nm, d in zip(pair.b_names, pair.b_degrees)
         ]
     }
-    out["tau"] = [
-        [
-            format_rational(pair.tau.get(j, {}).get(r, Q(0)))
-            for j in range(pair.b_dim)
-        ]
-        for r in range(pair.A.dim)
-    ]
-    out["p"] = [
-        [format_rational(pair.p.get(j, {}).get(r, Q(0))) for j in range(pair.A.dim)]
-        for r in range(pair.b_dim)
-    ]
+    out["tau"] = _format_cols(pair.tau, pair.A.dim, pair.b_dim)
+    out["p"] = _format_cols(pair.p, pair.b_dim, pair.A.dim)
     return out
 
 
@@ -405,21 +390,12 @@ def m_bar(pair, k, args):
         raise ValueError("string operations start at arity 2")
     if len(args) != k:
         raise ValueError("need %d arguments" % k)
-    vecs = [a if isinstance(a, dict) else {a: Q(1)} for a in args]
+    vecs = [a if isinstance(a, dict) else {a: 1} for a in args]
     prod = None
     for v in vecs:
-        tv = pair.tau_vec(v)
+        tv = _apply(pair.tau, v)
         prod = tv if prod is None else pair.A.mul(prod, tv)
-    return pair.p_vec(prod)
-
-
-def _koszul_front_sign(shifted, i, j):
-    """Sign for pulling positions i < j to the front in a word whose letter
-    degrees are the shifted list."""
-    exp = shifted[i] * sum(shifted[:i]) + shifted[j] * (
-        sum(shifted[:j]) - shifted[i]
-    )
-    return Q(-1) if exp % 2 else Q(1)
+    return _apply(pair.p, prod)
 
 
 def verify_gravity_algebra(pair, k, l, check_id=None):
@@ -440,9 +416,11 @@ def verify_gravity_algebra(pair, k, l, check_id=None):
         lhs = {}
         for i in range(k):
             for j in range(i + 1, k):
-                sign = _koszul_front_sign(shifted, i, j)
+                # pull positions i < j to the front of the shifted word
+                order = [i, j] + [m for m in range(k) if m not in (i, j)]
+                sign = koszul_sign(perm_inverse([m + 1 for m in order]), shifted)
                 head = m_bar(pair, 2, [avec[i], avec[j]])
-                rest = [avec[m] for m in range(k) if m not in (i, j)]
+                rest = [avec[m] for m in order[2:]]
                 if k + l - 1 < 2:
                     continue
                 term = m_bar(pair, k + l - 1, [head] + rest + list(bvec))
@@ -462,8 +440,8 @@ def transfer_lie_check(pair, a, b):
     invariants."""
     ta = pair.tau.get(a, {})
     tb = pair.tau.get(b, {})
-    lhs = pair.tau_vec(m_bar(pair, 2, [a, b]))
-    rhs = pair.A.delta_vec(pair.A.mul(ta, tb))
+    lhs = _apply(pair.tau, m_bar(pair, 2, [a, b]))
+    rhs = _apply(pair.A.delta, pair.A.mul(ta, tb))
     return _vec_eq(lhs, rhs)
 
 
@@ -497,7 +475,7 @@ def check_m_bar_symmetry(pair, k=2, check_id=None):
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
             s1 = pair.b_degrees[tup[i]] + 1
             s2 = pair.b_degrees[tup[i + 1]] + 1
-            sign = Q(-1) if (s1 % 2) and (s2 % 2) else Q(1)
+            sign = -1 if (s1 % 2) and (s2 % 2) else 1
             ok = _vec_eq(base, m_bar(pair, k, swapped), sign)
             rep.count(ok, None if ok else "swap %d in %r" % (i, tup))
     return rep
@@ -562,7 +540,7 @@ def free_bv_presentation(k, supports=None):
 
     def as_element(n):
         support, mono = basis[n]
-        return PoissonElement(support, {mono: Q(1)})
+        return PoissonElement(support, {mono: 1})
 
     def to_vec(el):
         return {
@@ -593,7 +571,7 @@ def _relabel_mono(mono, sub):
     mapping = {n + 1: lab for n, lab in enumerate(sub)}
     out = relabel(from_mono(mono), mapping)
     ((mono2, c),) = out.terms.items()
-    if c != Q(1):
+    if c != 1:
         raise AssertionError("order-preserving relabel changed a coefficient")
     return mono2
 
@@ -647,9 +625,10 @@ def check_nested_gravity(k, l, check_id=None):
     nonzero_terms = 0
     for i in range(k):
         for j in range(i + 1, k):
-            sign = _koszul_front_sign(shifted, i, j)
+            order = [i, j] + [m for m in range(k) if m not in (i, j)]
+            sign = koszul_sign(perm_inverse([m + 1 for m in order]), shifted)
             head = delta_apply(a_s[i].mul(a_s[j]))
-            rest = [a_s[m] for m in range(k) if m not in (i, j)]
+            rest = [a_s[m] for m in order[2:]]
             term = delta_apply(ordered_product([head] + rest + b_s))
             if not term.is_zero():
                 nonzero_terms += 1

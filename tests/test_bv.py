@@ -15,13 +15,12 @@ from operadkit.bv import (
     bv_unit,
     check_bv_relations,
     delta_apply,
-    eval_delta_ast,
     normalize_bv,
     poisson_part,
     random_bv_element,
 )
 from operadkit.exact import perm_compose
-from operadkit.grammar import normalize, parse_expr
+from operadkit.grammar import eval_ast, normalize, parse_expr
 from operadkit.operads import check_associativity, check_equivariance, check_units
 from operadkit.poisson import enumerate_basis, from_mono, gen, random_element, relabel
 
@@ -131,11 +130,26 @@ def test_bv_unit_and_zero():
 
 def test_delta_text_evaluator():
     node = parse_expr("D(x1*x2*x3)")
-    got = eval_delta_ast(node)
+    got = eval_ast(node, delta_apply)
     assert got == delta_apply(normalize("x1*x2*x3"))
-    assert eval_delta_ast(parse_expr("D(D(x1*x2*x3))")).is_zero()
+    assert eval_ast(parse_expr("D(D(x1*x2*x3))"), delta_apply).is_zero()
+    got = eval_ast(parse_expr("[D(x1*x2), x3] - 2*x3*D(x1*x2)"), delta_apply)
+    assert got == normalize("[[x1, x2], x3] - 2*x3*[x1, x2]")
     with pytest.raises(ValueError):
-        eval_delta_ast(parse_expr("D(3)"))
+        eval_ast(parse_expr("D(3)"), delta_apply)
+    # slot markings are read by the BV layer only, never inside D()
+    with pytest.raises(ValueError):
+        eval_ast(parse_expr("D(x1@{1}*x2)"), delta_apply)
+    with pytest.raises(ValueError):
+        normalize_bv("D(x1@{1}*x2)")
+    # a product of scalars is a bare scalar, not an element
+    with pytest.raises(ValueError):
+        normalize_bv("(-2)*(-3)")
+
+
+def test_plain_evaluator_rejects_delta_without_a_hook():
+    with pytest.raises(ValueError, match="'delta' is not part of the plain"):
+        eval_ast(parse_expr("D(x1)"))
 
 
 def test_normalize_bv_round_trip_via_repr_terms():

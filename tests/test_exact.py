@@ -122,6 +122,97 @@ def test_koszul_sign_is_multiplicative(pair):
     assert lhs == rhs
 
 
+# Test-only copies of the sign counters that koszul_sign replaced: four
+# helpers and two inline inversion counts.
+
+
+def _old_inv_count(pairs):  # bv._inv_count
+    n = 0
+    seq = list(pairs)
+    for a in range(len(seq)):
+        for b in range(a + 1, len(seq)):
+            if seq[a] > seq[b]:
+                n += 1
+    return n
+
+
+def _old_koszul_reorder_sign(source, target, odd):  # bv._koszul_reorder_sign
+    pos = {lab: n for n, lab in enumerate(target)}
+    seq = [(pos[lab], lab in odd) for lab in source]
+    sign = 1
+    for a in range(len(seq)):
+        for c in range(a + 1, len(seq)):
+            if seq[a][0] > seq[c][0] and seq[a][1] and seq[c][1]:
+                sign = -sign
+    return sign
+
+
+def _old_parity(p):  # groups._parity
+    n = 0
+    for a in range(len(p)):
+        for b in range(a + 1, len(p)):
+            if p[a] > p[b]:
+                n += 1
+    return n % 2
+
+
+def _old_koszul_front_sign(shifted, i, j):  # stringbr._koszul_front_sign
+    exp = shifted[i] * sum(shifted[:i]) + shifted[j] * (
+        sum(shifted[:j]) - shifted[i]
+    )
+    return Q(-1) if exp % 2 else Q(1)
+
+
+def _old_gamma_ltr_sign(degrees):  # inline in operads.full_gamma_ltr
+    k = len(degrees)
+    odd = [d % 2 for d in degrees]
+    inv = sum(1 for a in range(k) for b in range(a + 1, k) if odd[a] and odd[b])
+    return -1 if inv % 2 else 1
+
+
+def _old_mark_sign(marking, added):  # inline in the "mark" branch of bv.eval_bv_ast
+    inv = sum(1 for s in marking for t in added if t < s)
+    return -1 if inv % 2 else 1
+
+
+@st.composite
+def graded_words(draw):
+    n = draw(st.integers(0, 7))
+    p = tuple(draw(st.permutations(range(1, n + 1))))
+    degrees = tuple(draw(st.lists(st.integers(-3, 6), min_size=n, max_size=n)))
+    return p, degrees
+
+
+@given(graded_words())
+def test_koszul_sign_matches_the_replaced_sign_counters(word):
+    p, degrees = word
+    n = len(p)
+    ones = [1] * n
+    # bv_sigma_act reads the images of the marked slots; A4 keeps even perms
+    assert koszul_sign(p, ones) == (-1) ** _old_inv_count(p)
+    assert koszul_sign(p, ones) == (-1) ** _old_parity(p)
+    # bv_compose: the target positions of the source labels
+    source = ["s%d" % m for m in range(n)]
+    target = perm_permute_list(p, source)
+    odd = {lab for lab, d in zip(source, degrees) if d % 2}
+    pos = {lab: m for m, lab in enumerate(target)}
+    got = koszul_sign([pos[lab] for lab in source], degrees)
+    assert got == _old_koszul_reorder_sign(source, target, odd)
+    # full_gamma_ltr: the reversal
+    assert koszul_sign(range(n, 0, -1), degrees) == _old_gamma_ltr_sign(degrees)
+    # stringbr: pull positions i < j to the front
+    for i in range(n):
+        for j in range(i + 1, n):
+            order = [i, j] + [m for m in range(n) if m not in (i, j)]
+            got = koszul_sign(perm_inverse([m + 1 for m in order]), degrees)
+            assert got == _old_koszul_front_sign(degrees, i, j)
+    # eval_bv_ast: appended marks resorted into the ascending marking word
+    for h in range(n + 1):
+        marking, added = set(p[:h]), sorted(p[h:])
+        word = sorted(marking) + added
+        assert koszul_sign(word, ones) == _old_mark_sign(marking, added)
+
+
 def test_sparse_matrix_rank_and_kernel():
     m = SparseMatrix(2, 3, {(0, 0): Q(1), (0, 2): Q(-1), (1, 1): Q(2)})
     assert m.rank() == 2

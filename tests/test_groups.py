@@ -124,6 +124,28 @@ def test_fixed_points_are_center_powers():
     assert rep.passed, rep.line()
 
 
+def test_fixed_point_closure_sees_a_broken_substitution(monkeypatch):
+    # a substitution that misplaces a non-central entry whenever an inserted
+    # block has two or more entries must fail the closure check
+    import operadkit.groups as groups
+
+    real = groups.substitute
+
+    def misplacing(G, g, hs):
+        out = list(real(G, g, hs))
+        if any(len(h) >= 2 for h in hs):
+            out[0] = next(x for x in range(G.order) if x not in G.center())
+        return tuple(out)
+
+    s3 = symmetric(3)
+    assert check_fixed_points(s3).passed
+    monkeypatch.setattr(groups, "substitute", misplacing)
+    rep = check_fixed_points(s3)
+    assert not rep.passed
+    assert rep.total == 3
+    assert "not closed under substitution" in rep.failures[0]
+
+
 def test_tom_dieck_small_tables():
     c2 = cyclic(2)
     recs = tom_dieck_summands(c2)

@@ -1,7 +1,9 @@
 """Report documents: canonical JSON, markdown rendering, determinism, the
 fast suite end to end."""
 
+import hashlib
 import json
+from pathlib import Path
 
 from operadkit.operads import CheckReport
 from operadkit.reports import (
@@ -119,3 +121,12 @@ def test_fast_suite_passes_and_is_deterministic():
     # every module family is represented
     for prefix in ("e2-", "gravity-", "bv-", "cacti-", "group-", "string-"):
         assert any(i.startswith(prefix) for i in ids), prefix
+    # verdicts, case counts, claims and witnesses match the benchmark's
+    # pinned digest, which drops every check's params
+    doc = json.loads(blob1)
+    doc["checks"] = [{k: v for k, v in c.items() if k != "params"} for c in doc["checks"]]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    pinned = json.loads(reference.read_text())["workloads"]["suite-fast"]
+    assert pinned["seed"] == 0
+    assert digest == pinned["digest"]

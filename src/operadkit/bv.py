@@ -1,13 +1,22 @@
 """Homology-level BV structure on the bracket-product model.
 
-The circle operator Delta acts on the arity-k component by the pairwise
-block recursion: on a monomial with leading block B,
+The circle operator Delta is a second-order operator that kills every
+single block; on a monomial of blocks B1...Bn it is the closed sum over
+pairs of blocks
+
+    Delta(B1...Bn) = sum_{i<j} (prod_{k<=i} (-1)^{|Bk|}) (-1)^{|B(i,j)| |Bj|}
+                     B<i . [Bi, Bj] . B(i,j) . B>j,
+
+extended linearly, where B(i,j) is the run of blocks strictly between i and
+j and |X| the degree parity of X.  It is the recursion
 
     Delta(B . M') = (-1)^{|B|} ([B, M'] + B . Delta(M')),
     Delta(single block) = 0,
 
-extended linearly.  The Koszul prefactor multiplies both terms: placing it
-on the product term alone is inconsistent with Delta^2 = 0 once the cyclic
+unrolled: the bracket of the single block B with M' is a derivation in M',
+a sum over its blocks, and the recursion stacks one prefactor per leading
+block.  The Koszul prefactor multiplies both terms: placing it on the
+product term alone is inconsistent with Delta^2 = 0 once the cyclic
 three-block relation of the bracket is in force.  The deviation identity
 
     (-1)^{|a|} [a, c] = Delta(a.c) - Delta(a).c - (-1)^{|a|} a.Delta(c)
@@ -37,17 +46,17 @@ import itertools
 
 from .exact import LinComb, Q, add_into, koszul_sign, scalar
 from .grammar import eval_ast, parse_expr
-from .operads import CheckReport, OperadInstance
+from .operads import CheckReport, OperadInstance, require_at_least
 from .poisson import (
     PoissonElement,
     check_bracket_degree,
     compose_i,
     enumerate_basis,
-    from_mono,
     gen,
     mono_degree,
     relabel,
     sigma_act,
+    tree_bracket,
     tree_nleaves,
 )
 
@@ -63,24 +72,33 @@ def delta_apply(x):
 def _delta(x, signed):
     out = PoissonElement(x.support)
     for mono, c in x.terms.items():
-        out.add_scaled(_delta_mono(mono, x.support, signed), c)
+        add_into(out.terms, _delta_mono(mono, signed), c)
     return out
 
 
-def _delta_mono(mono, support, signed):
-    # Delta(B.M') = (-1)^{|B|}([B, M'] + B.Delta(M')); the Koszul prefactor
-    # (rather than the bare deviation recursion) is forced by Delta^2 = 0
-    # together with the cyclic three-block relation of the bracket.
-    # signed=False drops it: the negative control of check_bv_relations.
-    out = PoissonElement(support)
-    if len(mono) <= 1:
-        return out
-    head = from_mono(mono[:1])
-    rest = from_mono(mono[1:])
-    sign = -1 if signed and (tree_nleaves(mono[0]) - 1) % 2 else 1
-    add_into(out.terms, head.bracket(rest).terms, sign)
-    tail = _delta_mono(mono[1:], rest.support, signed)
-    add_into(out.terms, head.mul(tail).terms, sign)
+def _delta_mono(mono, signed):
+    # The pairwise sum of the module docstring, as a terms dict.  Bj moves
+    # left past B(i,j) to meet Bi, and [Bi, Bj] has head min(Bi), so the
+    # blocks stay sorted.  Unrolling the recursion, level i leaves the prefix
+    # product on its pairs, and the term of [Bi, B>i] from Bj, sorted back,
+    # carries the biderivation sign of poisson._bracket_terms times the swap
+    # of [Bi, Bj] to the front: (-1)^{|B(i,j)| |Bj|}.  signed=False drops the
+    # prefix, the negative control of check_bv_relations.  Distinct (i, j) or
+    # trees give distinct monomials.
+    odd = [(tree_nleaves(t) - 1) % 2 for t in mono]
+    out = {}
+    lead = 1
+    for i in range(len(mono) - 1):
+        if signed and odd[i]:
+            lead = -lead
+        head = mono[:i]
+        between = 0
+        for j in range(i + 1, len(mono)):
+            sign = -lead if between and odd[j] else lead
+            rest = mono[i + 1:j] + mono[j + 1:]
+            for tree, c in tree_bracket(mono[i], mono[j]).items():
+                out[head + (tree,) + rest] = sign * c
+            between ^= odd[j]
     return out
 
 
@@ -279,8 +297,7 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
     """Verify on the full basis of arity k: Delta squared vanishes, the
     deviation of Delta from a product derivation is the bracket, and Delta
     is a graded derivation of the bracket.  Returns three reports."""
-    if k < 1:
-        raise ValueError("arity must be positive")
+    require_at_least("arity", k, 2)  # arity 1 has no products and no pairs
     check_bracket_degree(b)
     delta = (lambda x: _delta(x, signed=False)) if _corrupt_delta else delta_apply
     basis = enumerate_basis(k)

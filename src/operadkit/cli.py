@@ -22,6 +22,9 @@ ARITY_BUDGET = {
     "verify closure": 7, "verify generation": 7, "verify lie": 8, "verify grav4": 7,
     "group fixed-points": 5, "group verify": 5, "cacti verify": 10,
 }
+# The group commands enumerate |G|^k tuples, so |G|^k is bounded as well: by
+# S4 at arity 5, the largest request the bundled groups make.
+GROUP_TUPLE_BUDGET = 24**5
 
 
 def _dims_table(dims):
@@ -124,6 +127,8 @@ def _cmd_group(args):
     except (OSError, ValueError, KeyError) as err:
         print("cannot load group table %r: %s" % (args.table, err), file=sys.stderr)
         return 2
+    if args.action != "tomdieck":
+        require_at_most("group order^arity", G.order**args.arity, GROUP_TUPLE_BUDGET)
     if args.action == "fixed-points":
         require_at_least("arity", args.arity, 1)
         for k in range(1, args.arity + 1):

@@ -29,8 +29,10 @@ left head; (2) the derived Jacobi rule
 until the right argument is a single leaf, which then appends onto the left
 comb.  The flip happens at most once per call chain and every other
 recursive call strictly decreases the leaf count of the right argument,
-which is the termination measure.  Leibniz expands brackets over products
-outward, recursing on block counts.
+which is the termination measure.  On products the bracket is a
+biderivation, so the bracket of two monomials is one closed sum over pairs
+of blocks, [B1...Bp, C1...Cq] = sum_{i,j} +-sort(... [Bi, Cj] ...), each
+tree bracket taken from the cached tree_bracket (see _bracket_terms).
 
 Composition.  compose_i substitutes and rebuilds through the same rules,
 times a suspension sign that transports the inserted element past the odd
@@ -45,7 +47,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .exact import LinComb, add_into, scalar
+from .exact import LinComb, add_into, koszul_sign, scalar
 
 # ---------------------------------------------------------------------------
 # bracket trees: a leaf is an int letter, a node is a pair (left, right)
@@ -241,7 +243,7 @@ class PoissonElement(LinComb):
         return PoissonElement._of(self.support | other.support, out)
 
     def bracket(self, other):
-        """The Lie bracket, extended to products by the Leibniz rule."""
+        """The Lie bracket, extended to products as a biderivation."""
         if self.support & other.support:
             raise ValueError(
                 "not multilinear: letters %s repeat" % sorted(self.support & other.support)
@@ -250,7 +252,7 @@ class PoissonElement(LinComb):
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                add_into(out, _bracket_monos(m1, m2).terms, c1 * c2)
+                add_into(out, _bracket_terms(m1, m2), c1 * c2)
         return PoissonElement._of(support, out)
 
     def __repr__(self):
@@ -282,27 +284,42 @@ def _single(tree_terms, support):
     return PoissonElement(support, {(t,): c for t, c in tree_terms.items()})
 
 
-def _bracket_monos(m1, m2):
-    """Bracket of two monomials; support is exactly their letters."""
-    if len(m1) == 1 and len(m2) == 1:
-        return _single(tree_bracket(m1[0], m2[0]), mono_support(m1) | mono_support(m2))
-    if len(m1) > 1:
-        # [B.M', N] = (-1)^{|M'|(|N|+b)} [B,N].M' + B.[M',N]
-        b0, rest = m1[0], m1[1:]
-        p_rest = sum(_block_odd(t) for t in rest) % 2
-        p_nsh = (sum(tree_nleaves(t) - 1 for t in m2) + 1) % 2
-        sign = -1 if p_rest and p_nsh else 1
-        term1 = _bracket_monos((b0,), m2).mul(from_mono(rest))
-        term2 = from_mono((b0,)).mul(_bracket_monos(rest, m2))
-        return term2.add_scaled(term1, sign)
-    # len(m2) > 1: [B, C.N'] = [B,C].N' + (-1)^{|C|(|B|+b)} C.[B,N']
-    c0, rest = m2[0], m2[1:]
-    p_c = _block_odd(c0)
-    p_bsh = tree_nleaves(m1[0]) % 2
-    sign = -1 if p_c and p_bsh else 1
-    term1 = _bracket_monos(m1, (c0,)).mul(from_mono(rest))
-    term2 = from_mono((c0,)).mul(_bracket_monos(m1, rest))
-    return term1.add_scaled(term2, sign)
+def _bracket_terms(m1, m2):
+    """[M, N] for monomials M = B1...Bp, N = C1...Cq with disjoint letters,
+    as a terms dict.  The bracket is a biderivation, so
+
+        [M, N] = sum_{i,j} e_i d_j sort(B<i C<j [Bi, Cj] C>j B>i)
+
+    with e_i = (-1)^{|B>i| (|N| + b)} moving Bi out of M to the right,
+    d_j = (-1)^{|C<j| (|Bi| + b)} moving Bi into N past C<j, and the Koszul
+    sign of sorting the blocks by minimum letter.  Distinct pairs (i, j) or
+    trees give distinct monomials."""
+    odd1 = [_block_odd(t) for t in m1]
+    odd2 = [_block_odd(t) for t in m2]
+    min1 = [tree_min(t) for t in m1]
+    min2 = [tree_min(t) for t in m2]
+    n_sh = not sum(odd2) % 2  # |N| + b, b odd
+    out = {}
+    after = sum(odd1)
+    for i, bi in enumerate(m1):
+        after -= odd1[i]
+        e = -1 if after % 2 and n_sh else 1
+        bi_sh = not odd1[i]
+        before = 0
+        for j, cj in enumerate(m2):
+            d = -1 if before % 2 and bi_sh else 1
+            before += odd2[j]
+            # the bracket block sits at position i + j until the sort
+            word = list(m1[:i] + m2[:j] + (None,) + m2[j + 1:] + m1[i + 1:])
+            t_min, t_odd = min(min1[i], min2[j]), (odd1[i] + odd2[j] + 1) % 2
+            mins = min1[:i] + min2[:j] + [t_min] + min2[j + 1:] + min1[i + 1:]
+            odds = odd1[:i] + odd2[:j] + [t_odd] + odd2[j + 1:] + odd1[i + 1:]
+            sign = e * d * koszul_sign(mins, odds)
+            order = sorted(range(len(word)), key=mins.__getitem__)
+            for tree, c in tree_bracket(bi, cj).items():
+                word[i + j] = tree
+                out[tuple(word[o] for o in order)] = sign * c
+    return out
 
 
 # ---------------------------------------------------------------------------

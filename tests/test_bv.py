@@ -1,8 +1,10 @@
 """Circle operator and decorated elements: Delta algebra, marked-slot
 composition, the relation suite and its negative control."""
 
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +23,15 @@ from operadkit.bv import (
 )
 from operadkit.exact import perm_compose
 from operadkit.grammar import eval_ast, normalize, parse_expr
+from operadkit.gravity import check_free_module
 from operadkit.operads import check_associativity, check_equivariance, check_units
 from operadkit.poisson import enumerate_basis, from_mono, gen, random_element, relabel
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def _tuples(reports):
+    return [[r.check_id, "pass" if r.passed else "fail", r.total] for r in reports]
 
 
 def shift(x, base):
@@ -215,5 +224,20 @@ def test_relation_suite_scaled_degree():
 
 
 def test_relation_suite_negative_control():
-    reps = check_bv_relations(3, _corrupt_delta=True)
-    assert any(not rep.passed for rep in reps)
+    # unsigned Delta: the failure counts of (squared, deviation, derivation)
+    # are those the Leibniz recursion of Delta gave, with every case counted
+    expected = {3: [1, 4, 6], 4: [7, 32, 38]}
+    for k, failures in expected.items():
+        for b in (1, 3):
+            reps = check_bv_relations(k, b, _corrupt_delta=True)
+            assert [len(rep.failures) for rep in reps] == failures, (k, b)
+            honest = check_bv_relations(k, b)
+            assert [rep.total for rep in reps] == [rep.total for rep in honest]
+
+
+def test_relation_suite_and_kernel_match_the_benchmark_pins():
+    # the [check_id, verdict, cases] tuples perfbench gates against; read only
+    pinned = json.loads(REFERENCE.read_text())["workloads"]
+    got = check_bv_relations(5, 1) + check_bv_relations(5, 3)
+    assert _tuples(got) == pinned["bv-relations"]["checks"]
+    assert _tuples([check_free_module(7)]) == pinned["kernel"]["checks"]

@@ -57,6 +57,7 @@ def test_dims_reject_bracket_degree_outside_the_model(capsys):
         (["dims", "e2", "--arity", "12"], "arity must be at most 11, got 12"),
         (["dims", "grav", "--arity", "8"], "arity must be at most 7, got 8"),
         (["dims", "moduli", "--arity", "41"], "arity must be at most 40, got 41"),
+        (["verify", "bv", "--arity", "1"], "arity must be at least 2, got 1"),
         (["verify", "bv", "--arity", "9"], "arity must be at most 7, got 9"),
         (["verify", "free-module", "--arity", "9"], "arity must be at most 8, got 9"),
         (["verify", "jacobi", "--k", "8", "--l", "2"],
@@ -75,7 +76,8 @@ def test_dims_reject_bracket_degree_outside_the_model(capsys):
     ],
     ids=["cocycle-samples", "cocycle-arity", "associativity-arity",
          "fixed-points-arity", "group-verify-arity",
-         "dims-e2-budget", "dims-grav-budget", "dims-moduli-budget", "bv-budget",
+         "dims-e2-budget", "dims-grav-budget", "dims-moduli-budget", "bv-arity",
+         "bv-budget",
          "free-module-budget", "jacobi-budget", "closure-budget", "generation-budget",
          "lie-budget", "grav4-budget", "fixed-points-budget", "group-verify-budget",
          "cacti-budget"],
@@ -85,6 +87,18 @@ def test_cacti_and_group_reject_counts_outside_the_domain(capsys, argv, bad):
     assert code == 2
     assert out == ""
     assert bad in err
+
+
+@pytest.mark.parametrize("action", ["fixed-points", "verify"])
+def test_group_commands_refuse_too_many_tuples(tmp_path, capsys, action):
+    # Z/30: 30^4 tuples are accepted, 30^5 exceed the S4 arity-5 budget 24^5
+    n = 30
+    path = tmp_path / "z30.json"
+    path.write_text(json.dumps({"table": [[(a + b) % n for b in range(n)] for a in range(n)]}))
+    code, out, err = run(capsys, "group", action, "--table", str(path), "--arity", "5")
+    assert code == 2
+    assert out == ""
+    assert "group order^arity must be at most 7962624, got 24300000" in err
 
 
 def test_verify_with_no_cases_fails(capsys):

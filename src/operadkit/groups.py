@@ -8,7 +8,10 @@ operad).  The tom Dieck index data attached to G is the list of subgroups
 grouped into conjugacy classes, each carrying its centralizer C(H) and the
 Weyl group order |N(H)/H|.
 
-Group tables are verified against the group axioms at construction.  A
+Group tables are verified against the group axioms at construction; only
+then are a conjugation table g x g^-1 (read by ``conj``) and a greedy
+generating set built from the verified multiplication table.  The fixed
+tuples are found by testing each tuple against the generators alone.  A
 bundled library provides every group of order at most 16 (42 tables built
 from cyclic, dihedral, dicyclic and symmetric blocks, direct and semidirect
 products, and the central product C4 o D4) plus S4; the order-16 census is
@@ -25,18 +28,34 @@ from .operads import CheckReport, OperadInstance, require_at_least
 
 
 class FiniteGroupTable:
-    """Multiplication table with verified group axioms."""
+    """Multiplication table with verified group axioms.
 
-    __slots__ = ("name", "order", "table", "identity", "_inv")
+    Once the axioms hold, two derived tables are built: ``_conj[g][x]`` is
+    g x g^-1, read by ``conj`` and ``conjugation_act``, and ``generators``
+    is a greedy generating set (each element not yet in the subgroup
+    generated by the earlier ones is added)."""
+
+    __slots__ = ("name", "order", "table", "identity", "_inv", "_conj", "generators")
 
     def __init__(self, name, table, identity=0):
+        if not isinstance(table, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in table
+        ):
+            raise ValueError("table must be a list of rows")
         self.name = name
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self.identity = identity
         n = self.order
+        if n < 1:
+            raise ValueError("group order must be at least 1, got %d" % n)
         if any(len(row) != n for row in self.table):
             raise ValueError("table is not square")
+        for what, x in [("identity", identity)] + [
+            ("table entry", x) for row in self.table for x in row
+        ]:
+            if not (isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n):
+                raise ValueError("%s must be an int in 0..%d, got %r" % (what, n - 1, x))
         e = identity
         if any(self.table[e][a] != a or self.table[a][e] != a for a in range(n)):
             raise ValueError("identity row or column fails")
@@ -58,6 +77,16 @@ class FiniteGroupTable:
                             "associativity fails at (%d, %d, %d)" % (a, b, c)
                         )
         self._inv = tuple(inv)
+        t = self.table
+        self._conj = tuple(
+            tuple(t[t[g][x]][inv[g]] for x in range(n)) for g in range(n)
+        )
+        gens, span = [], _closure(self, ())
+        for a in range(n):
+            if a not in span:
+                gens.append(a)
+                span = _closure(self, gens)
+        self.generators = tuple(gens)
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -66,7 +95,7 @@ class FiniteGroupTable:
         return self._inv[a]
 
     def conj(self, g, x):
-        return self.mul(self.mul(g, x), self.inv(g))
+        return self._conj[g][x]
 
     def element_order(self, a):
         n, x = 1, a
@@ -115,8 +144,10 @@ def group_compose(G, g, h, i):
 
 
 def conjugation_act(G, g, t):
-    """Diagonal conjugation on every entry."""
-    return tuple(G.conj(g, x) for x in t)
+    """Diagonal conjugation on every entry, read from row g of the
+    conjugation table."""
+    row = G._conj[g]
+    return tuple(row[x] for x in t)
 
 
 def tuple_relabel(perm, t):
@@ -131,13 +162,18 @@ def _conjugation_fixed(G, k):
     return [
         t
         for t in itertools.product(range(G.order), repeat=k)
-        if all(conjugation_act(G, g, t) == t for g in range(G.order))
+        if all(conjugation_act(G, g, t) == t for g in G.generators)
     ]
 
 
 def fixed_point_operad(G, k):
     """Conjugation-fixed tuples; verified to be Z(G)^k, and closed under
-    composition with the fixed pairs at every slot (first 8 of each)."""
+    composition with the fixed pairs at every slot (first 8 of each).
+
+    A tuple is tested against ``G.generators`` only: conjugation by a
+    product is the composite of the conjugations, so the tuples fixed by a
+    generating set are those fixed by G.  The comparison set Z(G)^k comes
+    from ``G.center()``, which reads ``mul`` and not the conjugation table."""
     require_at_least("arity", k, 1)
     fixed = _conjugation_fixed(G, k)
     center = G.center()
@@ -519,10 +555,7 @@ def check_group_harness(G, seed=0):
 # file format
 
 
-def group_to_dict(G):
-    return {"order": G.order, "table": [list(r) for r in G.table],
-            "identity": G.identity}
-
-
 def group_from_dict(data, name="loaded"):
+    if not isinstance(data, dict):
+        raise ValueError("group data must be an object, got %s" % type(data).__name__)
     return FiniteGroupTable(name, data["table"], data.get("identity", 0))

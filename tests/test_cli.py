@@ -101,6 +101,30 @@ def test_group_commands_refuse_too_many_tuples(tmp_path, capsys, action):
     assert "group order^arity must be at most 7962624, got 24300000" in err
 
 
+@pytest.mark.parametrize("action", ["verify", "tomdieck"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[0, 1], [1, 0]],
+        {"table": [[0, 1], [1, 0]], "identity": 5},
+        {"table": [[0.0, 1], [1, 0]]},
+        {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 7]]},
+        {"table": []},
+        {"table": 5},
+    ],
+    ids=["not-an-object", "identity-out-of-range", "float-entry",
+         "entry-out-of-range", "empty-table", "table-not-a-list"],
+)
+def test_group_commands_reject_malformed_tables(tmp_path, capsys, action, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "group", action, "--table", str(path))
+    assert code == 2
+    assert out == ""
+    assert "cannot load group table" in err
+    assert "Traceback" not in err
+
+
 def test_verify_with_no_cases_fails(capsys):
     code, out, _ = run(capsys, "verify", "closure", "--max-arity", "2")
     assert code == 1

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import operadkit.groups as groups
 from operadkit.groups import (
     FiniteGroupTable,
     bundled_groups,
@@ -22,7 +23,6 @@ from operadkit.groups import (
     group_compose,
     group_from_dict,
     group_operad_instance,
-    group_to_dict,
     random_tuple,
     subgroups,
     substitute,
@@ -222,6 +222,11 @@ def test_operad_instance_unit():
     assert op.arity((0, 1, 2)) == 3
 
 
+def group_to_dict(G):
+    return {"order": G.order, "table": [list(r) for r in G.table],
+            "identity": G.identity}
+
+
 def test_json_round_trip():
     g = dihedral(4)
     blob = group_to_dict(g)
@@ -229,3 +234,48 @@ def test_json_round_trip():
     assert h.order == g.order
     assert h.table == g.table
     assert h.center() == g.center()
+
+
+def _conjugation_fixed_by_all_elements(G, k):
+    # the fixed tuples as first defined: conjugate by every element, through
+    # plain mul and inv, with no conjugation table and no generators
+    def conj(g, x):
+        return G.mul(G.mul(g, x), G.inv(g))
+
+    return [
+        t
+        for t in itertools.product(range(G.order), repeat=k)
+        if all(tuple(conj(g, x) for x in t) == t for g in range(G.order))
+    ]
+
+
+def test_generators_generate_every_bundled_group():
+    for G in bundled_groups().values():
+        assert groups._closure(G, G.generators) == frozenset(range(G.order)), G.name
+
+
+def test_conjugation_table_matches_mul_and_inv():
+    for G in bundled_groups().values():
+        for g in range(G.order):
+            for x in range(G.order):
+                assert G.conj(g, x) == G.mul(G.mul(g, x), G.inv(g))
+
+
+def test_generator_fixed_tuples_match_the_all_elements_oracle():
+    for G in bundled_groups().values():
+        arities = (1, 2, 3) if G.order <= 16 else (1, 2)
+        for k in arities:
+            assert groups._conjugation_fixed(G, k) == _conjugation_fixed_by_all_elements(
+                G, k
+            ), (G.name, k)
+
+
+def test_fixed_points_fail_with_too_few_generators():
+    # S3 is not generated by one element, and one transposition or 3-cycle
+    # fixes more than the center
+    s3 = symmetric(3)
+    s3.generators = s3.generators[:1]
+    rep = check_fixed_points(s3)
+    assert rep.total == 3
+    assert len(rep.failures) == 3, rep.line()
+    assert all("differ from the center" in w for w in rep.failures)

@@ -237,8 +237,8 @@ def test_json_round_trip():
 
 
 def _conjugation_fixed_by_all_elements(G, k):
-    # the fixed tuples as first defined: conjugate by every element, through
-    # plain mul and inv, with no conjugation table and no generators
+    # oracle: conjugate by every element through plain mul and inv, with no
+    # conjugation table and no generators
     def conj(g, x):
         return G.mul(G.mul(g, x), G.inv(g))
 

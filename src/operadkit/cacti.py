@@ -1,31 +1,54 @@
-"""Spineless cacti as exact rational arc words.
+"""Spineless cacti as integer arc words, with rationals only at the boundary.
 
 A cactus of arity k is a basepointed cyclic word of arcs (lobe label,
 positive length): the order in which the traversal starting at the outer
 marked point crosses the lobes, and how much of each lobe it covers per
-visit.  Isotopy classes become literal data equality after merging adjacent
-same-label arcs, so every lemma below is an exact identity of rationals.
-The cyclic label word must be noncrossing (no i..j..i..j pattern; the dual
-graph is a tree), and spinelessness is built into the encoding: each lobe's
-inner marked point is its first traversal entry.
+visit.  The cyclic label word must be noncrossing (no i..j..i..j pattern;
+the dual graph is a tree), and spinelessness is built into the encoding:
+each lobe's inner marked point is its first traversal entry.
 
-The circle acts by moving the outer marked point: rotate(c, theta) re-cuts
-the arc word at global position theta * P, splitting an arc if needed.
-Partial composition pinches cactus d into lobe i of c: d is rescaled to
-perimeter L_i(c) and its traversal word is spliced into the label-i arcs of
-c window by window.  The homotopy diagonal of c is the piecewise-linear
-loop S^1 -> (S^1)^k whose i-th coordinate advances at rate P/L_i while the
-traversal runs on lobe i and rests otherwise.
+Every length is stored as an int n over one positive int denominator ``den``
+shared by the whole word, with adjacent same-label arcs merged and
+gcd(den, all n) = 1.  That normal form is unique (den is the lcm of the
+reduced denominators of the lengths), so isotopy classes are literal data
+equality, and every lemma below is an exact identity of ints.
+
+The circle acts by moving the outer marked point: rotate(c, p/q) scales the
+lengths by q and re-cuts the word at p * S, S the sum of the lengths,
+splitting an arc if needed.  Partial composition pinches cactus d into lobe
+i of c: over the denominator den_c * P_d, c's lengths are scaled by P_d and
+d's by L_i(c), so d has perimeter L_i(c) with no division, and its word is
+spliced into the label-i arcs of c window by window.
+
+The homotopy diagonal of c is the piecewise-linear loop S^1 -> (S^1)^k whose
+i-th coordinate advances at slope P/L_i while the traversal runs on lobe i
+and rests otherwise.  It is stored on int moduli: breakpoint times over a
+time modulus T, coordinate values over a modulus M_m per coordinate, and
+int rates, a rate r standing for the slope r * T / M_m.  For diag(c),
+T = S, M_m = L_m over den, and every rate is 0 or 1.  The coEnd composite
+refines both moduli so that the preimages of the inner breakpoints stay
+ints (see ``coend_composite``).
 
 Verified exactly (pointwise and as full PL data where stated): the cocycle
 law  diag(c)(theta+phi) = diag(rotate(c,theta))(phi) + diag(c)(theta),
 equivariance of composition under rotation, and the coEnd law identifying
-diag(c o_i d) with the composite of diag(c) and diag(d).
+diag(c o_i d) with the composite of diag(c) and diag(d).  Values are
+compared by cross-multiplication.
+
+The boundary is rational: the constructors take rational lengths, times,
+values and slopes; ``arcs``, ``perimeter``, ``lobe_length(s)``, ``times``,
+``values``, ``slopes`` and ``eval`` give Fractions; ``rotate`` and the
+``verify_*`` lemmas take an int or Fraction theta; the file format and the
+witness text spell lengths as reduced rationals.  Nothing inside reads those
+views.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
+from math import gcd, lcm
 
 from .exact import Q, format_rational, parse_rational
 from .operads import CheckReport, OperadInstance, require_at_least
@@ -36,50 +59,94 @@ def circle_point(q):
     return Q(q) % 1
 
 
-class SpinelessCactus:
-    """Basepointed arc word; constructor merges adjacent same-label arcs
-    (never across the basepoint: first/last arcs of equal label encode an
-    outer marked point interior to a lobe stretch)."""
+def _reduced(n, d):
+    g = gcd(n, d)
+    return n // g, d // g
 
-    __slots__ = ("arity", "arcs")
+
+def _same_points(a, b):
+    """Equality of two tuples of (num, den) points of [0, 1)^k."""
+    return len(a) == len(b) and all(x * e == y * d for (x, d), (y, e) in zip(a, b))
+
+
+class SpinelessCactus:
+    """Basepointed arc word of int lengths ``n`` over one int ``den``.
+
+    ``word`` is ``((label, n), ...)`` with adjacent same-label arcs merged
+    (never across the basepoint: first/last arcs of equal label encode an
+    outer marked point interior to a lobe stretch) and gcd(den, all n) = 1.
+    The constructor takes rational lengths; ``arcs``, ``perimeter`` and
+    ``lobe_length(s)`` give them back as Fractions."""
+
+    __slots__ = ("arity", "den", "word")
 
     def __init__(self, arity, arcs):
+        arcs = [(int(label), Q(length)) for label, length in arcs]
+        den = lcm(*(ln.denominator for _, ln in arcs))
         self.arity = int(arity)
-        merged = []
-        for label, length in arcs:
-            label, length = int(label), Q(length)
-            if merged and merged[-1][0] == label:
-                merged[-1] = (label, merged[-1][1] + length)
-            else:
-                merged.append((label, length))
-        self.arcs = tuple(merged)
+        self.den, self.word = _normal_word(
+            den, [(lab, ln.numerator * (den // ln.denominator)) for lab, ln in arcs]
+        )
+
+    @property
+    def arcs(self):
+        return tuple((lab, Q(n, self.den)) for lab, n in self.word)
 
     @property
     def perimeter(self):
-        return sum((ln for _, ln in self.arcs), Q(0))
+        return Q(sum(n for _, n in self.word), self.den)
 
     def lobe_length(self, i):
-        return sum((ln for lab, ln in self.arcs if lab == i), Q(0))
+        return Q(sum(n for lab, n in self.word if lab == i), self.den)
 
     def lobe_lengths(self):
-        out = {}
-        for lab, ln in self.arcs:
-            out[lab] = out.get(lab, Q(0)) + ln
-        return out
+        return {lab: Q(n, self.den) for lab, n in _lobe_units(self).items()}
 
     def __eq__(self, other):
         return (
             isinstance(other, SpinelessCactus)
             and self.arity == other.arity
-            and self.arcs == other.arcs
+            and self.den == other.den
+            and self.word == other.word
         )
 
     def __hash__(self):
-        return hash((self.arity, self.arcs))
+        return hash((self.arity, self.den, self.word))
 
     def __repr__(self):
-        body = "".join("(%d,%s)" % (lab, ln) for lab, ln in self.arcs)
+        body = "".join("(%d,%s)" % (lab, Q(n, self.den)) for lab, n in self.word)
         return "<cactus %d: %s>" % (self.arity, body)
+
+
+def _normal_word(den, word):
+    """Merge adjacent same-label arcs, then divide den and every length by
+    their gcd."""
+    merged = []
+    for lab, n in word:
+        if merged and merged[-1][0] == lab:
+            merged[-1] = (lab, merged[-1][1] + n)
+        else:
+            merged.append((lab, n))
+    g = gcd(den, *(n for _, n in merged))
+    if g > 1:
+        return den // g, tuple((lab, n // g) for lab, n in merged)
+    return den, tuple(merged)
+
+
+def _cactus(arity, den, word):
+    """The cactus of the int arcs ``word`` over ``den``, in normal form."""
+    c = object.__new__(SpinelessCactus)
+    c.arity = arity
+    c.den, c.word = _normal_word(den, word)
+    return c
+
+
+def _lobe_units(c):
+    """Lobe label -> total length over c.den, in first-visit order."""
+    out = {}
+    for lab, n in c.word:
+        out[lab] = out.get(lab, 0) + n
+    return out
 
 
 def _interleaving_witness(labels):
@@ -126,21 +193,21 @@ def validate(c):
     if c.arity < 1:
         errors.append("arity must be at least 1")
         return errors
-    if not c.arcs:
+    if not c.word:
         errors.append("empty arc word")
         return errors
-    for lab, ln in c.arcs:
+    for lab, n in c.word:
         if not 1 <= lab <= c.arity:
             errors.append("label %d outside 1..%d" % (lab, c.arity))
-        if ln <= 0:
-            errors.append("arc (%d, %s) has nonpositive length" % (lab, ln))
-    lengths = c.lobe_lengths()
+        if n <= 0:
+            errors.append("arc (%d, %s) has nonpositive length" % (lab, Q(n, c.den)))
+    labels = {lab for lab, _ in c.word}
     for i in range(1, c.arity + 1):
-        if i not in lengths:
+        if i not in labels:
             errors.append("label %d missing" % i)
     if errors:
         return errors
-    bad = _interleaving_witness([lab for lab, _ in c.arcs])
+    bad = _interleaving_witness([lab for lab, _ in c.word])
     if bad:
         errors.append("labels %d and %d interleave" % bad)
     return errors
@@ -153,45 +220,54 @@ def _require_valid(c):
 
 
 def rotate(c, theta):
-    """Move the outer marked point by theta of the acting circle: re-cut the
-    cyclic arc word at global position theta * P."""
+    """Move the outer marked point by theta = p/q of the acting circle:
+    scale the lengths by q and re-cut the cyclic word at p * S."""
     _require_valid(c)
-    cut = circle_point(theta) * c.perimeter
-    if cut == 0:
+    q = theta.denominator
+    p = theta.numerator % q
+    if p == 0:
         return c
-    pos = Q(0)
-    for n, (lab, ln) in enumerate(c.arcs):
-        if pos + ln > cut:
-            head = [(lab, cut - pos)] if cut > pos else []
-            tail = [(lab, pos + ln - cut)]
-            word = tail + list(c.arcs[n + 1 :]) + list(c.arcs[:n]) + head
-            return SpinelessCactus(c.arity, word)
-        pos += ln
+    word = c.word
+    cut = p * sum(n for _, n in word)
+    pos = 0
+    for j, (lab, n) in enumerate(word):
+        end = pos + n * q
+        if end > cut:
+            out = [(lab, end - cut)]
+            out += [(b, m * q) for b, m in word[j + 1 :]]
+            out += [(b, m * q) for b, m in word[:j]]
+            if cut > pos:
+                out.append((lab, cut - pos))
+            return _cactus(c.arity, c.den * q, out)
+        pos = end
     raise AssertionError("cut point beyond perimeter")
 
 
 def compose_i(c, d, i):
-    """Pinch d into lobe i of c: rescale d to perimeter L_i(c), splice its
-    traversal word into the label-i arcs of c window by window, and insert
-    d's labels as the block i..i+l-1."""
+    """Pinch d into lobe i of c: over den_c * P_d, c's lengths are scaled by
+    P_d and d's by L_i(c); splice d's word into the label-i arcs of c window
+    by window, and insert d's labels as the block i..i+l-1."""
     _require_valid(c)
     _require_valid(d)
     k, l = c.arity, d.arity
     if not 1 <= i <= k:
         raise ValueError("slot %d out of range 1..%d" % (i, k))
-    scale = c.lobe_length(i) / d.perimeter
-    feed = [(lab + i - 1, ln * scale) for lab, ln in d.arcs]
+    lobe = sum(n for lab, n in c.word if lab == i)
+    perim = sum(n for _, n in d.word)
+    g = gcd(lobe, perim)
+    lobe, perim = lobe // g, perim // g
+    feed = [(lab + i - 1, n * lobe) for lab, n in d.word]
     cursor = 0
-    offset = Q(0)
+    offset = 0
     word = []
-    for lab, ln in c.arcs:
+    for lab, n in c.word:
         if lab < i:
-            word.append((lab, ln))
+            word.append((lab, n * perim))
             continue
         if lab > i:
-            word.append((lab + l - 1, ln))
+            word.append((lab + l - 1, n * perim))
             continue
-        need = ln
+        need = n * perim
         while need > 0:
             flab, fln = feed[cursor]
             avail = fln - offset
@@ -199,21 +275,21 @@ def compose_i(c, d, i):
                 word.append((flab, avail))
                 need -= avail
                 cursor += 1
-                offset = Q(0)
+                offset = 0
             else:
                 word.append((flab, need))
                 offset += need
-                need = Q(0)
+                need = 0
     if cursor != len(feed) or offset != 0:
         raise AssertionError("splice did not consume the inserted word")
-    return SpinelessCactus(k + l - 1, word)
+    return _cactus(k + l - 1, c.den * perim, word)
 
 
 def cactus_relabel(perm, c):
     """Symmetric action: lobe j becomes perm(j)."""
     if len(perm) != c.arity:
         raise ValueError("permutation size does not match arity")
-    return SpinelessCactus(c.arity, [(perm[lab - 1], ln) for lab, ln in c.arcs])
+    return _cactus(c.arity, c.den, [(perm[lab - 1], n) for lab, n in c.word])
 
 
 # ---------------------------------------------------------------------------
@@ -221,63 +297,111 @@ def cactus_relabel(perm, c):
 
 
 class PLDiagonal:
-    """Piecewise-linear loop S^1 -> (S^1)^k: global breakpoint times in
-    [0, 1), per-coordinate values there, and per-segment slope tuples.
-    Coordinate i climbs at rate P/L_i on label-i arcs and rests otherwise;
-    each coordinate winds exactly once."""
+    """Piecewise-linear loop S^1 -> (S^1)^k on int moduli.
 
-    __slots__ = ("arity", "times", "values", "slopes")
+    ``breaks`` are the breakpoint times over the time modulus ``period``
+    (T), ascending in [0, T) from 0; ``levels[j][m]`` is coordinate m at
+    breakpoint j over its modulus ``moduli[m]`` (M_m), in [0, M_m); and
+    ``rates[j][m]`` is an int rate on segment j, standing for the slope
+    rate * T / M_m.  Over a segment of int width w, coordinate m advances by
+    rate * w units of 1/M_m, so winding once is sum(rate * width) == M_m,
+    which construction checks.
+
+    The constructor takes rational times in [0, 1), values and slopes, and
+    ``times``, ``values``, ``slopes`` and ``eval`` give them back as
+    Fractions.  Equality compares ``canonical()``, which is scale-free."""
+
+    __slots__ = ("arity", "period", "moduli", "breaks", "levels", "rates")
 
     def __init__(self, arity, times, values, slopes):
-        self.arity = arity
-        self.times = tuple(times)
-        self.values = tuple(tuple(v) for v in values)
-        self.slopes = tuple(tuple(s) for s in slopes)
-        if self.times[0] != 0:
-            raise ValueError("breakpoint list must start at 0")
-        for m in range(arity):
-            wind = sum(
-                self.slopes[j][m] * (self._width(j)) for j in range(len(self.times))
+        times = [Q(t) for t in times]
+        values = [[Q(v) for v in row] for row in values]
+        slopes = [[Q(s) for s in row] for row in slopes]
+        period = lcm(*(t.denominator for t in times))
+        moduli = [
+            lcm(
+                *(row[m].denominator for row in values),
+                *((row[m] / period).denominator for row in slopes),
             )
-            if wind != 1:
-                raise ValueError("coordinate %d winds %s, expected 1" % (m + 1, wind))
+            for m in range(arity)
+        ]
+        self._set(
+            arity,
+            period,
+            moduli,
+            [t.numerator * (period // t.denominator) for t in times],
+            [tuple(int(v * M) % M for v, M in zip(row, moduli)) for row in values],
+            [tuple(int(s * M / period) for s, M in zip(row, moduli)) for row in slopes],
+        )
 
-    def _width(self, j):
-        nxt = self.times[j + 1] if j + 1 < len(self.times) else Q(1)
-        return nxt - self.times[j]
+    def _set(self, arity, period, moduli, breaks, levels, rates):
+        """Store the int data and check that it starts at 0 and winds each
+        coordinate once."""
+        self.arity = arity
+        self.period = period
+        self.moduli = tuple(moduli)
+        self.breaks = tuple(breaks)
+        self.levels = tuple(levels)
+        self.rates = tuple(rates)
+        if self.breaks[0] != 0:
+            raise ValueError("breakpoint list must start at 0")
+        widths = [b - a for a, b in zip(self.breaks, self.breaks[1:] + (period,))]
+        for m, M in enumerate(self.moduli):
+            wind = sum(row[m] * w for row, w in zip(self.rates, widths))
+            if wind != M:
+                raise ValueError(
+                    "coordinate %d winds %s, expected 1" % (m + 1, Q(wind, M))
+                )
 
-    def segment_at(self, theta):
-        theta = circle_point(theta)
-        lo, hi = 0, len(self.times)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.times[mid] <= theta:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    @property
+    def times(self):
+        return tuple(Q(t, self.period) for t in self.breaks)
+
+    @property
+    def values(self):
+        return tuple(
+            tuple(Q(v, M) for v, M in zip(row, self.moduli)) for row in self.levels
+        )
+
+    @property
+    def slopes(self):
+        T = self.period
+        return tuple(
+            tuple(Q(r * T, M) for r, M in zip(row, self.moduli)) for row in self.rates
+        )
+
+    def _at(self, p, q):
+        """The point at circle time p/q (ints, q > 0) as pairs (x, D), one
+        per coordinate, standing for x / D with 0 <= x < D."""
+        pt = (p % q) * self.period
+        j = bisect_right(self.breaks, pt // q) - 1
+        dt = pt - self.breaks[j] * q
+        return tuple(
+            ((v * q + r * dt) % (M * q), M * q)
+            for v, r, M in zip(self.levels[j], self.rates[j], self.moduli)
+        )
 
     def eval(self, theta):
         """Exact value tuple in [0,1)^k at circle time theta."""
-        theta = circle_point(theta)
-        j = self.segment_at(theta)
-        dt = theta - self.times[j]
-        return tuple(
-            circle_point(self.values[j][m] + self.slopes[j][m] * dt)
-            for m in range(self.arity)
-        )
+        return tuple(Q(x, D) for x, D in self._at(theta.numerator, theta.denominator))
 
     def canonical(self):
-        """Slope-change breakpoints only, cyclically; a loop with constant
-        slopes is anchored at time 0.  Two diagonals are equal as maps iff
-        their canonical forms are equal."""
-        n = len(self.times)
-        keep = [j for j in range(n) if self.slopes[j] != self.slopes[j - 1]]
-        if not keep:
-            return (self.arity, ((Q(0), self.eval(0), self.slopes[0]),))
+        """Slope-change breakpoints only, cyclically, as reduced (num, den)
+        pairs of time, values and slopes; a loop with constant slopes is
+        anchored at time 0.  Two diagonals are equal as maps iff their
+        canonical forms are equal, whatever their moduli."""
+        rates, T, moduli = self.rates, self.period, self.moduli
+        keep = [j for j in range(len(rates)) if rates[j] != rates[j - 1]] or [0]
         return (
             self.arity,
-            tuple((self.times[j], self.eval(self.times[j]), self.slopes[j]) for j in keep),
+            tuple(
+                (
+                    _reduced(self.breaks[j], T),
+                    tuple(_reduced(v, M) for v, M in zip(self.levels[j], moduli)),
+                    tuple(_reduced(r * T, M) for r, M in zip(rates[j], moduli)),
+                )
+                for j in keep
+            ),
         )
 
     def __eq__(self, other):
@@ -287,70 +411,96 @@ class PLDiagonal:
         return hash(self.canonical())
 
     def __repr__(self):
-        return "<PLdiag %d: %d breakpoints>" % (self.arity, len(self.times))
+        return "<PLdiag %d: %d breakpoints>" % (self.arity, len(self.breaks))
+
+
+def _diagonal(arity, period, moduli, breaks, levels, rates):
+    """A PLDiagonal from its int data, winding checked."""
+    dg = object.__new__(PLDiagonal)
+    dg._set(arity, period, moduli, breaks, levels, rates)
+    return dg
 
 
 def homotopy_diagonal(c):
-    """The pinching loop of a cactus, with breakpoints at arc boundaries."""
+    """The pinching loop of a cactus, with breakpoints at arc boundaries:
+    time modulus S, coordinate moduli the lobe lengths, rates 0 or 1."""
     _require_valid(c)
-    P = c.perimeter
-    lengths = c.lobe_lengths()
-    times, values, slopes = [], [], []
-    t = Q(0)
-    current = [Q(0)] * c.arity
-    for lab, ln in c.arcs:
-        times.append(t)
-        values.append(tuple(current))
-        slopes.append(
-            tuple(P / lengths[lab] if m == lab - 1 else Q(0) for m in range(c.arity))
-        )
-        t += ln / P
-        current[lab - 1] = circle_point(current[lab - 1] + ln / lengths[lab])
-    return PLDiagonal(c.arity, times, values, slopes)
+    k = c.arity
+    lobes = _lobe_units(c)
+    moduli = [lobes[m] for m in range(1, k + 1)]
+    unit = [tuple(int(m == lab) for m in range(k)) for lab in range(k)]
+    breaks, levels, rates = [], [], []
+    t = 0
+    current = [0] * k
+    for lab, n in c.word:
+        breaks.append(t)
+        levels.append(tuple(current))
+        rates.append(unit[lab - 1])
+        t += n
+        current[lab - 1] = (current[lab - 1] + n) % moduli[lab - 1]
+    return _diagonal(k, t, moduli, breaks, levels, rates)
 
 
 def coend_composite(dc, dd, i):
     """The coEnd composition of two diagonals: coordinates outside the
     inserted block come from dc, coordinates inside are dd reparametrized by
-    dc's i-th coordinate.  Breakpoints are dc's own plus the exact preimages
-    of dd's breakpoints under the i-th coordinate."""
+    dc's i-th coordinate x.  Breakpoints are dc's own plus the exact
+    preimages of dd's breakpoints under x.
+
+    With Lambda = lcm(M_i(dc), T(dd)) and R = Lambda / M_i times the lcm of
+    dc's nonzero i-th rates, time is refined to T(dc) * R and x to the
+    modulus U = M_i * R, on which every preimage is an int.  dc's
+    coordinates keep their rates over moduli M * R; a block coordinate is
+    dd's over M(dd) * U / T(dd), with rate the product of x's and dd's."""
     k, l = dc.arity, dd.arity
     if not 1 <= i <= k:
         raise ValueError("slot %d out of range 1..%d" % (i, k))
-    times = set(dc.times)
-    lift = Q(0)
-    for j in range(len(dc.times)):
-        s = dc.slopes[j][i - 1]
-        w = dc._width(j)
-        if s > 0:
-            lo, hi = lift, lift + s * w
-            for beta in dd.times:
-                n = int(lo - beta) - 1
-                while beta + n <= hi:
-                    if lo < beta + n < hi:
-                        times.add(dc.times[j] + (beta + n - lo) / s)
-                    n += 1
-            lift = hi
-    times = sorted(times)
-
-    def composite_value(theta):
-        base = dc.eval(theta)
-        inner = dd.eval(base[i - 1])
-        return (
-            base[: i - 1] + inner + base[i:]
-        )
-
-    values, slopes = [], []
-    for j, t in enumerate(times):
-        values.append(composite_value(t))
-        jc = dc.segment_at(t)
-        s = dc.slopes[jc][i - 1]
-        jd = dd.segment_at(dc.eval(t)[i - 1])
-        row = list(dc.slopes[jc][: i - 1])
-        row += [s * dd.slopes[jd][m] for m in range(l)]
-        row += list(dc.slopes[jc][i:])
-        slopes.append(tuple(row))
-    return PLDiagonal(k + l - 1, times, values, slopes)
+    lam = lcm(dc.moduli[i - 1], dd.period)
+    R = lcm(*(row[i - 1] for row in dc.rates if row[i - 1])) * (
+        lam // dc.moduli[i - 1]
+    )
+    U = dc.moduli[i - 1] * R
+    f = U // dd.period
+    outer = [M * R for M in dc.moduli]
+    inner = [M * f for M in dd.moduli]
+    starts = [t * R for t in dc.breaks]
+    marks = [t * f for t in dd.breaks]
+    cut = set(starts)
+    for j, start in enumerate(starts):
+        r = dc.rates[j][i - 1]
+        if r:
+            end = starts[j + 1] if j + 1 < len(starts) else dc.period * R
+            lo = dc.levels[j][i - 1] * R
+            hi = lo + r * (end - start)
+            for beta in marks:
+                target = beta + ((lo - beta) // U + 1) * U
+                while target < hi:
+                    cut.add(start + (target - lo) // r)
+                    target += U
+    breaks, levels, rates = sorted(cut), [], []
+    j = 0
+    for tau in breaks:
+        while j + 1 < len(starts) and starts[j + 1] <= tau:
+            j += 1
+        dt = tau - starts[j]
+        rate = dc.rates[j]
+        base = [
+            (v * R + r * dt) % M
+            for v, r, M in zip(dc.levels[j], rate, outer)
+        ]
+        x = base[i - 1]
+        jd = bisect_right(marks, x) - 1
+        dx = x - marks[jd]
+        block = [
+            (v * f + r * dx) % M
+            for v, r, M in zip(dd.levels[jd], dd.rates[jd], inner)
+        ]
+        levels.append(tuple(base[: i - 1] + block + base[i:]))
+        s = rate[i - 1]
+        rates.append(rate[: i - 1] + tuple(s * r for r in dd.rates[jd]) + rate[i:])
+    return _diagonal(
+        k + l - 1, dc.period * R, outer[: i - 1] + inner + outer[i:], breaks, levels, rates
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +511,23 @@ def verify_cocycle(c, theta, phi):
     """diag(c)(theta+phi) = diag(rotate(c,theta))(phi) + diag(c)(theta),
     exactly and componentwise in (R/Z)^k."""
     dc = homotopy_diagonal(c)
-    at_theta = dc.eval(theta)
-    lhs = dc.eval(circle_point(Q(theta) + Q(phi)))
+    p1, q1 = theta.numerator, theta.denominator
+    p2, q2 = phi.numerator, phi.denominator
+    at_theta = dc._at(p1, q1)
+    lhs = dc._at(p1 * q2 + p2 * q1, q1 * q2)
     rotated = homotopy_diagonal(rotate(c, theta))
-    rhs = tuple(
-        circle_point(a + b) for a, b in zip(rotated.eval(phi), at_theta)
+    rhs = rotated._at(p2, q2)
+    return all(
+        (x * e * g - y * d * g - z * d * e) % (d * e * g) == 0
+        for (x, d), (y, e), (z, g) in zip(lhs, rhs, at_theta)
     )
-    return lhs == rhs
 
 
 def verify_equivariance(c, d, i, theta):
     """rotate(c o_i d, theta) = rotate(c, theta) o_i rotate(d, diag_i(c)(theta))."""
     lhs = rotate(compose_i(c, d, i), theta)
-    inner = homotopy_diagonal(c).eval(theta)[i - 1]
-    rhs = compose_i(rotate(c, theta), rotate(d, inner), i)
+    x, D = homotopy_diagonal(c)._at(theta.numerator, theta.denominator)[i - 1]
+    rhs = compose_i(rotate(c, theta), rotate(d, Q(x, D)), i)
     return lhs == rhs
 
 
@@ -384,9 +537,10 @@ def verify_coend(c, d, i, theta):
     left = homotopy_diagonal(compose_i(c, d, i))
     dc, dd = homotopy_diagonal(c), homotopy_diagonal(d)
     right = coend_composite(dc, dd, i)
-    base = dc.eval(theta)
-    inner = dd.eval(base[i - 1])
-    pointwise = left.eval(theta) == base[: i - 1] + inner + base[i:]
+    p, q = theta.numerator, theta.denominator
+    base = dc._at(p, q)
+    inner = dd._at(*base[i - 1])
+    pointwise = _same_points(left._at(p, q), base[: i - 1] + inner + base[i:])
     return pointwise and left == right
 
 
@@ -412,26 +566,25 @@ def random_cactus(k, seed, max_denominator=64):
         children[order[rng.randrange(n)]].append(order[n])
     # lobe lengths: a composition of D grid units into k positive parts
     cuts = sorted(rng.sample(range(1, D), k - 1)) if k > 1 else []
-    units = [b - a for a, b in zip([0] + cuts, cuts + [D])]
-    length = {v: Q(units[n], D) for n, v in enumerate(order)}
+    units = dict(zip(order, (b - a for a, b in zip([0] + cuts, cuts + [D]))))
 
     def emit(v):
         kids = children[v]
         m = len(kids)
-        grid = length[v] * D  # positive integer count of 1/D units
+        grid = units[v]
         # split the lobe into m+1 visit stretches, zeros allowed, sum > 0
-        bars = sorted(rng.randrange(int(grid) + 1) for _ in range(m))
-        parts = [b - a for a, b in zip([0] + bars, bars + [int(grid)])]
+        bars = sorted(rng.randrange(grid + 1) for _ in range(m))
+        parts = [b - a for a, b in zip([0] + bars, bars + [grid])]
         word = []
         for n, kid in enumerate(kids):
             if parts[n]:
-                word.append((v, Q(parts[n], D)))
+                word.append((v, parts[n]))
             word.extend(emit(kid))
         if parts[m]:
-            word.append((v, Q(parts[m], D)))
+            word.append((v, parts[m]))
         return word
 
-    c = SpinelessCactus(k, emit(order[0]))
+    c = _cactus(k, D, emit(order[0]))
     c = rotate(c, Q(rng.randrange(D), D))
     _require_valid(c)
     return c
@@ -443,7 +596,7 @@ def cacti_operad_instance():
         arity=lambda c: c.arity,
         compose=compose_i,
         act=cactus_relabel,
-        unit=SpinelessCactus(1, [(1, Q(1))]),
+        unit=_cactus(1, 1, [(1, 1)]),
     )
 
 
@@ -451,9 +604,19 @@ def cacti_operad_instance():
 # seeded verification batches
 
 
-def _check_batch(max_arity, samples, least_arity=1):
+def _check_batch(max_arity, samples, max_denominator, least_arity=1):
+    """Refuse a batch outside the domain before any sample is drawn: every
+    arity up to max_arity needs max_denominator >= arity for positive
+    lengths on the 1/D grid."""
     require_at_least("max arity", max_arity, least_arity)
     require_at_least("sample count", samples, 0)
+    require_at_least("max denominator", max_denominator, max_arity)
+
+
+def _breakpoint_times(dg):
+    """The breakpoint times of a diagonal as rational circle parameters,
+    for the lemmas that take theta at the boundary."""
+    return [Q(t, dg.period) for t in dg.breaks]
 
 
 def _sample_theta(rng, max_denominator):
@@ -464,7 +627,7 @@ def _sample_theta(rng, max_denominator):
 def check_associativity_batch(max_arity=5, samples=1000, seed=0, max_denominator=64):
     """Nested and disjoint associativity on seeded random cacti; two cases
     per sampled triple."""
-    _check_batch(max_arity, samples, least_arity=2)
+    _check_batch(max_arity, samples, max_denominator, least_arity=2)
     rep = CheckReport(
         "cacti-associativity-%d" % max_arity,
         "the splice composition satisfies both operad associativity shapes",
@@ -503,7 +666,7 @@ def check_associativity_batch(max_arity=5, samples=1000, seed=0, max_denominator
 
 def check_cocycle(max_arity=5, samples=1000, seed=0, max_denominator=64):
     """Cocycle law on seeded random instances plus all arc-boundary times."""
-    _check_batch(max_arity, samples)
+    _check_batch(max_arity, samples, max_denominator)
     rep = CheckReport(
         "cacti-cocycle-%d" % max_arity,
         "diag(c)(theta+phi) = diag(rotate(c,theta))(phi) + diag(c)(theta)",
@@ -519,8 +682,8 @@ def check_cocycle(max_arity=5, samples=1000, seed=0, max_denominator=64):
         ok = verify_cocycle(c, theta, phi)
         rep.count(ok, None if ok else "c=%r theta=%s phi=%s" % (c, theta, phi))
     c = random_cactus(max_arity, seed, max_denominator)
-    for theta in homotopy_diagonal(c).times:
-        for phi in homotopy_diagonal(rotate(c, theta)).times:
+    for theta in _breakpoint_times(homotopy_diagonal(c)):
+        for phi in _breakpoint_times(homotopy_diagonal(rotate(c, theta))):
             ok = verify_cocycle(c, theta, phi)
             rep.count(ok, None if ok else "boundary c=%r theta=%s phi=%s" % (c, theta, phi))
     return rep
@@ -528,7 +691,7 @@ def check_cocycle(max_arity=5, samples=1000, seed=0, max_denominator=64):
 
 def check_rotation_equivariance(max_arity=4, samples=1000, seed=0, max_denominator=64):
     """Composition commutes with rotation through the i-th diagonal."""
-    _check_batch(max_arity, samples)
+    _check_batch(max_arity, samples, max_denominator)
     rep = CheckReport(
         "cacti-equivariance-%d" % max_arity,
         "rotate(c o_i d, theta) = rotate(c,theta) o_i rotate(d, diag_i(c)(theta))",
@@ -551,7 +714,7 @@ def check_rotation_equivariance(max_arity=4, samples=1000, seed=0, max_denominat
 def check_coend(max_arity=4, samples=1000, seed=0, max_denominator=64):
     """The diagonal is a map into the coEnd operad: pointwise at sampled and
     arc-boundary times, and as full PL data."""
-    _check_batch(max_arity, samples)
+    _check_batch(max_arity, samples, max_denominator)
     rep = CheckReport(
         "cacti-coend-%d" % max_arity,
         "diag(c o_i d) equals the coEnd composite of diag(c) and diag(d)",
@@ -571,7 +734,7 @@ def check_coend(max_arity=4, samples=1000, seed=0, max_denominator=64):
         if n % 100 == 0:
             boundary = all(
                 verify_coend(c, d, i, t)
-                for t in homotopy_diagonal(compose_i(c, d, i)).times
+                for t in _breakpoint_times(homotopy_diagonal(compose_i(c, d, i)))
             )
             rep.count(boundary, None if boundary else "boundary c=%r d=%r i=%d" % (c, d, i))
     return rep
@@ -579,7 +742,7 @@ def check_coend(max_arity=4, samples=1000, seed=0, max_denominator=64):
 
 def check_rotation_action(max_arity=5, samples=500, seed=0, max_denominator=64):
     """rotate is an action of R/Z: identity, additivity, full cycle."""
-    _check_batch(max_arity, samples)
+    _check_batch(max_arity, samples, max_denominator)
     rep = CheckReport(
         "cacti-rotation-action-%d" % max_arity,
         "rotate(c,0) = c, rotate(rotate(c,a),b) = rotate(c,a+b), full cycle = c",
@@ -599,11 +762,10 @@ def check_rotation_action(max_arity=5, samples=500, seed=0, max_denominator=64):
         )
         rep.count(ok, None if ok else "c=%r a=%s b=%s" % (c, a, b))
         if n % 50 == 0:
-            P = c.perimeter
+            S = sum(m for _, m in c.word)
             bnd = all(
-                rotate(rotate(c, t), circle_point(-t)) == c
-                for t in (circle_point(sum((ln for _, ln in c.arcs[:j]), Q(0)) / P)
-                          for j in range(len(c.arcs)))
+                rotate(rotate(c, Q(t, S)), Q(-t % S, S)) == c
+                for t in accumulate((m for _, m in c.word[:-1]), initial=0)
             )
             rep.count(bnd, None if bnd else "boundary orbit c=%r" % (c,))
     return rep
@@ -612,7 +774,7 @@ def check_rotation_action(max_arity=5, samples=500, seed=0, max_denominator=64):
 def check_winding(max_arity=5, samples=200, seed=0, max_denominator=64):
     """Total winding one per coordinate for every generated diagonal; the
     PLDiagonal constructor enforces it, this check exercises the generator."""
-    _check_batch(max_arity, samples)
+    _check_batch(max_arity, samples, max_denominator)
     rep = CheckReport(
         "cacti-winding-%d" % max_arity,
         "every coordinate of the homotopy diagonal winds exactly once",
@@ -642,8 +804,29 @@ def cactus_to_dict(c):
 
 
 def cactus_from_dict(data):
-    c = SpinelessCactus(
-        data["arity"], [(lab, parse_rational(ln)) for lab, ln in data["arcs"]]
-    )
+    """The cactus a JSON object describes; ValueError naming the bad field
+    when the data is malformed or the cactus invalid."""
+    if not isinstance(data, dict):
+        raise ValueError("cactus data must be a JSON object")
+    for field in ("arity", "arcs"):
+        if field not in data:
+            raise ValueError("missing field %r" % field)
+    arity, arcs = data["arity"], data["arcs"]
+    if not isinstance(arity, int) or isinstance(arity, bool):
+        raise ValueError("arity must be an int, got %r" % (arity,))
+    if not isinstance(arcs, list):
+        raise ValueError("arcs must be a list of [label, length] pairs")
+    word = []
+    for n, arc in enumerate(arcs, 1):
+        if not (isinstance(arc, list) and len(arc) == 2):
+            raise ValueError("arc %d must be a [label, length] pair, got %r" % (n, arc))
+        lab, text = arc
+        if not isinstance(lab, int) or isinstance(lab, bool):
+            raise ValueError("arc %d label must be an int, got %r" % (n, lab))
+        try:
+            word.append((lab, parse_rational(text)))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("arc %d length must be a rational p/q, got %r" % (n, text))
+    c = SpinelessCactus(arity, word)
     _require_valid(c)
     return c

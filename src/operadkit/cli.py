@@ -97,10 +97,15 @@ def _cmd_cacti_verify(args):
 def _cmd_cacti_compose(args):
     from .cacti import cactus_from_dict, cactus_to_dict, compose_i
 
-    with open(args.file1) as fh:
-        c = cactus_from_dict(json.load(fh))
-    with open(args.file2) as fh:
-        d = cactus_from_dict(json.load(fh))
+    loaded = []
+    for path in (args.file1, args.file2):
+        try:
+            with open(path) as fh:
+                loaded.append(cactus_from_dict(json.load(fh)))
+        except (OSError, ValueError) as err:
+            print("cannot load cactus %r: %s" % (path, err), file=sys.stderr)
+            return 2
+    c, d = loaded
     if not 1 <= args.at <= c.arity:
         print("slot %d out of range 1..%d" % (args.at, c.arity), file=sys.stderr)
         return 2

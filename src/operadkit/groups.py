@@ -30,10 +30,12 @@ from .operads import CheckReport, OperadInstance, require_at_least
 class FiniteGroupTable:
     """Multiplication table with verified group axioms.
 
-    Once the axioms hold, two derived tables are built: ``_conj[g][x]`` is
-    g x g^-1, read by ``conj`` and ``conjugation_act``, and ``generators``
-    is a greedy generating set (each element not yet in the subgroup
-    generated by the earlier ones is added)."""
+    ``generators`` is a greedy generating set (each element not yet in the
+    closure of the earlier ones under the table's product is added).
+    Associativity is checked by Light's test against it, (x s) y = x (s y)
+    for s in ``generators`` only: n^2 |S| products instead of n^3.  Once the
+    axioms hold, ``_conj[g][x]`` = g x g^-1 is built, read by ``conj`` and
+    ``conjugation_act``."""
 
     __slots__ = ("name", "order", "table", "identity", "_inv", "_conj", "generators")
 
@@ -66,26 +68,28 @@ class FiniteGroupTable:
                     inv[a] = b
             if inv[a] is None or self.table[inv[a]][a] != e:
                 raise ValueError("element %d has no two-sided inverse" % a)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if (
-                        self.table[self.table[a][b]][c]
-                        != self.table[a][self.table[b][c]]
-                    ):
-                        raise ValueError(
-                            "associativity fails at (%d, %d, %d)" % (a, b, c)
-                        )
-        self._inv = tuple(inv)
-        t = self.table
-        self._conj = tuple(
-            tuple(t[t[g][x]][inv[g]] for x in range(n)) for g in range(n)
-        )
         gens, span = [], _closure(self, ())
         for a in range(n):
             if a not in span:
                 gens.append(a)
                 span = _closure(self, gens)
+        # Light's test: the s with (x s) y = x (s y) for all x, y are closed
+        # under the product, so testing the generators suffices.
+        t = self.table
+        for s in gens:
+            ts = [row[s] for row in t]
+            row_s = t[s]
+            for a in range(n):
+                ra, sa = t[ts[a]], t[a]
+                for c in range(n):
+                    if ra[c] != sa[row_s[c]]:
+                        raise ValueError(
+                            "associativity fails at (%d, %d, %d)" % (a, s, c)
+                        )
+        self._inv = tuple(inv)
+        self._conj = tuple(
+            tuple(t[t[g][x]][inv[g]] for x in range(n)) for g in range(n)
+        )
         self.generators = tuple(gens)
 
     def mul(self, a, b):

@@ -73,6 +73,11 @@ def test_dims_reject_bracket_degree_outside_the_model(capsys):
          "arity must be at most 5, got 9"),
         (["cacti", "verify", "coend", "--max-arity", "11"],
          "max arity must be at most 10, got 11"),
+        (["cacti", "verify", "equivariance", "--max-arity", "4", "--samples", "1",
+          "--max-denominator", "3"],
+         "max denominator must be at least 4, got 3"),
+        (["cacti", "verify", "coend", "--max-denominator", "0", "--samples", "0"],
+         "max denominator must be at least 5, got 0"),
     ],
     ids=["cocycle-samples", "cocycle-arity", "associativity-arity",
          "fixed-points-arity", "group-verify-arity",
@@ -80,7 +85,7 @@ def test_dims_reject_bracket_degree_outside_the_model(capsys):
          "bv-budget",
          "free-module-budget", "jacobi-budget", "closure-budget", "generation-budget",
          "lie-budget", "grav4-budget", "fixed-points-budget", "group-verify-budget",
-         "cacti-budget"],
+         "cacti-budget", "cacti-denominator", "cacti-denominator-zero"],
 )
 def test_cacti_and_group_reject_counts_outside_the_domain(capsys, argv, bad):
     code, out, err = run(capsys, *argv)
@@ -158,6 +163,28 @@ def test_cacti_verify_and_compose(tmp_path, capsys):
     code, _, err = run(capsys, "cacti", "compose", str(f1), str(f2), "--at", "9")
     assert code == 2
     assert "out of range" in err
+
+
+@pytest.mark.parametrize(
+    "data, bad",
+    [
+        ({"arity": 1}, "missing field 'arcs'"),
+        ([[1, "1"]], "cactus data must be a JSON object"),
+        ({"arity": 1, "arcs": [[1, "1/0"]]}, "arc 1 length must be a rational p/q, got '1/0'"),
+    ],
+    ids=["missing-arcs", "not-an-object", "zero-denominator"],
+)
+def test_cacti_compose_rejects_malformed_files(tmp_path, capsys, data, bad):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(cactus_to_dict(random_cactus(2, 5))))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for files in ([str(path), str(good)], [str(good), str(path)]):
+        code, out, err = run(capsys, "cacti", "compose", *files, "--at", "1")
+        assert code == 2
+        assert out == ""
+        assert "cannot load cactus '%s': %s" % (path, bad) in err
+        assert "Traceback" not in err
 
 
 def test_group_commands(capsys):

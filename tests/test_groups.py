@@ -48,6 +48,9 @@ def test_table_constructor_rejects_malformed_input():
     table[1][2], table[1][1] = table[1][1], table[1][2]
     with pytest.raises(ValueError):
         FiniteGroupTable("twisted", table)
+    # identity and two-sided inverses hold, but (1 1) 2 = 2 and 1 (1 2) = 0
+    with pytest.raises(ValueError, match="associativity fails at"):
+        FiniteGroupTable("non-associative", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
 
 def test_cyclic_and_dihedral_basics():

@@ -94,19 +94,6 @@ def test_coend_composite_matches_the_oracle(k, l, s1, s2, D, theta, data):
     assert got == homotopy_diagonal(compose_i(c, d, i))
 
 
-@given(arities, arities, arities, seeds, denominators, thetas, st.data())
-def test_nested_coend_composites_match_the_oracle(k, l, m, seed, D, theta, data):
-    # an outer composite's inserted coordinate has rates above 1
-    cacti3 = [random_cactus(a, seed + n, D) for n, a in enumerate((k, l, m))]
-    i = data.draw(st.integers(1, k))
-    j = data.draw(st.integers(1, k + l - 1))
-    dc, dd, de = (homotopy_diagonal(c) for c in cacti3)
-    oc, od, oe = (oracle.homotopy_diagonal(as_oracle(c)) for c in cacti3)
-    got = coend_composite(coend_composite(dc, dd, i), de, j)
-    want = oracle.coend_composite(oracle.coend_composite(oc, od, i), oe, j)
-    same_diagonal(got, want, theta)
-
-
 @st.composite
 def pl_loops(draw, arity):
     """Rational time, value and slope data of a PL loop from 0 that winds

@@ -21,12 +21,17 @@ ARITY_BUDGET = {
     "verify jacobi": 9, "verify bv": 7, "verify free-module": 8,
     "verify closure": 7, "verify generation": 7, "verify lie": 8, "verify grav4": 7,
     "group fixed-points": 5, "group verify": 5, "cacti verify": 10,
+    "string gravity": 16,
 }
 # The group commands enumerate |G|^k tuples, so |G|^k is bounded as well: by
 # S4 at arity 5, the largest request the bundled groups make
 # (`group fixed-points --table S4 --arity 5` takes about 16 s on a 2-vCPU
 # x86-64 host).
 GROUP_TUPLE_BUDGET = 24**5
+# `string gravity` enumerates b_dim^(k+l) basis tuples and expands k(k-1)/2
+# bracket-first terms in each, so that product is bounded: by the bundled
+# blocks pair at k = 4, l = 1 (about 13 s on a 2-vCPU x86-64 host).
+STRING_GRAVITY_BUDGET = 6 * 14**5
 
 
 def _dims_table(dims):
@@ -174,6 +179,9 @@ def _cmd_string(args):
         return 0 if val.accepted else 1
     try:
         pair = stringbr.pair_from_dict(raw)
+    except stringbr.PairDataError as err:
+        print("cannot load pair data %r: %s" % (args.data, err), file=sys.stderr)
+        return 2
     except ValueError as err:
         print("pair data rejected: %s" % err, file=sys.stderr)
         return 1
@@ -187,20 +195,14 @@ def _cmd_string(args):
         if len(picks) != args.k:
             print("need exactly k arguments", file=sys.stderr)
             return 2
-        vec = stringbr.m_bar(pair, args.k, picks)
-        if not vec:
-            print("0")
-        else:
-            from .exact import format_rational
-
-            print(
-                " + ".join(
-                    "%s*%s" % (format_rational(c), pair.b_names[i])
-                    for i, c in sorted(vec.items())
-                )
-            )
+        print(stringbr.format_vec(stringbr.m_bar(pair, args.k, picks), pair.b_names))
         return 0
     if args.action == "gravity":
+        require_at_least("k", args.k, 2)
+        require_at_least("l", args.l, 0)
+        require_at_most("arity k+l", args.k + args.l, ARITY_BUDGET["string gravity"])
+        work = pair.b_dim ** (args.k + args.l) * (args.k * (args.k - 1) // 2)
+        require_at_most("b_dim^(k+l) * k(k-1)/2", work, STRING_GRAVITY_BUDGET)
         return _emit([stringbr.verify_gravity_algebra(pair, args.k, args.l)])
     return _emit([stringbr.check_transfer_lie(pair)])
 

@@ -128,23 +128,29 @@ class FiniteGroupTable:
 
 def substitute(G, g, hs):
     """Blockwise left translation: block j of the output is g_j times the
-    entries of hs[j]."""
+    entries of hs[j], read from row g_j of the multiplication table."""
     if len(hs) != len(g):
         raise ValueError("need one inserted tuple per slot")
+    table = G.table
     out = []
     for gj, h in zip(g, hs):
-        out.extend(G.mul(gj, x) for x in h)
+        row = table[gj]
+        out += [row[x] for x in h]
     return tuple(out)
 
 
 def group_compose(G, g, h, i):
-    """Partial composition: insert h at slot i, identity elsewhere."""
+    """Partial composition: insert h at slot i, identity elsewhere.
+
+    Only slot i goes through ``substitute``: every other slot receives the
+    one-entry block (e,), and g_j e = g_j because the constructor verified
+    that e is a two-sided identity, so those entries are spliced in as they
+    are."""
     k = len(g)
     if not 1 <= i <= k:
         raise ValueError("slot %d out of range 1..%d" % (i, k))
-    hs = [(G.identity,)] * k
-    hs[i - 1] = h
-    return substitute(G, g, hs)
+    g = tuple(g)
+    return g[: i - 1] + substitute(G, g[i - 1 : i], [h]) + g[i:]
 
 
 def conjugation_act(G, g, t):

@@ -204,11 +204,13 @@ def check_units(op, max_arity, sampler, sample_count, seed=0):
     for n in range(sample_count):
         for k in range(1, max_arity + 1):
             x = sampler(k, rng)
-            left = op.compose(op.unit, x, 1)
-            rep.count(left == x, "left unit sample=%d k=%d x=%r" % (n, k, x))
+            ok = op.compose(op.unit, x, 1) == x
+            rep.count(ok, None if ok else "left unit sample=%d k=%d x=%r" % (n, k, x))
             for i in range(1, k + 1):
-                right = op.compose(x, op.unit, i)
-                rep.count(right == x, "right unit sample=%d k=%d i=%d x=%r" % (n, k, i, x))
+                ok = op.compose(x, op.unit, i) == x
+                rep.count(
+                    ok, None if ok else "right unit sample=%d k=%d i=%d x=%r" % (n, k, i, x)
+                )
     return rep
 
 

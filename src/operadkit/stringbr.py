@@ -22,6 +22,12 @@ Jacobi relation of a gravity algebra, which verify_gravity_algebra sweeps
 over all basis argument tuples.  transfer_lie_check confirms the forced
 identity tau(m_bar_2(a, b)) = D(tau(a).tau(b)).
 
+The law sweeps read basis tables built once per check and dropped when it
+returns: the product rows and columns and the normalized bracket on basis
+pairs in structure_errors and validate_bv, and m_bar on basis tuples in
+verify_gravity_algebra.  A law with one vector argument is expanded
+linearly in it over the table, so every value stays exact.
+
 Matrix convention for data files: column j of "delta" is D applied to the
 j-th basis element, column j of "tau" is the tau-image of the j-th
 B-element, column j of "p" is the p-image of the j-th A-element.  Missing
@@ -51,7 +57,7 @@ def _apply(cols, u):
     return out
 
 
-def _format_vec(vec, names):
+def format_vec(vec, names):
     if not vec:
         return "0"
     parts = []
@@ -99,6 +105,17 @@ class BVAlgebraData:
         return add_into(out, self.mul(a, _apply(self.delta, c)), -sign)
 
 
+def _product_tables(data):
+    """Rows and columns of the product table, built once per check:
+    prow[j][m] = pcol[m][j] = e_j.e_m, so u.e_m = _apply(pcol[m], u) and
+    e_j.v = _apply(prow[j], v)."""
+    prow = [{} for _ in range(data.dim)]
+    pcol = [{} for _ in range(data.dim)]
+    for (j, m), entry in data.product.items():
+        prow[j][m] = pcol[m][j] = entry
+    return prow, pcol
+
+
 def structure_errors(data):
     """Witness strings for every violated loader invariant."""
     errors = []
@@ -119,11 +136,12 @@ def structure_errors(data):
                 errors.append(
                     "graded commutativity fails at (%s, %s)" % (names[i], names[j])
                 )
+    prow, pcol = _product_tables(data)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = data.mul(data.product.get((i, j), {}), {k: 1})
-                rhs = data.mul({i: 1}, data.product.get((j, k), {}))
+                lhs = _apply(pcol[k], prow[i].get(j, {}))
+                rhs = _apply(prow[i], prow[j].get(k, {}))
                 if not _vec_eq(lhs, rhs):
                     errors.append(
                         "associativity fails at (%s, %s, %s)"
@@ -151,15 +169,6 @@ def _parse_basis(raw):
     if len(set(names)) != len(names):
         raise ValueError("duplicate basis names")
     return tuple(names), tuple(degrees)
-
-
-def _format_cols(cols, nrows, ncols):
-    """Row-major rational strings of a matrix held as sparse columns; the
-    inverse of _parse_matrix_cols."""
-    return [
-        [format_rational(cols.get(c, {}).get(r, 0)) for c in range(ncols)]
-        for r in range(nrows)
-    ]
 
 
 def _parse_matrix_cols(rows, nrows, ncols, what):
@@ -190,23 +199,6 @@ def bv_data_from_dict(raw, check=True):
             product[(j, i)] = add_into({}, product[(i, j)], sign)
     delta = _parse_matrix_cols(raw.get("delta", [[0] * n for _ in range(n)]), n, n, "delta")
     return BVAlgebraData(names, degrees, product, delta, check=check)
-
-
-def bv_data_to_dict(data):
-    n = data.dim
-    out = {
-        "basis": [
-            {"name": nm, "degree": d} for nm, d in zip(data.names, data.degrees)
-        ],
-        "product": [],
-        "delta": _format_cols(data.delta, n, n),
-    }
-    for (i, j), entry in sorted(data.product.items()):
-        if not entry:
-            continue
-        coeffs = [format_rational(entry.get(m, 0)) for m in range(n)]
-        out["product"].append([i, j, coeffs])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +235,7 @@ class BVValidation:
                     % (
                         self.data.names[i],
                         self.data.names[j],
-                        _format_vec(vec, self.data.names),
+                        format_vec(vec, self.data.names),
                     )
                 )
         for law, witness in self.findings:
@@ -259,6 +251,11 @@ def validate_bv(raw):
     stated for its normalization (-1)^{|a|} [a, c], which removes the
     left-degree twist the deviation formula carries; at that normalization
     antisymmetry, Jacobi and Leibniz take the usual shifted-degree form.
+
+    The normalized bracket of every basis pair is tabulated once.  Each law
+    at a basis triple has at most one vector argument (a bracket or a
+    product of two basis elements), and is expanded linearly in it over the
+    bracket and product tables.
     """
     try:
         data = bv_data_from_dict(raw, check=False)
@@ -269,16 +266,15 @@ def validate_bv(raw):
         return BVValidation(errors, [], None, {})
     names, deg, n = data.names, data.degrees, data.dim
     table = {(i, j): data.bracket(i, j) for i in range(n) for j in range(n)}
-
-    def nb(u, v):
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                c = ci * cj
-                if deg[i] % 2:
-                    c = -c
-                add_into(out, table[(i, j)], c)
-        return out
+    # Basis tables, built once: brow[i][j] = bcol[j][i] is the normalized
+    # bracket (-1)^{|i|} [e_i, e_j], so [e_i, v] = _apply(brow[i], v) and
+    # [u, e_k] = _apply(bcol[k], u); the product is read the same way.
+    brow = [
+        {j: add_into({}, table[(i, j)], -1 if deg[i] % 2 else 1) for j in range(n)}
+        for i in range(n)
+    ]
+    bcol = [{i: brow[i][j] for i in range(n)} for j in range(n)]
+    prow, pcol = _product_tables(data)
 
     def shift_sign(d1, d2):
         return -1 if (d1 % 2) and (d2 % 2) else 1
@@ -287,25 +283,23 @@ def validate_bv(raw):
     for i in range(n):
         for j in range(n):
             sign = shift_sign(deg[i] + 1, deg[j] + 1)
-            lhs = nb({i: 1}, {j: 1})
-            if not _vec_eq(lhs, nb({j: 1}, {i: 1}), -sign):
+            if not _vec_eq(brow[i][j], brow[j][i], -sign):
                 findings.append(("antisymmetry", "(%s, %s)" % (names[i], names[j])))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                ei, ej, ek = {i: 1}, {j: 1}, {k: 1}
-                lhs = nb(ei, nb(ej, ek))
-                rhs = nb(nb(ei, ej), ek)
+                lhs = _apply(brow[i], brow[j][k])
+                rhs = _apply(bcol[k], brow[i][j])
                 sign = shift_sign(deg[i] + 1, deg[j] + 1)
-                add_into(rhs, nb(ej, nb(ei, ek)), sign)
+                add_into(rhs, _apply(brow[j], brow[i][k]), sign)
                 if not _vec_eq(lhs, rhs):
                     findings.append(
                         ("jacobi", "(%s, %s, %s)" % (names[i], names[j], names[k]))
                     )
-                lhs = nb(ei, data.product.get((j, k), {}))
-                rhs = data.mul(nb(ei, ej), ek)
+                lhs = _apply(brow[i], prow[j].get(k, {}))
+                rhs = _apply(pcol[k], brow[i][j])
                 sign = shift_sign(deg[i] + 1, deg[j])
-                add_into(rhs, data.mul(ej, nb(ei, ek)), sign)
+                add_into(rhs, _apply(prow[j], brow[i][k]), sign)
                 if not _vec_eq(lhs, rhs):
                     findings.append(
                         ("leibniz", "(%s, %s, %s)" % (names[i], names[j], names[k]))
@@ -360,27 +354,27 @@ def pair_errors(pair):
     return errors
 
 
+class PairDataError(ValueError):
+    """Pair data that is not a JSON object or lacks a field it needs, as
+    opposed to loaded data that breaks an algebra or pair law."""
+
+
 def pair_from_dict(raw):
+    """Load a transfer pair.  Raises PairDataError naming the field when raw
+    is not an object or lacks ``basis``, ``B`` (with its own ``basis``),
+    ``tau`` or ``p``, and ValueError when the loaded data breaks a law."""
+    if not isinstance(raw, dict):
+        raise PairDataError("pair data must be a JSON object, got %s" % type(raw).__name__)
+    for field in ("basis", "B", "tau", "p"):
+        if field not in raw:
+            raise PairDataError("pair data lacks the field %r" % field)
+    if not isinstance(raw["B"], dict) or "basis" not in raw["B"]:
+        raise PairDataError("pair data lacks the field 'B.basis'")
     A = bv_data_from_dict(raw)
-    if "B" not in raw:
-        raise ValueError("pair data needs a B block")
     b_names, b_degrees = _parse_basis(raw["B"]["basis"])
     tau = _parse_matrix_cols(raw["tau"], A.dim, len(b_names), "tau")
     p = _parse_matrix_cols(raw["p"], len(b_names), A.dim, "p")
     return EquivariantPair(A, b_names, b_degrees, tau, p)
-
-
-def pair_to_dict(pair):
-    out = bv_data_to_dict(pair.A)
-    out["B"] = {
-        "basis": [
-            {"name": nm, "degree": d}
-            for nm, d in zip(pair.b_names, pair.b_degrees)
-        ]
-    }
-    out["tau"] = _format_cols(pair.tau, pair.A.dim, pair.b_dim)
-    out["p"] = _format_cols(pair.p, pair.b_dim, pair.A.dim)
-    return out
 
 
 def m_bar(pair, k, args):
@@ -401,7 +395,12 @@ def m_bar(pair, k, args):
 def verify_gravity_algebra(pair, k, l, check_id=None):
     """Generalized Jacobi for the string operations over every tuple of
     basis arguments: the bracket-first sum equals m_bar(m_bar_k, ...) when
-    l >= 1 and vanishes when l = 0."""
+    l >= 1 and vanishes when l = 0.
+
+    m_bar is computed through ``m_bar`` once per tuple of basis indices and
+    kept in a table for this call.  The one vector argument, the head
+    m_bar_2(a_i, a_j) or m_bar_k(a_1, ..., a_k), always sits in the first
+    slot, where the outer m_bar is expanded linearly over that table."""
     if k < 2 or l < 0:
         raise ValueError("need k >= 2 and l >= 0")
     rep = CheckReport(
@@ -409,26 +408,40 @@ def verify_gravity_algebra(pair, k, l, check_id=None):
         "generalized Jacobi for m_bar over all basis tuples",
         {"k": k, "l": l, "b_dim": pair.b_dim},
     )
-    nb = pair.b_dim
-    for tup in itertools.product(range(nb), repeat=k + l):
+    memo = {}
+
+    def at(key):
+        """m_bar on a tuple of basis indices, computed once per call."""
+        vec = memo.get(key)
+        if vec is None:
+            vec = memo[key] = m_bar(pair, len(key), list(key))
+        return vec
+
+    def expand_into(acc, head, tail, c=1):
+        """acc += c * m_bar(head, *tail), expanded linearly in the head."""
+        for h, ch in head.items():
+            add_into(acc, at((h,) + tail), c * ch)
+        return acc
+
+    # the pairs i < j, each with the permutation pulling i, j to the front
+    # of the shifted word; none contributes when m_bar_{k+l-1} does not exist
+    fronts = []
+    if k + l - 1 >= 2:
+        for i in range(k):
+            for j in range(i + 1, k):
+                order = [i, j] + [m for m in range(k) if m not in (i, j)]
+                fronts.append((i, j, order[2:], perm_inverse([m + 1 for m in order])))
+    for tup in itertools.product(range(pair.b_dim), repeat=k + l):
         avec, bvec = tup[:k], tup[k:]
         shifted = [pair.b_degrees[a] + 1 for a in avec]
         lhs = {}
-        for i in range(k):
-            for j in range(i + 1, k):
-                # pull positions i < j to the front of the shifted word
-                order = [i, j] + [m for m in range(k) if m not in (i, j)]
-                sign = koszul_sign(perm_inverse([m + 1 for m in order]), shifted)
-                head = m_bar(pair, 2, [avec[i], avec[j]])
-                rest = [avec[m] for m in order[2:]]
-                if k + l - 1 < 2:
-                    continue
-                term = m_bar(pair, k + l - 1, [head] + rest + list(bvec))
-                add_into(lhs, term, sign)
+        for i, j, rest, inv in fronts:
+            tail = tuple(avec[m] for m in rest) + bvec
+            expand_into(lhs, at((avec[i], avec[j])), tail, koszul_sign(inv, shifted))
         if l == 0:
             rhs = {}
         else:
-            rhs = m_bar(pair, l + 1, [m_bar(pair, k, list(avec))] + list(bvec))
+            rhs = expand_into({}, at(avec), bvec)
         ok = _vec_eq(lhs, rhs)
         names = tuple(pair.b_names[a] for a in tup)
         rep.count(ok, None if ok else "args=%r" % (names,))

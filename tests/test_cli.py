@@ -233,6 +233,74 @@ def test_string_rejections(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "action, extra",
+    [
+        ("gravity", ["--k", "2", "--l", "1"]),
+        ("mbar", ["--k", "2", "--args", "beta", "beta"]),
+        ("transfer-lie", []),
+    ],
+)
+@pytest.mark.parametrize(
+    "drop, bad",
+    [
+        (None, "pair data must be a JSON object, got list"),
+        ("basis", "pair data lacks the field 'basis'"),
+        ("B", "pair data lacks the field 'B'"),
+        ("tau", "pair data lacks the field 'tau'"),
+        ("p", "pair data lacks the field 'p'"),
+    ],
+    ids=["not-an-object", "no-basis", "no-B", "no-tau", "no-p"],
+)
+def test_string_pair_commands_reject_malformed_pair_data(
+    tmp_path, capsys, action, extra, drop, bad
+):
+    raw = json.load(open(os.path.join(DATA, "bv_two_dim.json")))
+    if drop is None:
+        data = [raw]
+    else:
+        data = dict(raw)
+        del data[drop]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "string", action, "--data", str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert "cannot load pair data '%s': %s" % (path, bad) in err
+    assert "Traceback" not in err
+
+
+def test_string_pair_law_failures_keep_exit_1(capsys, tmp_path):
+    raw = json.load(open(os.path.join(DATA, "bv_two_dim.json")))
+    raw["tau"] = [["0"] * len(row) for row in raw["tau"]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "string", "transfer-lie", "--data", str(path))
+    assert code == 1
+    assert out == ""
+    assert "pair data rejected: delta != tau o p" in err
+
+
+@pytest.mark.parametrize(
+    "k, l, bad",
+    [
+        # 14^10 * 15 bracket-first terms, refused before any tuple is built
+        ("6", "4", "b_dim^(k+l) * k(k-1)/2 must be at most 3226944, got 4338819824640"),
+        ("5", "0", "b_dim^(k+l) * k(k-1)/2 must be at most 3226944, got 5378240"),
+        ("12", "5", "arity k+l must be at most 16, got 17"),
+        ("1", "1", "k must be at least 2, got 1"),
+        ("2", "-1", "l must be at least 0, got -1"),
+    ],
+    ids=["k6-l4", "k5-l0", "arity", "k-too-small", "l-negative"],
+)
+def test_string_gravity_refuses_work_over_budget(capsys, k, l, bad):
+    blocks = os.path.join(DATA, "bv_free_blocks.json")
+    code, out, err = run(capsys, "string", "gravity", "--data", blocks, "--k", k, "--l", l)
+    assert code == 2
+    assert out == ""
+    assert bad in err
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "dims", "nonsense", "--arity", "3")
     assert code == 2

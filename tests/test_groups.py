@@ -149,6 +149,32 @@ def test_fixed_point_closure_sees_a_broken_substitution(monkeypatch):
     assert "not closed under substitution" in rep.failures[0]
 
 
+def identity_block_compose(G, g, h, i):
+    """Partial composition as blockwise substitution with the one-entry
+    identity block in every slot but i, multiplying through ``G.mul``."""
+    hs = [(G.identity,)] * len(g)
+    hs[i - 1] = h
+    out = []
+    for gj, block in zip(g, hs):
+        out.extend(G.mul(gj, x) for x in block)
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, G in bundled_groups().items() if G.order <= 8)
+)
+def test_group_compose_matches_identity_block_substitution(name):
+    # every composite of arity at most 3: g of arity k, h of arity at most 4 - k
+    G = bundled_groups()[name]
+    els = range(G.order)
+    for k in (1, 2, 3):
+        for g in itertools.product(els, repeat=k):
+            for r in range(1, 5 - k):
+                for h in itertools.product(els, repeat=r):
+                    for i in range(1, k + 1):
+                        assert group_compose(G, g, h, i) == identity_block_compose(G, g, h, i)
+
+
 def test_tom_dieck_small_tables():
     c2 = cyclic(2)
     recs = tom_dieck_summands(c2)

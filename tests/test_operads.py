@@ -123,6 +123,34 @@ def test_harness_catches_wrong_unit():
     )
     rep = check_units(bad, 3, sampler, 10, seed=2)
     assert not rep.passed
+    # the witnesses are formatted only on failure, with the same bytes
+    assert (rep.total, len(rep.failures)) == (90, 90)
+    assert rep.failures[0] == "left unit sample=0 k=1 x=<-2*x1>"
+    assert rep.failures[1] == "right unit sample=0 k=1 i=1 x=<-2*x1>"
+    assert rep.failures[5] == "left unit sample=0 k=3 x=<-3*x1*[x2, x3]>"
+    assert rep.failures[-1] == "right unit sample=9 k=3 i=3 x=<-2*x1*x2*x3>"
+
+
+def test_units_format_no_witness_for_passing_cases():
+    # integer tuples under blockwise translation, unit (0,); each sampled
+    # element counts how often a witness string formats it
+    class Counted(tuple):
+        reprs = 0
+
+        def __repr__(self):
+            Counted.reprs += 1
+            return tuple.__repr__(self)
+
+    op = OperadInstance(
+        name="translation",
+        compose=lambda x, y, i: x[: i - 1] + tuple(x[i - 1] + v for v in y) + x[i:],
+        act=lambda perm, x: x,
+        arity=len,
+        unit=(0,),
+    )
+    rep = check_units(op, 3, lambda k, rng: Counted(rng.randrange(9) for _ in range(k)), 5)
+    assert rep.passed and rep.total == 45
+    assert Counted.reprs == 0
 
 
 def test_graded_instance_requires_scale():

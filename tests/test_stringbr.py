@@ -10,7 +10,6 @@ import pytest
 from operadkit.stringbr import (
     BVAlgebraData,
     bv_data_from_dict,
-    bv_data_to_dict,
     check_m_bar_symmetry,
     check_nested_gravity,
     check_transfer_lie,
@@ -19,12 +18,12 @@ from operadkit.stringbr import (
     m_bar_table,
     pair_from_dict,
     pair_from_presentation,
-    pair_to_dict,
     structure_errors,
     transfer_lie_check,
     validate_bv,
     verify_gravity_algebra,
 )
+from stringbr_wire import bv_data_to_dict, pair_to_dict
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "operadkit", "data")
 

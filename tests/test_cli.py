@@ -255,7 +255,8 @@ def test_string_rejections(tmp_path, capsys):
 def test_string_pair_commands_reject_malformed_pair_data(
     tmp_path, capsys, action, extra, drop, bad
 ):
-    raw = json.load(open(os.path.join(DATA, "bv_two_dim.json")))
+    with open(os.path.join(DATA, "bv_two_dim.json")) as fh:
+        raw = json.load(fh)
     if drop is None:
         data = [raw]
     else:
@@ -271,7 +272,8 @@ def test_string_pair_commands_reject_malformed_pair_data(
 
 
 def test_string_pair_law_failures_keep_exit_1(capsys, tmp_path):
-    raw = json.load(open(os.path.join(DATA, "bv_two_dim.json")))
+    with open(os.path.join(DATA, "bv_two_dim.json")) as fh:
+        raw = json.load(fh)
     raw["tau"] = [["0"] * len(row) for row in raw["tau"]]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))

@@ -152,14 +152,6 @@ def bv_from_poisson(x, marking=()):
     return BVElement(x.support, {(m, marking): c for m, c in x.terms.items()})
 
 
-def poisson_part(x, marking=()):
-    """Poisson element collecting the terms with the given marking."""
-    marking = _norm_marking(marking)
-    return PoissonElement(
-        x.support, {m: c for (m, s), c in x.terms.items() if s == marking}
-    )
-
-
 def bv_unit():
     return bv_from_poisson(gen(1))
 

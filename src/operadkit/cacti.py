@@ -149,6 +149,24 @@ def _lobe_units(c):
     return out
 
 
+def _noncrossing(labels):
+    """True when the cyclic label word has no a..b..a..b pattern, in one
+    pass.  Around the circle such a pattern reads abab or baba from any
+    cut, so the linear word is scanned with a stack of open labels: a label
+    seen again closes the labels opened after it, and a closed label seen
+    again crosses the label that closed it."""
+    stack, closed = [], set()
+    for lab in labels:
+        if lab in closed:
+            return False
+        if lab in stack:
+            while stack[-1] != lab:
+                closed.add(stack.pop())
+        else:
+            stack.append(lab)
+    return True
+
+
 def _interleaving_witness(labels):
     """Violating label pair of the cyclic noncrossing condition, or None.
     The word is re-cut at a label change, then recursively split at the
@@ -207,9 +225,9 @@ def validate(c):
             errors.append("label %d missing" % i)
     if errors:
         return errors
-    bad = _interleaving_witness([lab for lab, _ in c.word])
-    if bad:
-        errors.append("labels %d and %d interleave" % bad)
+    order = [lab for lab, _ in c.word]
+    if not _noncrossing(order):
+        errors.append("labels %d and %d interleave" % _interleaving_witness(order))
     return errors
 
 

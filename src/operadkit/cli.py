@@ -25,8 +25,8 @@ ARITY_BUDGET = {
 }
 # The group commands enumerate |G|^k tuples, so |G|^k is bounded as well: by
 # S4 at arity 5, the largest request the bundled groups make
-# (`group fixed-points --table S4 --arity 5` takes about 16 s on a 2-vCPU
-# x86-64 host).
+# (`group fixed-points --table S4 --arity 5` takes about 2 s on a 2-vCPU
+# x86-64 host, since the fixed-point scan runs inside itertools).
 GROUP_TUPLE_BUDGET = 24**5
 # `string gravity` enumerates b_dim^(k+l) basis tuples and expands k(k-1)/2
 # bracket-first terms in each, so that product is bounded: by the bundled

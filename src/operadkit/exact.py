@@ -93,20 +93,6 @@ def perm_identity(k):
     return tuple(range(1, k + 1))
 
 
-def perm_check(perm):
-    k = len(perm)
-    if sorted(perm) != list(range(1, k + 1)):
-        raise ValueError("not a bijection of {1..%d}: %r" % (k, perm))
-    return perm
-
-
-def perm_compose(sigma, tau):
-    """sigma after tau: (sigma o tau)(i) = sigma(tau(i))."""
-    if len(sigma) != len(tau):
-        raise ValueError("size mismatch")
-    return tuple(sigma[t - 1] for t in tau)
-
-
 def perm_inverse(perm):
     out = [0] * len(perm)
     for i, v in enumerate(perm):
@@ -118,18 +104,6 @@ def perm_transposition(k, a, b):
     out = list(range(1, k + 1))
     out[a - 1], out[b - 1] = b, a
     return tuple(out)
-
-
-def perm_apply(perm, i):
-    return perm[i - 1]
-
-
-def perm_permute_list(perm, values):
-    """Place values[i] at position perm(i); the list indexed by positions."""
-    out = [None] * len(perm)
-    for i, v in enumerate(values):
-        out[perm[i] - 1] = v
-    return out
 
 
 def perm_block_insert(sigma, i, tau):

@@ -11,16 +11,20 @@ Weyl group order |N(H)/H|.
 Group tables are verified against the group axioms at construction; only
 then are a conjugation table g x g^-1 (read by ``conj``) and a greedy
 generating set built from the verified multiplication table.  The fixed
-tuples are found by testing each tuple against the generators alone.  A
-bundled library provides every group of order at most 16 (42 tables built
-from cyclic, dihedral, dicyclic and symmetric blocks, direct and semidirect
-products, and the central product C4 o D4) plus S4; the order-16 census is
-sanity-checked by pairwise separation of elementary invariants.
+tuples are found by a scan over the rows of that table: for each generator
+s the product stream of row s is the diagonal conjugate by s of the product
+stream of G, so the whole of G^k is compared tuple by tuple with its images
+inside itertools.  A bundled library provides every group of order at most
+16 (42 tables built from cyclic, dihedral, dicyclic and symmetric blocks,
+direct and semidirect products, and the central product C4 o D4) plus S4;
+the order-16 census is sanity-checked by pairwise separation of elementary
+invariants.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 from .exact import koszul_sign
@@ -128,10 +132,13 @@ class FiniteGroupTable:
 
 def substitute(G, g, hs):
     """Blockwise left translation: block j of the output is g_j times the
-    entries of hs[j], read from row g_j of the multiplication table."""
+    entries of hs[j], read from row g_j of the multiplication table.  One
+    block, the case ``group_compose`` makes, is a single map over its row."""
     if len(hs) != len(g):
         raise ValueError("need one inserted tuple per slot")
     table = G.table
+    if len(g) == 1:
+        return tuple(map(table[g[0]].__getitem__, hs[0]))
     out = []
     for gj, h in zip(g, hs):
         row = table[gj]
@@ -169,11 +176,20 @@ def tuple_relabel(perm, t):
 
 
 def _conjugation_fixed(G, k):
-    return [
-        t
-        for t in itertools.product(range(G.order), repeat=k)
-        if all(conjugation_act(G, g, t) == t for g in G.generators)
-    ]
+    """The tuples of G^k fixed by every generator, in lexicographic order.
+    The i-th tuple of ``product(G._conj[s], repeat=k)`` is the conjugate by
+    s of the i-th tuple of ``product(range(n), repeat=k)``; the masks of the
+    generators are ANDed from all True, so C1 keeps its one tuple."""
+    n = G.order
+    keep = itertools.repeat(True)
+    for s in G.generators:
+        same = map(
+            operator.eq,
+            itertools.product(range(n), repeat=k),
+            itertools.product(G._conj[s], repeat=k),
+        )
+        keep = map(operator.and_, keep, same)
+    return list(itertools.compress(itertools.product(range(n), repeat=k), keep))
 
 
 def fixed_point_operad(G, k):
@@ -182,8 +198,12 @@ def fixed_point_operad(G, k):
 
     A tuple is tested against ``G.generators`` only: conjugation by a
     product is the composite of the conjugations, so the tuples fixed by a
-    generating set are those fixed by G.  The comparison set Z(G)^k comes
-    from ``G.center()``, which reads ``mul`` and not the conjugation table."""
+    generating set are those fixed by G.  Each of the |G|^k tuples is
+    compared whole with its conjugate by each generator, read off the
+    product of that generator's conjugation row; the fixed set is not
+    factored into per-entry fixed sets, so arity k is checked on its own.
+    The comparison set Z(G)^k comes from ``G.center()``, which reads
+    ``mul`` and not the conjugation table."""
     require_at_least("arity", k, 1)
     fixed = _conjugation_fixed(G, k)
     center = G.center()

@@ -161,9 +161,22 @@ def structure_errors(data):
 # loading from plain dictionaries
 
 
-def _parse_basis(raw):
+class PairDataError(ValueError):
+    """Pair data that is not a JSON object, lacks a field it needs or has a
+    field of the wrong shape, as opposed to loaded data that breaks an
+    algebra or pair law."""
+
+
+def _parse_basis(raw, field):
+    if not isinstance(raw, (list, tuple)):
+        raise PairDataError("%s must be a list, got %s" % (field, type(raw).__name__))
     names, degrees = [], []
-    for entry in raw:
+    for n, entry in enumerate(raw):
+        if not isinstance(entry, dict) or "name" not in entry or "degree" not in entry:
+            raise PairDataError(
+                "%s entry %d must be an object with a name and a degree, got %r"
+                % (field, n, entry)
+            )
         names.append(str(entry["name"]))
         degrees.append(int(entry["degree"]))
     if len(set(names)) != len(names):
@@ -172,6 +185,10 @@ def _parse_basis(raw):
 
 
 def _parse_matrix_cols(rows, nrows, ncols, what):
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(r, (list, tuple)) for r in rows
+    ):
+        raise PairDataError("%s must be a list of rows" % what)
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
         raise ValueError("%s matrix must be %d x %d" % (what, nrows, ncols))
     cols = {}
@@ -184,10 +201,14 @@ def _parse_matrix_cols(rows, nrows, ncols, what):
 
 
 def bv_data_from_dict(raw, check=True):
-    names, degrees = _parse_basis(raw["basis"])
+    names, degrees = _parse_basis(raw["basis"], "basis")
     n = len(names)
     product = {}
-    for item in raw.get("product", []):
+    for e, item in enumerate(raw.get("product", [])):
+        if not isinstance(item, (list, tuple)) or len(item) != 3:
+            raise PairDataError(
+                "product entry %d must be a list [i, j, coeffs], got %r" % (e, item)
+            )
         i, j, coeffs = item
         if not (0 <= i < n and 0 <= j < n) or len(coeffs) != n:
             raise ValueError("product entry (%r, %r) is malformed" % (i, j))
@@ -354,15 +375,12 @@ def pair_errors(pair):
     return errors
 
 
-class PairDataError(ValueError):
-    """Pair data that is not a JSON object or lacks a field it needs, as
-    opposed to loaded data that breaks an algebra or pair law."""
-
-
 def pair_from_dict(raw):
     """Load a transfer pair.  Raises PairDataError naming the field when raw
     is not an object or lacks ``basis``, ``B`` (with its own ``basis``),
-    ``tau`` or ``p``, and ValueError when the loaded data breaks a law."""
+    ``tau`` or ``p``, when a basis entry is not an object with a name and a
+    degree, when a product entry is not a list of three, or when a matrix is
+    not a list of rows; and ValueError when the loaded data breaks a law."""
     if not isinstance(raw, dict):
         raise PairDataError("pair data must be a JSON object, got %s" % type(raw).__name__)
     for field in ("basis", "B", "tau", "p"):
@@ -371,7 +389,7 @@ def pair_from_dict(raw):
     if not isinstance(raw["B"], dict) or "basis" not in raw["B"]:
         raise PairDataError("pair data lacks the field 'B.basis'")
     A = bv_data_from_dict(raw)
-    b_names, b_degrees = _parse_basis(raw["B"]["basis"])
+    b_names, b_degrees = _parse_basis(raw["B"]["basis"], "B.basis")
     tau = _parse_matrix_cols(raw["tau"], A.dim, len(b_names), "tau")
     p = _parse_matrix_cols(raw["p"], len(b_names), A.dim, "p")
     return EquivariantPair(A, b_names, b_degrees, tau, p)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from operadkit import bv
 from operadkit.bv import (
     BVElement,
     bv_compose,
@@ -18,14 +19,29 @@ from operadkit.bv import (
     check_bv_relations,
     delta_apply,
     normalize_bv,
-    poisson_part,
     random_bv_element,
 )
-from operadkit.exact import perm_compose
 from operadkit.grammar import eval_ast, normalize, parse_expr
 from operadkit.gravity import check_free_module
 from operadkit.operads import check_associativity, check_equivariance, check_units
-from operadkit.poisson import enumerate_basis, from_mono, gen, random_element, relabel
+from operadkit.poisson import (
+    PoissonElement,
+    enumerate_basis,
+    from_mono,
+    gen,
+    random_element,
+    relabel,
+)
+from perm_helpers import perm_compose
+
+
+def poisson_part(x, marking=()):
+    """Poisson element collecting the terms with the given marking."""
+    marking = bv._norm_marking(marking)
+    return PoissonElement(
+        x.support, {m: c for (m, s), c in x.terms.items() if s == marking}
+    )
+
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 

@@ -1,12 +1,14 @@
 """Arc-word cacti: validation, rotation, composition, the pinching-loop
 diagonal and its cocycle, coEnd, and equivariance certificates."""
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from operadkit import cacti
 from operadkit.cacti import (
     PLDiagonal,
     SpinelessCactus,
@@ -57,6 +59,26 @@ def test_validate_flags_each_defect():
     assert validate(bad) == ["labels 1 and 2 interleave"]
 
 
+def _pre_check_agrees(word):
+    return cacti._noncrossing(word) == (cacti._interleaving_witness(list(word)) is None)
+
+
+def test_noncrossing_pre_check_agrees_with_the_witness_search():
+    # every label word of length at most 8 over 4 labels, valid or not: the
+    # linear pre-check and the recursive witness search give one verdict
+    verdicts = {True: 0, False: 0}
+    for n in range(9):
+        for word in itertools.product(range(1, 5), repeat=n):
+            assert _pre_check_agrees(word), word
+            verdicts[cacti._noncrossing(word)] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+@given(st.lists(st.integers(1, 6), max_size=30))
+def test_noncrossing_pre_check_agrees_on_drawn_words(word):
+    assert _pre_check_agrees(word)
+
+
 def test_rotation_values_and_group_law():
     c = two_lobes()
     assert rotate(c, 0) == c
@@ -92,7 +114,7 @@ def test_compose_rejects_bad_slot():
 def test_relabel_is_an_action():
     c = compose_i(SpinelessCactus(2, [(1, 1), (2, 1)]), two_lobes(), 2)
     p, q = (2, 3, 1), (3, 1, 2)
-    from operadkit.exact import perm_compose
+    from perm_helpers import perm_compose
 
     assert cactus_relabel(p, cactus_relabel(q, c)) == cactus_relabel(perm_compose(p, q), c)
     assert cactus_relabel((1, 2, 3), c) == c

@@ -271,6 +271,60 @@ def test_string_pair_commands_reject_malformed_pair_data(
     assert "Traceback" not in err
 
 
+def _set_path(raw, path, value):
+    *head, last = path
+    for key in head:
+        raw = raw[key]
+    raw[last] = value
+
+
+@pytest.mark.parametrize(
+    "action, extra",
+    [
+        ("gravity", ["--k", "2", "--l", "1"]),
+        ("mbar", ["--k", "2", "--args", "beta", "beta"]),
+        ("transfer-lie", []),
+    ],
+)
+@pytest.mark.parametrize(
+    "path, value, bad",
+    [
+        (
+            ("basis", 1),
+            ["u", 1],
+            "basis entry 1 must be an object with a name and a degree, got ['u', 1]",
+        ),
+        (
+            ("basis", 0),
+            {"degree": 0},
+            "basis entry 0 must be an object with a name and a degree, got {'degree': 0}",
+        ),
+        (
+            ("B", "basis", 0),
+            {"degree": 0},
+            "B.basis entry 0 must be an object with a name and a degree, got {'degree': 0}",
+        ),
+        (("product", 2), 7, "product entry 2 must be a list [i, j, coeffs], got 7"),
+        (("tau", 0), "0", "tau must be a list of rows"),
+    ],
+    ids=["basis-entry-list", "basis-entry-no-name", "B-basis-entry-no-name",
+         "product-entry-int", "tau-row-not-a-list"],
+)
+def test_string_pair_commands_reject_malformed_pair_entries(
+    tmp_path, capsys, action, extra, path, value, bad
+):
+    with open(os.path.join(DATA, "bv_two_dim.json")) as fh:
+        raw = json.load(fh)
+    _set_path(raw, path, value)
+    data = tmp_path / "bad.json"
+    data.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "string", action, "--data", str(data), *extra)
+    assert code == 2
+    assert out == ""
+    assert "cannot load pair data '%s': %s" % (data, bad) in err
+    assert "Traceback" not in err
+
+
 def test_string_pair_law_failures_keep_exit_1(capsys, tmp_path):
     with open(os.path.join(DATA, "bv_two_dim.json")) as fh:
         raw = json.load(fh)

@@ -19,13 +19,9 @@ from operadkit.exact import (
     format_rational,
     koszul_sign,
     parse_rational,
-    perm_apply,
     perm_block_insert,
-    perm_check,
-    perm_compose,
     perm_identity,
     perm_inverse,
-    perm_permute_list,
     perm_transposition,
     poly_coeffs_product,
     span_rank,
@@ -36,6 +32,7 @@ from operadkit.poisson import (
     random_element,
     relabel,
 )
+from perm_helpers import perm_apply, perm_check, perm_compose, perm_permute_list
 
 perms = st.integers(2, 6).flatmap(lambda k: st.permutations(range(1, k + 1)))
 

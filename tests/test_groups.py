@@ -109,7 +109,7 @@ def test_substitution_shapes_and_units():
 
 
 def test_tuple_relabel_is_an_action():
-    from operadkit.exact import perm_compose
+    from perm_helpers import perm_compose
 
     t = (3, 1, 4, 1)
     for p in itertools.permutations(range(1, 5)):
@@ -305,6 +305,40 @@ def test_fixed_points_fail_with_too_few_generators():
     s3 = symmetric(3)
     s3.generators = s3.generators[:1]
     rep = check_fixed_points(s3)
+    assert rep.total == 3
+    assert len(rep.failures) == 3, rep.line()
+    assert all("differ from the center" in w for w in rep.failures)
+
+
+def _conjugation_fixed_per_tuple(G, k):
+    # oracle: the per-tuple filter the row-product scan replaced, one
+    # conjugation_act call per tuple and generator
+    return [
+        t
+        for t in itertools.product(range(G.order), repeat=k)
+        if all(conjugation_act(G, g, t) == t for g in G.generators)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(bundled_groups()))
+def test_row_product_scan_matches_the_per_tuple_filter(name):
+    G = bundled_groups()[name]
+    for k in (1, 2, 3) if G.order <= 16 else (1, 2):
+        assert groups._conjugation_fixed(G, k) == _conjugation_fixed_per_tuple(G, k), k
+
+
+@pytest.mark.parametrize("name", ["C4", "C2xC2", "S3", "D4", "Q8", "A4"])
+def test_fixed_points_fail_with_a_corrupted_conjugation_row(name):
+    # negative control: the scan must read the conjugation table, so a
+    # corrupted row of one generator moves the fixed set off Z(G)^k
+    G = bundled_groups()[name]
+    s = G.generators[-1]
+    ident = tuple(range(G.order))
+    # a non-central s gets the identity map, which fixes more tuples; a
+    # central s gets a cyclic shift, which fixes none
+    row = ident if G._conj[s] != ident else ident[1:] + ident[:1]
+    G._conj = G._conj[:s] + (row,) + G._conj[s + 1 :]
+    rep = check_fixed_points(G)
     assert rep.total == 3
     assert len(rep.failures) == 3, rep.line()
     assert all("differ from the center" in w for w in rep.failures)

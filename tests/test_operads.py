@@ -3,15 +3,19 @@ prove the checks can fail."""
 
 import random
 
+import pytest
+
+import harness_oracle
+from gamma_order import check_gamma_order, full_gamma, full_gamma_ltr
+from operadkit.bv import bv_operad_instance, random_bv_element
+from operadkit.cacti import cacti_operad_instance, random_cactus
+from operadkit.groups import bundled_groups, group_operad_instance, random_tuple
 from operadkit.operads import (
     CheckReport,
     OperadInstance,
     check_associativity,
     check_equivariance,
-    check_gamma_order,
     check_units,
-    full_gamma,
-    full_gamma_ltr,
 )
 from operadkit.poisson import (
     compose_i,
@@ -69,16 +73,43 @@ def corrupt_compose(x, y, i):
     return out
 
 
-def test_harness_catches_broken_composition():
-    bad = OperadInstance(
-        name="corrupted",
-        compose=corrupt_compose,
-        act=sigma_act,
+def _poisson_instance(name, compose=compose_i, act=sigma_act, unit_element=None):
+    return OperadInstance(
+        name=name,
+        compose=compose,
+        act=act,
         arity=lambda x: x.arity,
         degree=lambda x: x.degree() if not x.is_zero() else 0,
         scale=lambda x, s: x.scale(s),
-        unit=unit(),
+        unit=unit() if unit_element is None else unit_element,
     )
+
+
+def parity(perm):
+    inv = sum(
+        1
+        for a in range(len(perm))
+        for b in range(a + 1, len(perm))
+        if perm[a] > perm[b]
+    )
+    return -1 if inv % 2 else 1
+
+
+def twisted(perm, x):
+    return sigma_act(perm, x).scale(parity(perm))
+
+
+def broken_instances():
+    """The three broken instances of the negative controls below."""
+    return [
+        _poisson_instance("corrupted", compose=corrupt_compose),
+        _poisson_instance("sign-twisted", act=twisted),
+        _poisson_instance("doubled-unit", unit_element=gen(1).scale(2)),
+    ]
+
+
+def test_harness_catches_broken_composition():
+    bad = broken_instances()[0]
     rep = check_associativity(bad, (2, 2, 2), sampler, 40, seed=0)
     assert not rep.passed
     assert rep.failures
@@ -86,41 +117,13 @@ def test_harness_catches_broken_composition():
 
 
 def test_harness_catches_sign_twisted_action():
-    def parity(perm):
-        inv = sum(
-            1
-            for a in range(len(perm))
-            for b in range(a + 1, len(perm))
-            if perm[a] > perm[b]
-        )
-        return -1 if inv % 2 else 1
-
-    def twisted(perm, x):
-        return sigma_act(perm, x).scale(parity(perm))
-
-    bad = OperadInstance(
-        name="sign-twisted",
-        compose=compose_i,
-        act=twisted,
-        arity=lambda x: x.arity,
-        degree=lambda x: x.degree() if not x.is_zero() else 0,
-        scale=lambda x, s: x.scale(s),
-        unit=unit(),
-    )
+    bad = broken_instances()[1]
     rep = check_equivariance(bad, (2, 2), sampler, 40, seed=1)
     assert not rep.passed
 
 
 def test_harness_catches_wrong_unit():
-    bad = OperadInstance(
-        name="doubled-unit",
-        compose=compose_i,
-        act=sigma_act,
-        arity=lambda x: x.arity,
-        degree=lambda x: x.degree() if not x.is_zero() else 0,
-        scale=lambda x, s: x.scale(s),
-        unit=gen(1).scale(2),
-    )
+    bad = broken_instances()[2]
     rep = check_units(bad, 3, sampler, 10, seed=2)
     assert not rep.passed
     # the witnesses are formatted only on failure, with the same bytes
@@ -154,8 +157,6 @@ def test_units_format_no_witness_for_passing_cases():
 
 
 def test_graded_instance_requires_scale():
-    import pytest
-
     with pytest.raises(ValueError):
         OperadInstance(
             name="missing-scale",
@@ -164,3 +165,67 @@ def test_graded_instance_requires_scale():
             arity=lambda x: x.arity,
             degree=lambda x: 0,
         )
+
+
+# The harness computes each composition once per sample; the oracles in
+# harness_oracle.py compose every case from scratch.  Both must count the
+# same cases and record the same witnesses in the same order.
+
+TRIPLES = [(1, 1, 1), (1, 2, 3), (2, 2, 2), (2, 1, 2), (3, 2, 2), (2, 3, 1)]
+PAIRS = [(1, 2), (2, 2), (3, 2), (2, 3)]
+
+
+def assert_harness_matches_oracle(op, sample, triples, pairs, samples, seeds=(0, 1)):
+    found = 0
+    for seed in seeds:
+        for arities in triples:
+            new = check_associativity(op, arities, sample, samples, seed=seed)
+            old = harness_oracle.check_associativity(op, arities, sample, samples, seed=seed)
+            assert (new.total, new.failures) == (old.total, old.failures), (op.name, arities)
+            found += len(new.failures)
+        for arities in pairs:
+            new = check_equivariance(op, arities, sample, samples, seed=seed)
+            old = harness_oracle.check_equivariance(op, arities, sample, samples, seed=seed)
+            assert (new.total, new.failures) == (old.total, old.failures), (op.name, arities)
+            found += len(new.failures)
+    return found
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, G in bundled_groups().items() if G.order <= 8)
+)
+def test_harness_matches_the_oracle_on_group_instances(name):
+    G = bundled_groups()[name]
+    assert_harness_matches_oracle(
+        group_operad_instance(G),
+        lambda k, rng: random_tuple(G, k, rng),
+        [(1, 1, 1), (2, 2, 2), (2, 1, 2), (3, 2, 2)],
+        [(2, 2), (3, 2)],
+        20,
+    )
+
+
+@pytest.mark.parametrize("name", ["poisson", "bv", "cacti"])
+def test_harness_matches_the_oracle_on_the_model_instances(name):
+    if name == "poisson":
+        op, sample = operad_instance(), sampler
+    elif name == "bv":
+        op = bv_operad_instance()
+
+        def sample(k, rng):
+            return random_bv_element(k, rng, terms=2, coeff_bound=2)
+    else:
+        op = cacti_operad_instance()
+
+        def sample(k, rng):
+            return random_cactus(k, rng.randrange(10**6), max_denominator=8)
+    assert assert_harness_matches_oracle(op, sample, TRIPLES, PAIRS, 4) == 0
+
+
+def test_harness_matches_the_oracle_on_the_broken_instances():
+    # the oracle's failure lists are the parent's: same cases, same order
+    found = [
+        assert_harness_matches_oracle(op, sampler, TRIPLES, PAIRS, 6)
+        for op in broken_instances()
+    ]
+    assert found[0] > 0 and found[1] > 0, found

@@ -8,7 +8,7 @@ from itertools import permutations
 
 import pytest
 
-from operadkit.exact import GradedDims, perm_compose, poly_coeffs_product
+from operadkit.exact import GradedDims, poly_coeffs_product
 from operadkit.poisson import (
     PoissonElement,
     compose_i,
@@ -26,13 +26,14 @@ from operadkit.poisson import (
     tree_bracket,
     unit,
 )
+from gamma_order import check_gamma_order
 from operadkit.operads import (
     check_associativity,
     check_equivariance,
-    check_gamma_order,
     check_units,
 )
 from operadkit.wordalg import combination_to_words, lie_from_words, tree_to_words
+from perm_helpers import perm_compose
 
 
 def shift(x, base):

@@ -205,7 +205,9 @@ def bv_data_from_dict(raw, check=True):
     n = len(names)
     product = {}
     for e, item in enumerate(raw.get("product", [])):
-        if not isinstance(item, (list, tuple)) or len(item) != 3:
+        if not (isinstance(item, (list, tuple)) and len(item) == 3
+                and all(isinstance(x, int) for x in item[:2])
+                and isinstance(item[2], (list, tuple))):
             raise PairDataError(
                 "product entry %d must be a list [i, j, coeffs], got %r" % (e, item)
             )

@@ -305,10 +305,15 @@ def _set_path(raw, path, value):
             "B.basis entry 0 must be an object with a name and a degree, got {'degree': 0}",
         ),
         (("product", 2), 7, "product entry 2 must be a list [i, j, coeffs], got 7"),
+        (
+            ("product", 0),
+            ["0", 0, "10"],
+            "product entry 0 must be a list [i, j, coeffs], got ['0', 0, '10']",
+        ),
         (("tau", 0), "0", "tau must be a list of rows"),
     ],
     ids=["basis-entry-list", "basis-entry-no-name", "B-basis-entry-no-name",
-         "product-entry-int", "tau-row-not-a-list"],
+         "product-entry-int", "product-entry-str-index", "tau-row-not-a-list"],
 )
 def test_string_pair_commands_reject_malformed_pair_entries(
     tmp_path, capsys, action, extra, path, value, bad

@@ -70,10 +70,10 @@ def delta_apply(x):
 
 
 def _delta(x, signed):
-    out = PoissonElement(x.support)
+    out = {}
     for mono, c in x.terms.items():
-        add_into(out.terms, _delta_mono(mono, signed), c)
-    return out
+        add_into(out, _delta_mono(mono, signed), c)
+    return PoissonElement._of(x.support, out)
 
 
 def _delta_mono(mono, signed):

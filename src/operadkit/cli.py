@@ -17,7 +17,7 @@ from .operads import require_at_least, require_at_most
 # Largest arity each command accepts, refused above before any enumeration:
 # bases grow like k! (|G|^k for groups).  Times at each limit are in CHANGES.md.
 ARITY_BUDGET = {
-    "dims e2": 11, "dims grav": 7, "dims moduli": 40,
+    "dims e2": 11, "dims grav": 8, "dims moduli": 40,
     "verify jacobi": 9, "verify bv": 7, "verify free-module": 8,
     "verify closure": 7, "verify generation": 7, "verify lie": 8, "verify grav4": 7,
     "group fixed-points": 5, "group verify": 5, "cacti verify": 10,

@@ -11,6 +11,12 @@ bracket family iota_k = Delta(x1...xk), generation of the kernel by that
 family, the embedded bracket suboperad of dimension (k-1)!, and the
 agreement of the b=3 and b=1 dimension tables under degree tripling.
 
+Each Delta matrix is built once per degree from one basis pass, a single
+``delta_apply`` per basis monomial filling both its rows and its columns.
+A kernel vector's certificate is the sum of those column images weighted by
+its coefficients, which by linearity is Delta of the vector and must be
+exactly zero.
+
 Generated sub-sequences are grown, not recomputed: each (arity, degree)
 keeps one incremental ``Echelon``, a candidate is eliminated once when it
 is offered, and orbits are closed under the k-1 adjacent transpositions
@@ -33,6 +39,7 @@ from .exact import (
     Echelon,
     GradedDims,
     SparseMatrix,
+    add_into,
     perm_transposition,
     poly_coeffs_product,
 )
@@ -47,24 +54,37 @@ from .poisson import (
 )
 
 
-def _delta_matrix(k, degree, b=1):
-    """Matrix of Delta from the degree slice to the degree+b slice, columns
-    and rows in enumeration order."""
-    cols = enumerate_basis(k, degree=degree, b=b)
-    rows = enumerate_basis(k, degree=degree + b, b=b)
-    row_index = {mono: r for r, mono in enumerate(rows)}
+def _delta_slices(k, b=1):
+    """Yield (degree, cols, images, matrix) for each degree b*j, j < k: the
+    slice's basis ``cols`` in enumeration order and the matrix of Delta into
+    the next slice, one row per target monomial in enumeration order, both
+    as its rows and as its columns: ``images[c]`` is Delta(cols[c]) as a
+    dict row -> coefficient.  One basis pass buckets the arity by degree,
+    and each basis monomial goes through Delta once."""
+    slices = {}
+    for mono in enumerate_basis(k):
+        slices.setdefault(b * (k - len(mono)), []).append(mono)
     support = frozenset(range(1, k + 1))
-    entries = {}
-    for c, mono in enumerate(cols):
-        image = delta_apply(PoissonElement(support, {mono: 1}))
-        for m, v in image.terms.items():
-            entries[(row_index[m], c)] = v
-    return SparseMatrix(len(rows), len(cols), entries), cols, rows
+    for j in range(k):
+        degree = b * j
+        cols = slices[degree]
+        targets = slices.get(degree + b, [])
+        index = {mono: r for r, mono in enumerate(targets)}
+        rows = [{} for _ in targets]
+        images = []
+        for c, mono in enumerate(cols):
+            image = delta_apply(PoissonElement(support, {mono: 1})).terms
+            image = {index[m]: v for m, v in image.items()}
+            images.append(image)
+            for r, v in image.items():
+                rows[r][c] = v
+        yield degree, cols, images, SparseMatrix(len(cols), rows)
 
 
 class GravityBasis:
-    """Per-degree spanning sets of ker Delta in arity k, each element
-    carrying an exact Delta-closedness certificate."""
+    """Per-degree bases of ker Delta in arity k.  Each element was certified
+    Delta-closed when it was built: its coefficients, applied to the Delta
+    images of the basis monomials, sum to exactly zero."""
 
     def __init__(self, arity, bracket_degree, elements):
         self.arity = arity
@@ -87,21 +107,17 @@ def gravity_basis(k, b=1):
     check_bracket_degree(b)
     support = frozenset(range(1, k + 1))
     elements = {}
-    for j in range(k):
-        degree = b * j
-        matrix, cols, _ = _delta_matrix(k, degree, b)
-        kernel = matrix.kernel_basis()
-        if not kernel:
-            continue
+    for degree, cols, images, matrix in _delta_slices(k, b):
         span = []
-        for vec in kernel:
-            x = PoissonElement(
-                support, {cols[c]: vec[c] for c in range(len(cols)) if vec[c]}
-            )
-            if not delta_apply(x).is_zero():
+        for vec in matrix.kernel_basis():
+            image = {}
+            for c, v in vec.items():
+                add_into(image, images[c], v)
+            if image:
                 raise AssertionError("kernel vector fails its certificate")
-            span.append(x)
-        elements[degree] = span
+            span.append(PoissonElement(support, {cols[c]: v for c, v in vec.items()}))
+        if span:
+            elements[degree] = span
     return GravityBasis(k, b, elements)
 
 
@@ -132,9 +148,7 @@ def check_free_module(k, b=1):
     total = 0
     dims = {}
     ranks = {}
-    for j in range(k):
-        degree = b * j
-        matrix, cols, _ = _delta_matrix(k, degree, b)
+    for degree, cols, _, matrix in _delta_slices(k, b):
         ranks[degree] = matrix.rank()
         dims[degree] = len(cols)
     for j in range(k):
@@ -158,21 +172,6 @@ def check_free_module(k, b=1):
         None if total == expected else "total %d != %d" % (total, expected),
     )
     return rep
-
-
-def borel_homology(k, b=1):
-    """Cokernel dimensions of Delta per degree; for k >= 2 they reproduce
-    the kernel table shifted down by b."""
-    if k < 1:
-        raise ValueError("arity must be positive")
-    out = {}
-    prev_rank = 0
-    for j in range(k):
-        degree = b * j
-        matrix, cols, _ = _delta_matrix(k, degree, b)
-        out[degree] = len(cols) - prev_rank
-        prev_rank = matrix.rank()
-    return GradedDims(out)
 
 
 def bracket_generator(k, b=1):

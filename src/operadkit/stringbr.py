@@ -177,8 +177,12 @@ def _parse_basis(raw, field):
                 "%s entry %d must be an object with a name and a degree, got %r"
                 % (field, n, entry)
             )
+        if type(entry["degree"]) is not int:
+            raise PairDataError(
+                "%s entry %d degree must be an int, got %r" % (field, n, entry["degree"])
+            )
         names.append(str(entry["name"]))
-        degrees.append(int(entry["degree"]))
+        degrees.append(entry["degree"])
     if len(set(names)) != len(names):
         raise ValueError("duplicate basis names")
     return tuple(names), tuple(degrees)

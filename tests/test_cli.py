@@ -55,7 +55,7 @@ def test_dims_reject_bracket_degree_outside_the_model(capsys):
         (["group", "verify", "--table", "S3", "--arity", "0"],
          "arity must be at least 1, got 0"),
         (["dims", "e2", "--arity", "12"], "arity must be at most 11, got 12"),
-        (["dims", "grav", "--arity", "8"], "arity must be at most 7, got 8"),
+        (["dims", "grav", "--arity", "9"], "arity must be at most 8, got 9"),
         (["dims", "moduli", "--arity", "41"], "arity must be at most 40, got 41"),
         (["verify", "bv", "--arity", "1"], "arity must be at least 2, got 1"),
         (["verify", "bv", "--arity", "9"], "arity must be at most 7, got 9"),
@@ -311,9 +311,12 @@ def _set_path(raw, path, value):
             "product entry 0 must be a list [i, j, coeffs], got ['0', 0, '10']",
         ),
         (("tau", 0), "0", "tau must be a list of rows"),
+        (("basis", 1, "degree"), "zero", "basis entry 1 degree must be an int, got 'zero'"),
+        (("B", "basis", 0, "degree"), 1.5, "B.basis entry 0 degree must be an int, got 1.5"),
     ],
     ids=["basis-entry-list", "basis-entry-no-name", "B-basis-entry-no-name",
-         "product-entry-int", "product-entry-str-index", "tau-row-not-a-list"],
+         "product-entry-int", "product-entry-str-index", "tau-row-not-a-list",
+         "basis-entry-str-degree", "B-basis-entry-float-degree"],
 )
 def test_string_pair_commands_reject_malformed_pair_entries(
     tmp_path, capsys, action, extra, path, value, bad

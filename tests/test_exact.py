@@ -210,26 +210,54 @@ def test_koszul_sign_matches_the_replaced_sign_counters(word):
         assert koszul_sign(word, ones) == _old_mark_sign(marking, added)
 
 
+def _dense(vec, cols):
+    """A sparse kernel vector as the dense tuple of its length."""
+    return tuple(vec.get(c, 0) for c in range(cols))
+
+
+def _mat_vec(matrix, vec):
+    """The dense product of the matrix's rows with a dense vector."""
+    if len(vec) != matrix.cols:
+        raise ValueError("vector length mismatch")
+    return [sum(v * vec[c] for c, v in row.items()) for row in matrix.rows]
+
+
 def test_sparse_matrix_rank_and_kernel():
-    m = SparseMatrix(2, 3, {(0, 0): Q(1), (0, 2): Q(-1), (1, 1): Q(2)})
+    m = SparseMatrix(3, [{0: Q(1), 2: Q(-1)}, {1: Q(2)}])
     assert m.rank() == 2
     ker = m.kernel_basis()
-    assert ker == [(Q(1), Q(0), Q(1))]
-    assert m.mat_vec(list(ker[0])) == [Q(0), Q(0)]
+    assert ker == [{0: 1, 2: 1}]
+    assert all(type(v) is int for v in ker[0].values())
+    assert _dense(ker[0], 3) == (Q(1), Q(0), Q(1))
+    assert _mat_vec(m, _dense(ker[0], 3)) == [Q(0), Q(0)]
 
 
 def test_sparse_matrix_zero_and_full():
-    z = SparseMatrix(3, 2)
+    z = SparseMatrix(2, [{}, {}, {}])
     assert z.rank() == 0
-    assert len(z.kernel_basis()) == 2
-    full = SparseMatrix(2, 2, {(0, 0): Q(1), (1, 1): Q(1)})
+    assert z.kernel_basis() == [{0: 1}, {1: 1}]
+    full = SparseMatrix(2, [{0: Q(1)}, {1: Q(1)}])
     assert full.rank() == 2
     assert full.kernel_basis() == []
 
 
 def test_sparse_matrix_rejects_out_of_range():
     with pytest.raises(ValueError):
-        SparseMatrix(2, 2, {(2, 0): Q(1)})
+        SparseMatrix(2, [{2: Q(1)}])
+    with pytest.raises(ValueError):
+        SparseMatrix(2, [{0: 1}, {-1: Q(1)}])
+
+
+def test_kernel_entries_are_ints_when_integral_after_last_first_admission():
+    # admitted last row first, the pivot 2 of the second row leaves the
+    # back-substituted first row with Fraction(3, 1) at column 3
+    m = SparseMatrix(5, [{0: -1, 3: -3}, {0: 2, 2: 1, 4: -1}])
+    ech = m._echelon()
+    assert ech.rows[0] == {0: 1, 3: 3} and type(ech.rows[0][3]) is Q
+    ker = m.kernel_basis()
+    assert ker == [{1: 1}, {0: -3, 2: 6, 3: 1}, {2: 1, 4: 1}]
+    assert all(type(v) is int for vec in ker for v in vec.values())
+    assert [_mat_vec(m, _dense(vec, 5)) for vec in ker] == [[0, 0]] * 3
 
 
 def test_span_rank_dependent_vectors():
@@ -317,12 +345,16 @@ def matrices(draw):
 @given(matrices())
 def test_echelon_matches_reference_elimination(case):
     rows, cols, data = case
-    entries = {(r, c): v for r, row in enumerate(data) for c, v in enumerate(row) if v}
-    m = SparseMatrix(rows, cols, entries)
     dicts = [{c: v for c, v in enumerate(row) if v} for row in data]
+    m = SparseMatrix(cols, dicts)
     pivots = _eliminate([dict(d) for d in dicts])
     assert m.rank() == len(pivots)
-    assert m.kernel_basis() == _reference_kernel(pivots, cols)
+    kernel = m.kernel_basis()
+    assert [_dense(vec, cols) for vec in kernel] == _reference_kernel(pivots, cols)
+    # sparse: no stored zeros, ascending columns, ints when integral
+    for vec in kernel:
+        assert all(vec.values()) and list(vec) == sorted(vec)
+        assert all(type(v) is int or v.denominator != 1 for v in vec.values())
     # add admits a row exactly when the reference rank of the prefix grows;
     # int rows that only ever meet pivots +-1 keep every entry an int
     ech = Echelon()
@@ -340,7 +372,7 @@ def test_echelon_matches_reference_elimination(case):
             assert all(type(v) is int for row in ech.rows.values() for v in row.values())
     assert ech.rows == dict(pivots)
     if integral:
-        assert all(type(v) is int for vec in m.kernel_basis() for v in vec)
+        assert all(type(v) is int for vec in kernel for v in vec.values())
 
 
 @given(matrices(), st.lists(scalars, min_size=6, max_size=6))

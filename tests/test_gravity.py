@@ -10,13 +10,12 @@ from operadkit.bv import delta_apply
 from operadkit.exact import GradedDims, span_rank
 from operadkit.gravity import (
     _closure_dims,
-    borel_homology,
+    _delta_slices,
     bracket_generator,
     check_free_module,
     check_generation,
     check_lie_embedding,
     check_suboperad_closure,
-    _delta_matrix,
     grav4_table,
     gravity_basis,
     moduli_dimension_oracle,
@@ -30,6 +29,8 @@ from operadkit.poisson import (
     relabel,
     sigma_act,
 )
+
+import delta_oracle
 
 
 def test_arity_two_kernel_is_the_bracket():
@@ -85,17 +86,62 @@ def test_engine_and_delta_eliminations_stay_integral():
                     assert _integral(x.bracket(z).terms)
                 for i in range(1, k + 1):
                     assert _integral(compose_i(x, y, i).terms)
-    for k in range(2, 7):
-        for j in range(k):
-            matrix, _, _ = _delta_matrix(k, j)
+    # the slices are admitted last row first, and still only meet pivots +-1
+    for b, k in itertools.product((1, 3), range(2, 7)):
+        for degree, _, images, matrix in _delta_slices(k, b):
+            assert all(_integral(image) for image in images), (b, k, degree)
             ech = matrix._echelon()
-            assert all(_integral(row) for row in ech.rows.values()), (k, j)
-            assert all(type(v) is int for vec in ech.kernel_basis(matrix.cols) for v in vec)
+            assert all(_integral(row) for row in ech.rows.values()), (b, k, degree)
+            assert all(_integral(vec) for vec in ech.kernel_basis(matrix.cols))
 
 
 def test_borel_table_is_shifted_kernel_table():
     for k in (2, 3, 4, 5):
-        assert borel_homology(k) == gravity_basis(k).dims().shifted(-1)
+        assert delta_oracle.borel_homology(k) == gravity_basis(k).dims().shifted(-1)
+
+
+def test_delta_slices_match_the_per_degree_matrices():
+    # one basis pass gives the per-degree enumerations, and the rows of each
+    # slice are the entries of the (row, col)-keyed matrix, row by row
+    for b, k in itertools.product((1, 3), range(2, 7)):
+        for j, (degree, cols, images, matrix) in enumerate(_delta_slices(k, b)):
+            want, want_cols, want_rows = delta_oracle.delta_matrix(k, degree, b)
+            assert degree == b * j
+            assert cols == want_cols and matrix.cols == len(want_cols)
+            assert len(matrix.rows) == len(want_rows)
+            entries = {(r, c): v for r, row in enumerate(matrix.rows) for c, v in row.items()}
+            assert entries == want.entries
+            by_column = {(r, c): v for c, image in enumerate(images) for r, v in image.items()}
+            assert by_column == want.entries
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_gravity_basis_and_free_module_match_the_oracle(b):
+    for k in range(2, 7):
+        got, want = gravity_basis(k, b), delta_oracle.gravity_basis(k, b)
+        assert list(got.elements) == list(want.elements)
+        for d, xs in want.elements.items():
+            assert [list(x.terms.items()) for x in got.elements[d]] == [
+                list(x.terms.items()) for x in xs
+            ], (k, d)
+        assert check_free_module(k, b).to_dict() == delta_oracle.check_free_module(k, b).to_dict()
+
+
+def test_gravity_basis_refuses_a_kernel_vector_that_fails_its_certificate(monkeypatch):
+    # doubling one matrix entry moves the kernel, while the column images
+    # the certificate reads stay those of Delta
+    real = _delta_slices
+
+    def skewed(k, b=1):
+        for degree, cols, images, matrix in real(k, b):
+            if matrix.rows:
+                row = matrix.rows[0]
+                row[min(row)] *= 2
+            yield degree, cols, images, matrix
+
+    monkeypatch.setattr("operadkit.gravity._delta_slices", skewed)
+    with pytest.raises(AssertionError, match="certificate"):
+        gravity_basis(4)
 
 
 def test_bracket_generator_values():

@@ -99,9 +99,6 @@ class SpinelessCactus:
     def lobe_length(self, i):
         return Q(sum(n for lab, n in self.word if lab == i), self.den)
 
-    def lobe_lengths(self):
-        return {lab: Q(n, self.den) for lab, n in _lobe_units(self).items()}
-
     def __eq__(self, other):
         return (
             isinstance(other, SpinelessCactus)

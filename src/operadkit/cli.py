@@ -30,7 +30,8 @@ ARITY_BUDGET = {
 GROUP_TUPLE_BUDGET = 24**5
 # `string gravity` enumerates b_dim^(k+l) basis tuples and expands k(k-1)/2
 # bracket-first terms in each, so that product is bounded: by the bundled
-# blocks pair at k = 4, l = 1 (about 13 s on a 2-vCPU x86-64 host).
+# blocks pair at k = 4, l = 1 (about 5.4 s on a 2-vCPU x86-64 host, since
+# terms with a zero head are skipped).
 STRING_GRAVITY_BUDGET = 6 * 14**5
 
 

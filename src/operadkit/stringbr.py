@@ -26,7 +26,13 @@ The law sweeps read basis tables built once per check and dropped when it
 returns: the product rows and columns and the normalized bracket on basis
 pairs in structure_errors and validate_bv, and m_bar on basis tuples in
 verify_gravity_algebra.  A law with one vector argument is expanded
-linearly in it over the table, so every value stays exact.
+linearly in it over the table, so every value stays exact.  The sweeps are
+driven by the support of the tables, which are almost all zero: a term
+nesting two bilinear maps at a basis triple is a sum of products of their
+structure constants, so it is exactly zero unless both factors are stored
+(_nested_triples), and a law whose terms are all zero holds.  Only the
+triples where some term can be nonzero are checked, in lexicographic order,
+so the witnesses are those of the sweep over every triple.
 
 Matrix convention for data files: column j of "delta" is D applied to the
 j-th basis element, column j of "tau" is the tau-image of the j-th
@@ -116,8 +122,36 @@ def _product_tables(data):
     return prow, pcol
 
 
+def _nested_triples(inner, outer_rows, outer_cols):
+    """Basis triples (i, j, k) where outer(inner(e_i, e_j), e_k) or
+    outer(e_i, inner(e_j, e_k)) can be nonzero.  The bilinear maps are row
+    tables, inner[a][b] = inner(e_a, e_b) stored only when nonzero, and outer
+    also as columns, outer_cols[b][a] = outer_rows[a][b].
+
+    outer(inner(e_i, e_j), e_k) is the sum over m of inner(e_i, e_j)_m times
+    outer(e_m, e_k), so it is exactly {} unless some m stored in inner[i][j]
+    has outer_rows[m][k] stored.  Likewise outer(e_i, inner(e_j, e_k)) is {}
+    unless some m stored in inner[j][k] has outer_cols[m][i] stored.  A law
+    whose terms all have this shape therefore compares {} with {}, and
+    holds, at every triple outside the returned set."""
+    out = set()
+    for a, row in enumerate(inner):
+        for b, vec in row.items():
+            for m in vec:
+                out.update((a, b, k) for k in outer_rows[m])
+                out.update((i, a, b) for i in outer_cols[m])
+    return out
+
+
 def structure_errors(data):
-    """Witness strings for every violated loader invariant."""
+    """Witness strings for every violated loader invariant.
+
+    Graded commutativity is checked at the pairs where e_i e_j or e_j e_i
+    is stored, and associativity only at the triples _nested_triples gives
+    for the product: at every other triple both (e_i e_j) e_k and
+    e_i (e_j e_k) are exactly {}.  Pairs and triples are visited in sorted
+    order, so the errors are those of the sweep over all n^2 pairs and n^3
+    triples, in the same order."""
     errors = []
     n = data.dim
     names, deg = data.names, data.degrees
@@ -128,25 +162,19 @@ def structure_errors(data):
                     "product %s*%s hits %s of wrong degree"
                     % (names[i], names[j], names[m])
                 )
-    for i in range(n):
-        for j in range(n):
-            lhs = data.product.get((i, j), {})
-            sign = -1 if (deg[i] % 2) and (deg[j] % 2) else 1
-            if not _vec_eq(lhs, data.product.get((j, i), {}), sign):
-                errors.append(
-                    "graded commutativity fails at (%s, %s)" % (names[i], names[j])
-                )
+    for i, j in sorted(set(data.product) | {(j, i) for i, j in data.product}):
+        lhs = data.product.get((i, j), {})
+        sign = -1 if (deg[i] % 2) and (deg[j] % 2) else 1
+        if not _vec_eq(lhs, data.product.get((j, i), {}), sign):
+            errors.append("graded commutativity fails at (%s, %s)" % (names[i], names[j]))
     prow, pcol = _product_tables(data)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = _apply(pcol[k], prow[i].get(j, {}))
-                rhs = _apply(prow[i], prow[j].get(k, {}))
-                if not _vec_eq(lhs, rhs):
-                    errors.append(
-                        "associativity fails at (%s, %s, %s)"
-                        % (names[i], names[j], names[k])
-                    )
+    for i, j, k in sorted(_nested_triples(prow, prow, pcol)):
+        lhs = _apply(pcol[k], prow[i].get(j, {}))
+        rhs = _apply(prow[i], prow[j].get(k, {}))
+        if not _vec_eq(lhs, rhs):
+            errors.append(
+                "associativity fails at (%s, %s, %s)" % (names[i], names[j], names[k])
+            )
     for j, col in sorted(data.delta.items()):
         for r, c in sorted(col.items()):
             if c and deg[r] != deg[j] + 1:
@@ -188,6 +216,21 @@ def _parse_basis(raw, field):
     return tuple(names), tuple(degrees)
 
 
+def _rational(val, where, *args):
+    """A coefficient of the wire format: an int or a "p/q" string.  Raises
+    PairDataError naming the entry (where % args) for anything else, since
+    parse_rational would read a bool as an int and fail a float with a bare
+    ValueError."""
+    if type(val) in (int, str):
+        try:
+            return parse_rational(val)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise PairDataError(
+        (where + " must be an int or a 'p/q' string, got %r") % (args + (val,))
+    )
+
+
 def _parse_matrix_cols(rows, nrows, ncols, what):
     if not isinstance(rows, (list, tuple)) or not all(
         isinstance(r, (list, tuple)) for r in rows
@@ -198,7 +241,7 @@ def _parse_matrix_cols(rows, nrows, ncols, what):
     cols = {}
     for r, row in enumerate(rows):
         for c, val in enumerate(row):
-            q = parse_rational(val)
+            q = _rational(val, "%s row %d column %d", what, r, c)
             if q:
                 cols.setdefault(c, {})[r] = q
     return cols
@@ -210,7 +253,7 @@ def bv_data_from_dict(raw, check=True):
     product = {}
     for e, item in enumerate(raw.get("product", [])):
         if not (isinstance(item, (list, tuple)) and len(item) == 3
-                and all(isinstance(x, int) for x in item[:2])
+                and all(type(x) is int for x in item[:2])
                 and isinstance(item[2], (list, tuple))):
             raise PairDataError(
                 "product entry %d must be a list [i, j, coeffs], got %r" % (e, item)
@@ -218,7 +261,10 @@ def bv_data_from_dict(raw, check=True):
         i, j, coeffs = item
         if not (0 <= i < n and 0 <= j < n) or len(coeffs) != n:
             raise ValueError("product entry (%r, %r) is malformed" % (i, j))
-        entry = {m: parse_rational(c) for m, c in enumerate(coeffs)}
+        entry = {
+            m: _rational(c, "product entry %d coefficient %d", e, m)
+            for m, c in enumerate(coeffs)
+        }
         product[(i, j)] = {m: c for m, c in entry.items() if c}
     for (i, j) in list(product):
         if (j, i) not in product:
@@ -279,10 +325,17 @@ def validate_bv(raw):
     left-degree twist the deviation formula carries; at that normalization
     antisymmetry, Jacobi and Leibniz take the usual shifted-degree form.
 
-    The normalized bracket of every basis pair is tabulated once.  Each law
-    at a basis triple has at most one vector argument (a bracket or a
-    product of two basis elements), and is expanded linearly in it over the
-    bracket and product tables.
+    The bracket table has every basis pair as a key, but [e_i, e_j] is
+    computed only where e_i e_j, D(e_i) e_j or e_i D(e_j) is stored; each
+    term of the deviation is {} otherwise.  Each law at a basis triple has
+    at most one vector argument (a bracket or a product of two basis
+    elements), and is expanded linearly in it over the bracket and product
+    tables.  Antisymmetry is checked where the bracket of the pair or of its
+    transpose is nonzero.  Every term of Jacobi and Leibniz nests two of
+    the tables, with the first two arguments in either order, so both laws
+    are checked only at the triples _nested_triples allows, and their
+    transposes; both sides are {} at every other triple.  The findings come
+    in the order of the sweep over all pairs, then all triples.
     """
     try:
         data = bv_data_from_dict(raw, check=False)
@@ -292,45 +345,53 @@ def validate_bv(raw):
     if errors:
         return BVValidation(errors, [], None, {})
     names, deg, n = data.names, data.degrees, data.dim
-    table = {(i, j): data.bracket(i, j) for i in range(n) for j in range(n)}
-    # Basis tables, built once: brow[i][j] = bcol[j][i] is the normalized
-    # bracket (-1)^{|i|} [e_i, e_j], so [e_i, v] = _apply(brow[i], v) and
-    # [u, e_k] = _apply(bcol[k], u); the product is read the same way.
-    brow = [
-        {j: add_into({}, table[(i, j)], -1 if deg[i] % 2 else 1) for j in range(n)}
-        for i in range(n)
-    ]
-    bcol = [{i: brow[i][j] for i in range(n)} for j in range(n)]
     prow, pcol = _product_tables(data)
+    pairs = set(data.product)
+    for j, col in data.delta.items():
+        for m in col:
+            pairs.update((j, k) for k in prow[m])  # D(e_j) e_k
+            pairs.update((i, j) for i in pcol[m])  # e_i D(e_j)
+    table = {
+        (i, j): data.bracket(i, j) if (i, j) in pairs else {}
+        for i in range(n)
+        for j in range(n)
+    }
+    # Basis tables of the nonzero brackets: brow[i][j] = bcol[j][i] is the
+    # normalized bracket (-1)^{|i|} [e_i, e_j], so [e_i, v] = _apply(brow[i], v)
+    # and [u, e_k] = _apply(bcol[k], u); the product is read the same way.
+    brow = [{} for _ in range(n)]
+    bcol = [{} for _ in range(n)]
+    for (i, j), vec in table.items():
+        if vec:
+            brow[i][j] = bcol[j][i] = add_into({}, vec, -1 if deg[i] % 2 else 1)
 
     def shift_sign(d1, d2):
         return -1 if (d1 % 2) and (d2 % 2) else 1
 
     findings = []
-    for i in range(n):
-        for j in range(n):
-            sign = shift_sign(deg[i] + 1, deg[j] + 1)
-            if not _vec_eq(brow[i][j], brow[j][i], -sign):
-                findings.append(("antisymmetry", "(%s, %s)" % (names[i], names[j])))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = _apply(brow[i], brow[j][k])
-                rhs = _apply(bcol[k], brow[i][j])
-                sign = shift_sign(deg[i] + 1, deg[j] + 1)
-                add_into(rhs, _apply(brow[j], brow[i][k]), sign)
-                if not _vec_eq(lhs, rhs):
-                    findings.append(
-                        ("jacobi", "(%s, %s, %s)" % (names[i], names[j], names[k]))
-                    )
-                lhs = _apply(brow[i], prow[j].get(k, {}))
-                rhs = _apply(pcol[k], brow[i][j])
-                sign = shift_sign(deg[i] + 1, deg[j])
-                add_into(rhs, _apply(prow[j], brow[i][k]), sign)
-                if not _vec_eq(lhs, rhs):
-                    findings.append(
-                        ("leibniz", "(%s, %s, %s)" % (names[i], names[j], names[k]))
-                    )
+    nonzero = {(i, j) for i in range(n) for j in brow[i]}
+    for i, j in sorted(nonzero | {(j, i) for i, j in nonzero}):
+        sign = shift_sign(deg[i] + 1, deg[j] + 1)
+        if not _vec_eq(brow[i].get(j, {}), brow[j].get(i, {}), -sign):
+            findings.append(("antisymmetry", "(%s, %s)" % (names[i], names[j])))
+    triples = (
+        _nested_triples(brow, brow, bcol)
+        | _nested_triples(prow, brow, bcol)
+        | _nested_triples(brow, prow, pcol)
+    )
+    for i, j, k in sorted(triples | {(j, i, k) for i, j, k in triples}):
+        lhs = _apply(brow[i], brow[j].get(k, {}))
+        rhs = _apply(bcol[k], brow[i].get(j, {}))
+        sign = shift_sign(deg[i] + 1, deg[j] + 1)
+        add_into(rhs, _apply(brow[j], brow[i].get(k, {})), sign)
+        if not _vec_eq(lhs, rhs):
+            findings.append(("jacobi", "(%s, %s, %s)" % (names[i], names[j], names[k])))
+        lhs = _apply(brow[i], prow[j].get(k, {}))
+        rhs = _apply(pcol[k], brow[i].get(j, {}))
+        sign = shift_sign(deg[i] + 1, deg[j])
+        add_into(rhs, _apply(prow[j], brow[i].get(k, {})), sign)
+        if not _vec_eq(lhs, rhs):
+            findings.append(("leibniz", "(%s, %s, %s)" % (names[i], names[j], names[k])))
     return BVValidation([], findings, data, table)
 
 
@@ -384,9 +445,11 @@ def pair_errors(pair):
 def pair_from_dict(raw):
     """Load a transfer pair.  Raises PairDataError naming the field when raw
     is not an object or lacks ``basis``, ``B`` (with its own ``basis``),
-    ``tau`` or ``p``, when a basis entry is not an object with a name and a
-    degree, when a product entry is not a list of three, or when a matrix is
-    not a list of rows; and ValueError when the loaded data breaks a law."""
+    ``tau`` or ``p``, when a basis entry is not an object with a name and an
+    int degree, when a product entry is not a list of two int indices and a
+    coefficient list, when a matrix is not a list of rows, or when a
+    coefficient is not an int or a "p/q" string; and ValueError when the
+    loaded data breaks a law."""
     if not isinstance(raw, dict):
         raise PairDataError("pair data must be a JSON object, got %s" % type(raw).__name__)
     for field in ("basis", "B", "tau", "p"):
@@ -424,7 +487,11 @@ def verify_gravity_algebra(pair, k, l, check_id=None):
     m_bar is computed through ``m_bar`` once per tuple of basis indices and
     kept in a table for this call.  The one vector argument, the head
     m_bar_2(a_i, a_j) or m_bar_k(a_1, ..., a_k), always sits in the first
-    slot, where the outer m_bar is expanded linearly over that table."""
+    slot, where the outer m_bar is expanded linearly over that table.  A
+    bracket-first term with a zero head is a sum over no head terms, so it
+    is {}: its tail and Koszul sign are not built.  The head is still looked
+    up for every pair i < j, so the m_bar calls do not depend on which
+    heads vanish."""
     if k < 2 or l < 0:
         raise ValueError("need k >= 2 and l >= 0")
     rep = CheckReport(
@@ -460,15 +527,18 @@ def verify_gravity_algebra(pair, k, l, check_id=None):
         shifted = [pair.b_degrees[a] + 1 for a in avec]
         lhs = {}
         for i, j, rest, inv in fronts:
-            tail = tuple(avec[m] for m in rest) + bvec
-            expand_into(lhs, at((avec[i], avec[j])), tail, koszul_sign(inv, shifted))
+            head = at((avec[i], avec[j]))
+            if head:
+                tail = tuple(avec[m] for m in rest) + bvec
+                expand_into(lhs, head, tail, koszul_sign(inv, shifted))
         if l == 0:
             rhs = {}
         else:
             rhs = expand_into({}, at(avec), bvec)
-        ok = _vec_eq(lhs, rhs)
-        names = tuple(pair.b_names[a] for a in tup)
-        rep.count(ok, None if ok else "args=%r" % (names,))
+        if _vec_eq(lhs, rhs):
+            rep.count(True)
+        else:
+            rep.count(False, "args=%r" % (tuple(pair.b_names[a] for a in tup),))
     return rep
 
 

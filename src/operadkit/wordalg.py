@@ -7,16 +7,15 @@ letters; an expansion is a dict word -> integer.
 
 Left-combed trees with minimal head are triangular in this model: the comb
 (m, t1, ..., tn) contains the word (m, t1, ..., tn) with coefficient +1 and
-no other word starting with the minimal letter m.  Reading off the m-leading
-words of an expansion therefore reconstructs the normal form, and re-expanding
-the reconstruction checks it against the full word data.  This path shares no
-code with the rewriting engine.
+no other word starting with the minimal letter m, so the m-leading words of
+an expansion determine the normal form.  This path shares no code with the
+rewriting engine.
 """
 
 from __future__ import annotations
 
 from .exact import add_into
-from .poisson import comb, is_leaf, tree_nleaves
+from .poisson import is_leaf, tree_nleaves
 
 
 def tree_to_words(t):
@@ -40,25 +39,3 @@ def combination_to_words(trees):
     for t, c in trees.items():
         add_into(out, tree_to_words(t), c)
     return out
-
-
-def lie_from_words(words):
-    """Reconstruct {normal comb: coefficient} from a full word expansion.
-
-    Reads the words led by the minimal letter, then re-expands and demands
-    exact agreement with the input, so a wrong reconstruction cannot pass.
-    """
-    if not words:
-        return {}
-    support = set(next(iter(words)))
-    for w in words:
-        if set(w) != support or len(w) != len(support):
-            raise ValueError("words are not permutations of a fixed letter set")
-    m = min(support)
-    trees = {}
-    for w, c in words.items():
-        if w[0] == m:
-            trees[comb(m, w[1:])] = c
-    if combination_to_words(trees) != words:
-        raise ValueError("word data is not the expansion of a Lie element")
-    return trees

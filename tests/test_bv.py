@@ -18,9 +18,9 @@ from operadkit.bv import (
     bv_unit,
     check_bv_relations,
     delta_apply,
-    normalize_bv,
     random_bv_element,
 )
+from bv_grammar import normalize_bv
 from operadkit.grammar import eval_ast, normalize, parse_expr
 from operadkit.gravity import check_free_module
 from operadkit.operads import check_associativity, check_equivariance, check_units

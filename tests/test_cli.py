@@ -278,6 +278,64 @@ def _set_path(raw, path, value):
     raw[last] = value
 
 
+# bools and floats in index or coefficient places, where JSON true would
+# read as 1 and 1.5 would fail int() with a bare ValueError
+BAD_COEFFICIENTS = [
+    pytest.param(
+        ("product", 0, 0), True,
+        "product entry 0 must be a list [i, j, coeffs], got [True, 0, ['1', '0']]",
+        id="product-entry-bool-index",
+    ),
+    pytest.param(
+        ("product", 1, 2, 1), True,
+        "product entry 1 coefficient 1 must be an int or a 'p/q' string, got True",
+        id="product-coefficient-bool",
+    ),
+    pytest.param(
+        ("product", 1, 2, 1), 1.5,
+        "product entry 1 coefficient 1 must be an int or a 'p/q' string, got 1.5",
+        id="product-coefficient-float",
+    ),
+    pytest.param(
+        ("delta", 1, 0), True,
+        "delta row 1 column 0 must be an int or a 'p/q' string, got True",
+        id="delta-bool",
+    ),
+    pytest.param(
+        ("tau", 1, 0), 1.0,
+        "tau row 1 column 0 must be an int or a 'p/q' string, got 1.0",
+        id="tau-float",
+    ),
+    pytest.param(
+        ("p", 0, 0), False,
+        "p row 0 column 0 must be an int or a 'p/q' string, got False",
+        id="p-bool",
+    ),
+    pytest.param(
+        ("delta", 1, 0), "1/0",
+        "delta row 1 column 0 must be an int or a 'p/q' string, got '1/0'",
+        id="delta-zero-denominator",
+    ),
+]
+
+
+# validate reads the algebra only, not tau or p
+@pytest.mark.parametrize(
+    "path, value, bad", [row for row in BAD_COEFFICIENTS if row.values[0][0] in ("product", "delta")]
+)
+def test_string_validate_reports_bad_coefficients_as_unreadable(
+    tmp_path, capsys, path, value, bad
+):
+    with open(os.path.join(DATA, "bv_two_dim.json")) as fh:
+        raw = json.load(fh)
+    _set_path(raw, path, value)
+    data = tmp_path / "bad.json"
+    data.write_text(json.dumps(raw))
+    code, out, _ = run(capsys, "string", "validate", "--data", str(data))
+    assert code == 1
+    assert out.splitlines() == ["REJECT 1 structural errors", "  unreadable data: " + bad]
+
+
 @pytest.mark.parametrize(
     "action, extra",
     [
@@ -313,10 +371,11 @@ def _set_path(raw, path, value):
         (("tau", 0), "0", "tau must be a list of rows"),
         (("basis", 1, "degree"), "zero", "basis entry 1 degree must be an int, got 'zero'"),
         (("B", "basis", 0, "degree"), 1.5, "B.basis entry 0 degree must be an int, got 1.5"),
-    ],
+    ] + [row.values for row in BAD_COEFFICIENTS],
     ids=["basis-entry-list", "basis-entry-no-name", "B-basis-entry-no-name",
          "product-entry-int", "product-entry-str-index", "tau-row-not-a-list",
-         "basis-entry-str-degree", "B-basis-entry-float-degree"],
+         "basis-entry-str-degree", "B-basis-entry-float-degree"]
+    + [row.id for row in BAD_COEFFICIENTS],
 )
 def test_string_pair_commands_reject_malformed_pair_entries(
     tmp_path, capsys, action, extra, path, value, bad

@@ -167,7 +167,7 @@ def _old_gamma_ltr_sign(degrees):  # inline in operads.full_gamma_ltr
     return -1 if inv % 2 else 1
 
 
-def _old_mark_sign(marking, added):  # inline in the "mark" branch of bv.eval_bv_ast
+def _old_mark_sign(marking, added):  # inline in the "mark" branch of bv_grammar.eval_bv_ast
     inv = sum(1 for s in marking for t in added if t < s)
     return -1 if inv % 2 else 1
 

@@ -11,6 +11,7 @@ import pytest
 from operadkit.exact import GradedDims, poly_coeffs_product
 from operadkit.poisson import (
     PoissonElement,
+    comb,
     compose_i,
     enumerate_basis,
     from_mono,
@@ -32,8 +33,31 @@ from operadkit.operads import (
     check_equivariance,
     check_units,
 )
-from operadkit.wordalg import combination_to_words, lie_from_words, tree_to_words
+from operadkit.wordalg import combination_to_words, tree_to_words
 from perm_helpers import perm_compose
+
+
+def lie_from_words(words):
+    """Reconstruct {normal comb: coefficient} from a full word expansion.
+
+    Reads the words led by the minimal letter (the comb on them is
+    triangular, see ``operadkit.wordalg``), then re-expands and demands
+    exact agreement with the input, so a wrong reconstruction cannot pass.
+    """
+    if not words:
+        return {}
+    support = set(next(iter(words)))
+    for w in words:
+        if set(w) != support or len(w) != len(support):
+            raise ValueError("words are not permutations of a fixed letter set")
+    m = min(support)
+    trees = {}
+    for w, c in words.items():
+        if w[0] == m:
+            trees[comb(m, w[1:])] = c
+    if combination_to_words(trees) != words:
+        raise ValueError("word data is not the expansion of a Lie element")
+    return trees
 
 
 def shift(x, base):

@@ -1,13 +1,17 @@
-"""The string battery reads basis tables built once per check.  These tests
-compare it with the earlier forms, kept here as oracles: validate_bv's law
-loop that rebuilt every bracket from the deviation table, and
+"""The string battery reads basis tables built once per check, and sweeps
+its laws only where a structure constant can be nonzero.  These tests
+compare it with the earlier forms, kept here as oracles: the sweeps over
+every basis pair and triple (structure_errors and validate_bv), validate_bv's
+law loop that rebuilt every bracket from the deviation table, and
 verify_gravity_algebra calling m_bar on vector arguments for every tuple.
-Both oracles call ``stringbr.m_bar`` and the loaders through the module, so
+The oracles call ``stringbr.m_bar`` and the loaders through the module, so
 a patched m_bar reaches them as it reaches the code under test."""
 
+import copy
 import itertools
 import json
 import os
+import random
 
 import pytest
 
@@ -79,6 +83,106 @@ def oracle_findings(raw):
     return findings
 
 
+def _apply(cols, u):
+    out = {}
+    for j, c in u.items():
+        add_into(out, cols.get(j, {}), c)
+    return out
+
+
+def _vec_eq(u, v, c=1):
+    return not any(add_into(dict(u), v, -c).values())
+
+
+def dense_structure_errors(data):
+    """structure_errors as a sweep over every basis pair and triple."""
+    errors = []
+    n = data.dim
+    names, deg = data.names, data.degrees
+    for (i, j), entry in sorted(data.product.items()):
+        for m, c in sorted(entry.items()):
+            if c and deg[m] != deg[i] + deg[j]:
+                errors.append(
+                    "product %s*%s hits %s of wrong degree"
+                    % (names[i], names[j], names[m])
+                )
+    for i in range(n):
+        for j in range(n):
+            lhs = data.product.get((i, j), {})
+            sign = -1 if (deg[i] % 2) and (deg[j] % 2) else 1
+            if not _vec_eq(lhs, data.product.get((j, i), {}), sign):
+                errors.append(
+                    "graded commutativity fails at (%s, %s)" % (names[i], names[j])
+                )
+    prow, pcol = stringbr._product_tables(data)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = _apply(pcol[k], prow[i].get(j, {}))
+                rhs = _apply(prow[i], prow[j].get(k, {}))
+                if not _vec_eq(lhs, rhs):
+                    errors.append(
+                        "associativity fails at (%s, %s, %s)"
+                        % (names[i], names[j], names[k])
+                    )
+    for j, col in sorted(data.delta.items()):
+        for r, c in sorted(col.items()):
+            if c and deg[r] != deg[j] + 1:
+                errors.append("delta(%s) has a degree %d term" % (names[j], deg[r]))
+    for j in range(n):
+        if not _vec_eq(_apply(data.delta, data.delta.get(j, {})), {}):
+            errors.append("delta^2(%s) is nonzero" % names[j])
+    return errors
+
+
+def dense_validate(raw):
+    """(errors, findings, bracket_table) of validate_bv as a sweep over
+    every basis pair and triple, with the bracket of every pair computed."""
+    try:
+        data = stringbr.bv_data_from_dict(raw, check=False)
+    except (ValueError, KeyError, TypeError) as err:
+        return ["unreadable data: %s" % err], [], {}
+    errors = dense_structure_errors(data)
+    if errors:
+        return errors, [], {}
+    names, deg, n = data.names, data.degrees, data.dim
+    table = {(i, j): data.bracket(i, j) for i in range(n) for j in range(n)}
+    brow = [
+        {j: add_into({}, table[(i, j)], -1 if deg[i] % 2 else 1) for j in range(n)}
+        for i in range(n)
+    ]
+    bcol = [{i: brow[i][j] for i in range(n)} for j in range(n)]
+    prow, pcol = stringbr._product_tables(data)
+
+    def shift_sign(d1, d2):
+        return -1 if (d1 % 2) and (d2 % 2) else 1
+
+    findings = []
+    for i in range(n):
+        for j in range(n):
+            sign = shift_sign(deg[i] + 1, deg[j] + 1)
+            if not _vec_eq(brow[i][j], brow[j][i], -sign):
+                findings.append(("antisymmetry", "(%s, %s)" % (names[i], names[j])))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = _apply(brow[i], brow[j][k])
+                rhs = _apply(bcol[k], brow[i][j])
+                add_into(rhs, _apply(brow[j], brow[i][k]), shift_sign(deg[i] + 1, deg[j] + 1))
+                if not _vec_eq(lhs, rhs):
+                    findings.append(
+                        ("jacobi", "(%s, %s, %s)" % (names[i], names[j], names[k]))
+                    )
+                lhs = _apply(brow[i], prow[j].get(k, {}))
+                rhs = _apply(pcol[k], brow[i][j])
+                add_into(rhs, _apply(prow[j], brow[i][k]), shift_sign(deg[i] + 1, deg[j]))
+                if not _vec_eq(lhs, rhs):
+                    findings.append(
+                        ("leibniz", "(%s, %s, %s)" % (names[i], names[j], names[k]))
+                    )
+    return [], findings, table
+
+
 def oracle_gravity(pair, k, l):
     """Generalized Jacobi with m_bar called on the vector head for every
     tuple and every pair i < j."""
@@ -127,6 +231,82 @@ def presentations():
 
 
 PRESENTATIONS = presentations()
+VALUES = ["1", "-1", "2", "1/2", "-3"]
+
+
+def corruptions(raw, rng, per_kind=2):
+    """Seeded single-entry corruptions of a presentation: a product
+    coefficient changed, a delta entry changed, and one extra product
+    entry, per_kind of each.  The changed entry is put where its degree is
+    right whenever some index allows it, so that many corrupted inputs pass
+    the grading checks and reach the law sweeps."""
+    deg = [b["degree"] for b in raw["basis"]]
+    n = len(deg)
+
+    def pick(target):
+        return rng.choice([m for m in range(n) if deg[m] == target] or range(n))
+
+    out = []
+    for _ in range(per_kind):
+        if raw["product"]:
+            r = copy.deepcopy(raw)
+            i, j, coeffs = rng.choice(r["product"])
+            m = pick(deg[i] + deg[j])
+            coeffs[m] = rng.choice([v for v in VALUES if v != coeffs[m]])
+            out.append(("product", r))
+        r = copy.deepcopy(raw)
+        c = rng.randrange(n)
+        row = r["delta"][pick(deg[c] + 1)]
+        row[c] = rng.choice([v for v in VALUES if v != row[c]])
+        out.append(("delta", r))
+        r = copy.deepcopy(raw)
+        i, j = rng.randrange(n), rng.randrange(n)
+        coeffs = ["0"] * n
+        coeffs[pick(deg[i] + deg[j])] = rng.choice(VALUES)
+        r["product"].append([i, j, coeffs])
+        out.append(("extra", r))
+    return out
+
+
+def cases():
+    rng = random.Random(12)
+    out = dict(PRESENTATIONS)
+    for name, raw in sorted(PRESENTATIONS.items()):
+        for n, (kind, bad) in enumerate(corruptions(raw, rng)):
+            out["%s-%s-%d" % (name, kind, n)] = bad
+    return out
+
+
+CASES = cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_support_driven_sweeps_match_the_dense_sweeps(name):
+    raw = CASES[name]
+    val = stringbr.validate_bv(raw)
+    assert (val.errors, val.findings, val.bracket_table) == dense_validate(raw)
+    if val.accepted:
+        assert len(val.bracket_table) == val.data.dim ** 2
+
+
+def test_the_corruptions_reach_every_outcome():
+    outcomes = [dense_validate(raw) for raw in CASES.values()]
+    assert any(any("associativity" in e for e in errors) for errors, _, _ in outcomes)
+    assert any(not errors and not findings for errors, findings, _ in outcomes)
+    # the deviation of graded-commutative data is always antisymmetric, so
+    # no accepted input has an antisymmetry finding
+    for law in ("jacobi", "leibniz"):
+        assert any(law == f[0] for _, findings, _ in outcomes for f in findings), law
+
+
+def test_associativity_failing_only_on_the_right_is_found():
+    # b.b = c and a.c = x, all of degree 0, and a.b = 0: at (a, b, b) the
+    # left side (a.b).b is zero and the right side a.(b.b) = x is not
+    names, degrees = ("a", "b", "c", "x"), (0, 0, 0, 0)
+    product = {(1, 1): {2: 1}, (0, 2): {3: 1}, (2, 0): {3: 1}}
+    data = stringbr.BVAlgebraData(names, degrees, product, {}, check=False)
+    want = ["associativity fails at (a, b, b)", "associativity fails at (b, b, a)"]
+    assert stringbr.structure_errors(data) == dense_structure_errors(data) == want
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
@@ -217,3 +397,21 @@ def test_gravity_sees_a_corrupt_m_bar_like_the_oracle(monkeypatch, name, k, l):
         assert rep.failures[-1] == "args=%r" % (last,)
     want = oracle_gravity(pair, k, l)
     assert (rep.total, rep.failures) == (want.total, want.failures)
+
+
+def test_leibniz_failing_only_through_the_product_terms_is_found():
+    # Q[x]/(x^3) tensor the exterior algebra on y, |y| = 1, with an operator
+    # of degree +1 that is not of second order.  At (x, x, x) the bracket
+    # term [x, x.x] is zero, and the product terms [x, x].x and x.[x, x]
+    # are not: [x, x] = 3 xy - 3 xxy
+    names, degrees = ("1", "x", "xx", "y", "xy", "xxy"), (0, 0, 0, 1, 1, 1)
+    table = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (0, 3): 3, (0, 4): 4, (0, 5): 5,
+             (1, 1): 2, (1, 3): 4, (1, 4): 5, (2, 3): 5}
+    product = {}
+    for (i, j), m in table.items():
+        product[(i, j)] = product[(j, i)] = {m: 1}
+    delta = {0: {4: 1, 5: 2}, 1: {3: -1, 4: 2}, 2: {4: 1, 5: 1}}
+    raw = bv_data_to_dict(stringbr.BVAlgebraData(names, degrees, product, delta))
+    val = stringbr.validate_bv(raw)
+    assert ("leibniz", "(x, x, x)") in val.findings
+    assert (val.errors, val.findings, val.bracket_table) == dense_validate(raw)

@@ -83,19 +83,9 @@ def oracle_findings(raw):
     return findings
 
 
-def _apply(cols, u):
-    out = {}
-    for j, c in u.items():
-        add_into(out, cols.get(j, {}), c)
-    return out
-
-
-def _vec_eq(u, v, c=1):
-    return not any(add_into(dict(u), v, -c).values())
-
-
 def dense_structure_errors(data):
     """structure_errors as a sweep over every basis pair and triple."""
+    _apply, _vec_eq = stringbr._apply, stringbr._vec_eq
     errors = []
     n = data.dim
     names, deg = data.names, data.degrees
@@ -138,6 +128,7 @@ def dense_structure_errors(data):
 def dense_validate(raw):
     """(errors, findings, bracket_table) of validate_bv as a sweep over
     every basis pair and triple, with the bracket of every pair computed."""
+    _apply, _vec_eq = stringbr._apply, stringbr._vec_eq
     try:
         data = stringbr.bv_data_from_dict(raw, check=False)
     except (ValueError, KeyError, TypeError) as err:

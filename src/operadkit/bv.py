@@ -63,19 +63,25 @@ from .poisson import (
 # Delta on poisson elements
 
 
-def delta_apply(x):
-    """Circle operator on a poisson element; degree rises by b."""
-    return _delta(x, signed=True)
+def delta_apply(x, index=None):
+    """Circle operator on a poisson element; degree rises by b.  Given
+    ``index``, a map from the monomials of the target degree to rows, the
+    result is instead the terms dict of Delta(x) keyed by row."""
+    return _delta(x, True, index)
 
 
-def _delta(x, signed):
+def _delta(x, signed, index=None):
     out = {}
     for mono, c in x.terms.items():
-        add_into(out, _delta_mono(mono, signed), c)
-    return PoissonElement._of(x.support, out)
+        terms = _delta_mono(mono, signed, index)
+        if not out and c == 1:
+            out = terms  # a fresh dict: taken over, not copied
+        else:
+            add_into(out, terms, c)
+    return out if index is not None else PoissonElement._of(x.support, out)
 
 
-def _delta_mono(mono, signed):
+def _delta_mono(mono, signed, index=None):
     # The pairwise sum of the module docstring, as a terms dict.  Bj moves
     # left past B(i,j) to meet Bi, and [Bi, Bj] has head min(Bi), so the
     # blocks stay sorted.  Unrolling the recursion, level i leaves the prefix
@@ -83,7 +89,8 @@ def _delta_mono(mono, signed):
     # carries the biderivation sign of poisson._bracket_terms times the swap
     # of [Bi, Bj] to the front: (-1)^{|B(i,j)| |Bj|}.  signed=False drops the
     # prefix, the negative control of check_bv_relations.  Distinct (i, j) or
-    # trees give distinct monomials.
+    # trees give distinct monomials.  With ``index`` (monomial -> row of the
+    # target slice) each term is keyed by its row instead of its monomial.
     odd = [(tree_nleaves(t) - 1) % 2 for t in mono]
     out = {}
     lead = 1
@@ -96,7 +103,8 @@ def _delta_mono(mono, signed):
             sign = -lead if between and odd[j] else lead
             rest = mono[i + 1:j] + mono[j + 1:]
             for tree, c in tree_bracket(mono[i], mono[j]).items():
-                out[head + (tree,) + rest] = sign * c
+                m = head + (tree,) + rest
+                out[m if index is None else index[m]] = sign * c
             between ^= odd[j]
     return out
 

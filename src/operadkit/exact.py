@@ -278,7 +278,9 @@ class Echelon:
     """Incremental fully reduced row echelon form over the rationals.
 
     Vectors are sparse dicts col -> scalar (int when integral, else
-    Fraction); int vectors whose pivots are +-1 keep int rows.  ``rows`` maps
+    Fraction).  An int pivot of +-1 is its own inverse, so a row is scaled
+    to 1 there without a Fraction, and int vectors whose pivots are +-1
+    keep int rows; any other pivot is inverted as a Fraction.  ``rows`` maps
     each pivot column to its row: the row is 1 at its pivot, which is its
     smallest column, and 0 at every other pivot column.  So subtracting one
     row from a vector never brings in another pivot column, and ``reduce``
@@ -313,7 +315,9 @@ class Echelon:
         if not row:
             return False
         p = min(row)
-        inv = scalar(Q(1) / row[p])
+        inv = row[p]
+        if not (type(inv) is int and inv in (1, -1)):  # +-1 is its own inverse
+            inv = scalar(Q(1) / inv)
         if inv != 1:
             for c in row:
                 row[c] = scalar(row[c] * inv)
@@ -369,10 +373,13 @@ def span_rank(vectors):
 
 
 def parse_rational(text):
-    """Parse 'p/q' or 'p' into a Fraction (exact)."""
-    if isinstance(text, int):
+    """Parse 'p/q' or 'p', or an int, into a Fraction (exact).  Anything
+    else raises ValueError: a bool is not read as 0 or 1."""
+    if type(text) is int:
         return Q(text)
-    s = str(text).strip()
+    if type(text) is not str:
+        raise ValueError("expected an int or a 'p/q' string, got %r" % (text,))
+    s = text.strip()
     if "/" in s:
         p, q = s.split("/")
         return Q(int(p), int(q))

@@ -13,6 +13,8 @@ agreement of the b=3 and b=1 dimension tables under degree tripling.
 
 Each Delta matrix is built once per degree from one basis pass, a single
 ``delta_apply`` per basis monomial filling both its rows and its columns.
+Given the next slice's row index, ``delta_apply`` keys each term by its row
+as it makes the term, so no monomial of the image is built or hashed twice.
 A kernel vector's certificate is the sum of those column images weighted by
 its coefficients, which by linearity is Delta of the vector and must be
 exactly zero.
@@ -60,7 +62,8 @@ def _delta_slices(k, b=1):
     the next slice, one row per target monomial in enumeration order, both
     as its rows and as its columns: ``images[c]`` is Delta(cols[c]) as a
     dict row -> coefficient.  One basis pass buckets the arity by degree,
-    and each basis monomial goes through Delta once."""
+    and each basis monomial goes through ``delta_apply`` once, with the
+    target slice's index, so the image comes out keyed by row."""
     slices = {}
     for mono in enumerate_basis(k):
         slices.setdefault(b * (k - len(mono)), []).append(mono)
@@ -73,8 +76,7 @@ def _delta_slices(k, b=1):
         rows = [{} for _ in targets]
         images = []
         for c, mono in enumerate(cols):
-            image = delta_apply(PoissonElement(support, {mono: 1})).terms
-            image = {index[m]: v for m, v in image.items()}
+            image = delta_apply(PoissonElement._of(support, {mono: 1}), index)
             images.append(image)
             for r, v in image.items():
                 rows[r][c] = v

@@ -453,9 +453,9 @@ def enumerate_basis(k, degree=None, b=1):
     for blocks in set_partitions(tuple(range(1, k + 1))):
         if degree is not None and b * (k - len(blocks)) != degree:
             continue
-        tail_choices = [list(itertools.permutations(bl[1:])) for bl in blocks]
-        for tails in itertools.product(*tail_choices):
-            out.append(tuple(comb(bl[0], tail) for bl, tail in zip(blocks, tails)))
+        trees = [[comb(bl[0], tail) for tail in itertools.permutations(bl[1:])]
+                 for bl in blocks]
+        out.extend(itertools.product(*trees))
     return out
 
 

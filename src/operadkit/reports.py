@@ -161,7 +161,7 @@ def default_suite(seed=0, fast=False):
         doc.run(lambda G=G: groups.check_fixed_points(G))
         doc.run(lambda G=G: groups.check_conjugation_equivariance(G, 60, seed))
         doc.run(lambda G=G: groups.check_group_harness(G, seed))
-    doc.run(lambda: check_tom_dieck_examples())
+    doc.run(lambda: check_tom_dieck_examples(lib))
 
     # string layer
     doc.run(lambda: check_bundled_string_data())
@@ -190,10 +190,10 @@ def default_suite(seed=0, fast=False):
     return doc
 
 
-def check_tom_dieck_examples():
+def check_tom_dieck_examples(lib):
     """The index tables for the order-2 group and the size-6 symmetric
-    group match their hand derivations."""
-    from .groups import bundled_groups, tom_dieck_summands
+    group match their hand derivations; ``lib`` is ``bundled_groups()``."""
+    from .groups import tom_dieck_summands
     from .operads import CheckReport
 
     rep = CheckReport(
@@ -201,7 +201,6 @@ def check_tom_dieck_examples():
         "subgroup class records carry the derived centralizers and Weyl orders",
         {},
     )
-    lib = bundled_groups()
     recs = tom_dieck_summands(lib["C2"])
     got = [(r.elements, r.centralizer, r.weyl_order) for r in recs]
     want = [((0,), (0, 1), 2), ((0, 1), (0, 1), 1)]

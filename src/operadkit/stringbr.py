@@ -218,9 +218,8 @@ def _parse_basis(raw, field):
 
 def _rational(val, where, *args):
     """A coefficient of the wire format: an int or a "p/q" string.  Raises
-    PairDataError naming the entry (where % args) for anything else, since
-    parse_rational would read a bool as an int and fail a float with a bare
-    ValueError."""
+    PairDataError naming the entry (where % args) for anything else, where
+    parse_rational would raise a bare ValueError that names no entry."""
     if type(val) in (int, str):
         try:
             return parse_rational(val)
@@ -237,7 +236,7 @@ def _parse_matrix_cols(rows, nrows, ncols, what):
     ):
         raise PairDataError("%s must be a list of rows" % what)
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
-        raise ValueError("%s matrix must be %d x %d" % (what, nrows, ncols))
+        raise PairDataError("%s matrix must be %d x %d" % (what, nrows, ncols))
     cols = {}
     for r, row in enumerate(rows):
         for c, val in enumerate(row):
@@ -260,7 +259,10 @@ def bv_data_from_dict(raw, check=True):
             )
         i, j, coeffs = item
         if not (0 <= i < n and 0 <= j < n) or len(coeffs) != n:
-            raise ValueError("product entry (%r, %r) is malformed" % (i, j))
+            raise PairDataError(
+                "product entry %d needs indices in 0..%d and %d coefficients, got %r"
+                % (e, n - 1, n, item)
+            )
         entry = {
             m: _rational(c, "product entry %d coefficient %d", e, m)
             for m, c in enumerate(coeffs)
@@ -446,10 +448,10 @@ def pair_from_dict(raw):
     """Load a transfer pair.  Raises PairDataError naming the field when raw
     is not an object or lacks ``basis``, ``B`` (with its own ``basis``),
     ``tau`` or ``p``, when a basis entry is not an object with a name and an
-    int degree, when a product entry is not a list of two int indices and a
-    coefficient list, when a matrix is not a list of rows, or when a
-    coefficient is not an int or a "p/q" string; and ValueError when the
-    loaded data breaks a law."""
+    int degree, when a product entry is not a list of two in-range int
+    indices and a coefficient list of the basis length, when a matrix is not
+    a list of rows of its shape, or when a coefficient is not an int or a
+    "p/q" string; and ValueError when the loaded data breaks a law."""
     if not isinstance(raw, dict):
         raise PairDataError("pair data must be a JSON object, got %s" % type(raw).__name__)
     for field in ("basis", "B", "tau", "p"):

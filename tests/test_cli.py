@@ -171,8 +171,9 @@ def test_cacti_verify_and_compose(tmp_path, capsys):
         ({"arity": 1}, "missing field 'arcs'"),
         ([[1, "1"]], "cactus data must be a JSON object"),
         ({"arity": 1, "arcs": [[1, "1/0"]]}, "arc 1 length must be a rational p/q, got '1/0'"),
+        ({"arity": 1, "arcs": [[1, True]]}, "arc 1 length must be a rational p/q, got True"),
     ],
-    ids=["missing-arcs", "not-an-object", "zero-denominator"],
+    ids=["missing-arcs", "not-an-object", "zero-denominator", "bool-length"],
 )
 def test_cacti_compose_rejects_malformed_files(tmp_path, capsys, data, bad):
     good = tmp_path / "good.json"
@@ -371,10 +372,22 @@ def test_string_validate_reports_bad_coefficients_as_unreadable(
         (("tau", 0), "0", "tau must be a list of rows"),
         (("basis", 1, "degree"), "zero", "basis entry 1 degree must be an int, got 'zero'"),
         (("B", "basis", 0, "degree"), 1.5, "B.basis entry 0 degree must be an int, got 1.5"),
+        (
+            ("product", 1, 0),
+            5,
+            "product entry 1 needs indices in 0..1 and 2 coefficients, got [5, 1, ['0', '1']]",
+        ),
+        (
+            ("product", 1, 2),
+            ["1"],
+            "product entry 1 needs indices in 0..1 and 2 coefficients, got [0, 1, ['1']]",
+        ),
+        (("delta",), [["0"]], "delta matrix must be 2 x 2"),
     ] + [row.values for row in BAD_COEFFICIENTS],
     ids=["basis-entry-list", "basis-entry-no-name", "B-basis-entry-no-name",
          "product-entry-int", "product-entry-str-index", "tau-row-not-a-list",
-         "basis-entry-str-degree", "B-basis-entry-float-degree"]
+         "basis-entry-str-degree", "B-basis-entry-float-degree",
+         "product-index-out-of-range", "product-coefficients-short", "delta-wrong-shape"]
     + [row.id for row in BAD_COEFFICIENTS],
 )
 def test_string_pair_commands_reject_malformed_pair_entries(

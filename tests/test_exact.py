@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from operadkit.bv import BVElement, delta_apply, random_bv_element
@@ -342,6 +342,10 @@ def matrices(draw):
     return rows, cols, data
 
 
+# Both sides of the pivot check in Echelon.add on every run: an int -1 pivot
+# is its own inverse, an integral Fraction(-1) pivot takes the Fraction path.
+@example((2, 3, [[-1, 2, 0], [0, -1, 3]]))
+@example((2, 3, [[Q(-1), Q(1, 2), 0], [0, Q(-1), 2]]))
 @given(matrices())
 def test_echelon_matches_reference_elimination(case):
     rows, cols, data = case
@@ -402,7 +406,7 @@ def test_rational_round_trip(q):
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ["", "1/", "/2", "a/b", "1.5", "1/0"]:
+    for bad in ["", "1/", "/2", "a/b", "1.5", "1/0", True, False, 1.5, None]:
         with pytest.raises((ValueError, ZeroDivisionError)):
             parse_rational(bad)
 

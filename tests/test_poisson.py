@@ -1,6 +1,7 @@
 """Bracket-product engine: normal forms, dimension tables, operad structure,
 and the independent tensor-word oracle."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -108,6 +109,28 @@ def test_enumerate_basis_degree_filter():
     assert enumerate_basis(4, degree=9) == []
     by_degree = sum(len(enumerate_basis(4, degree=d)) for d in range(4))
     assert by_degree == 24
+
+
+def comprehension_basis(k, degree=None, b=1):
+    """enumerate_basis as it was before each block's trees were built once
+    per set partition: one comb per block for every monomial."""
+    out = []
+    for blocks in set_partitions(tuple(range(1, k + 1))):
+        if degree is not None and b * (k - len(blocks)) != degree:
+            continue
+        tail_choices = [list(itertools.permutations(bl[1:])) for bl in blocks]
+        for tails in itertools.product(*tail_choices):
+            out.append(tuple(comb(bl[0], tail) for bl, tail in zip(blocks, tails)))
+    return out
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_enumerate_basis_keeps_the_comprehension_order(b):
+    # the Delta slices, the kernel vectors and the report witnesses all
+    # read positions in this list, so its order is pinned, not just its set
+    for k in range(1, 8):
+        for degree in [None, 1] + [b * j for j in range(k + 1)]:
+            assert enumerate_basis(k, degree, b) == comprehension_basis(k, degree, b), (k, degree)
 
 
 def test_set_partitions_bell_numbers():

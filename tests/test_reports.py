@@ -5,6 +5,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from operadkit.groups import bundled_groups
 from operadkit.operads import CheckReport
 from operadkit.reports import (
     ReportDocument,
@@ -102,16 +103,23 @@ def test_e2_dims_check():
 
 
 def test_tom_dieck_and_bundled_data_checks():
-    rep = check_tom_dieck_examples()
+    rep = check_tom_dieck_examples(bundled_groups())
     assert rep.passed, rep.line()
     rep = check_bundled_string_data()
     assert rep.passed, rep.line()
     assert rep.total == 6
 
 
-def test_fast_suite_passes_and_is_deterministic():
+def test_fast_suite_passes_and_is_deterministic(monkeypatch):
+    import operadkit.groups as groups
+
+    builds = []
+    real = groups.bundled_groups
+    monkeypatch.setattr(groups, "bundled_groups", lambda: builds.append(1) or real())
     doc1 = default_suite(seed=0, fast=True)
     assert doc1.passed
+    # the group library is built once per suite, not again for tom Dieck
+    assert len(builds) == 1
     blob1 = doc1.to_json()
     doc2 = default_suite(seed=0, fast=True)
     assert doc2.to_json() == blob1

@@ -22,7 +22,10 @@ exactly zero.
 Generated sub-sequences are grown, not recomputed: each (arity, degree)
 keeps one incremental ``Echelon``, a candidate is eliminated once when it
 is offered, and orbits are closed under the k-1 adjacent transpositions
-(which generate S_k) instead of all k! permutations.
+(which generate S_k) instead of all k! permutations.  Each call keeps a
+table of every monomial's images under those transpositions, made by
+``sigma_act`` when the monomial is first met, so an element's images are
+sums of table rows and no monomial is renormalized twice.
 
 Only odd b >= 1 is in the model's domain; the kernel and the oracle reject
 any other bracket degree.
@@ -282,10 +285,33 @@ def _closure_dims(generators, max_arity, b=1):
     the span is closed under a generating set of S_k, hence under all of
     S_k, and under composition at slot 1.  That gives every slot: by
     equivariance x o_i y is a permutation of (sigma.x) o_1 y, where sigma
-    moves slot i to slot 1, and sigma.x lies in the span."""
+    moves slot i to slot 1, and sigma.x lies in the span.
+
+    The images under the transpositions come from a table local to the
+    call: each monomial met is mapped once by ``sigma_act`` under every
+    (a a+1), and an element's image is the linear sum of its monomials'
+    images.  Equal monomials are interned, so the table holds one copy of
+    each."""
     echelons = {}
     done = {k: [] for k in range(1, max_arity + 1)}
     fresh = []
+    images = {}  # monomial -> its images under (1 2), ..., (k-1 k)
+    interned = {}
+
+    def transposed(k, x):
+        out = [{} for _ in range(1, k)]
+        for m, c in x.terms.items():
+            row = images.get(m)
+            if row is None:
+                one = PoissonElement._of(x.support, {m: 1})
+                row = images[interned.setdefault(m, m)] = [
+                    {interned.setdefault(u, u): v for u, v in
+                     sigma_act(perm_transposition(k, a, a + 1), one).terms.items()}
+                    for a in range(1, k)
+                ]
+            for acc, image in zip(out, row):
+                add_into(acc, image, c)
+        return [PoissonElement._of(x.support, terms) for terms in out]
 
     def admit(k, x):
         if x.is_zero():
@@ -302,8 +328,8 @@ def _closure_dims(generators, max_arity, b=1):
         admit(k, x)
     while fresh:
         k, x = fresh.pop(0)
-        for a in range(1, k):
-            admit(k, sigma_act(perm_transposition(k, a, a + 1), x))
+        for y in transposed(k, x):
+            admit(k, y)
         done[k].append(x)
         for l in range(2, max_arity + 2 - k):
             for y in done[l]:

@@ -137,11 +137,20 @@ def tree_bracket(s, t):
 
 
 def lie_normal_form(t):
-    """Normal form of an arbitrary bracket tree with distinct letters."""
+    """Normal form of an arbitrary bracket tree with distinct letters.
+
+    Every tree of a normal form has the same head, its least letter, so a
+    right leaf above that head appends onto each of them as it is."""
     if is_leaf(t):
         return {t: 1}
+    left = lie_normal_form(t[0])
+    head = next(iter(left))
+    while not is_leaf(head):
+        head = head[0]
+    if is_leaf(t[1]) and t[1] > head:
+        return {(u, t[1]): c for u, c in left.items()}
     out = {}
-    for u, cu in lie_normal_form(t[0]).items():
+    for u, cu in left.items():
         for v, cv in lie_normal_form(t[1]).items():
             add_into(out, tree_bracket(u, v), cu * cv)
     return out
@@ -280,10 +289,6 @@ def from_mono(mono):
     return PoissonElement(mono_support(mono), {tuple(mono): 1})
 
 
-def _single(tree_terms, support):
-    return PoissonElement(support, {(t,): c for t, c in tree_terms.items()})
-
-
 def _bracket_terms(m1, m2):
     """[M, N] for monomials M = B1...Bp, N = C1...Cq with disjoint letters,
     as a terms dict.  The bracket is a biderivation, so
@@ -326,29 +331,59 @@ def _bracket_terms(m1, m2):
 # operad structure
 
 
+def _relabel_block(t, mapping):
+    """(least letter, degree parity, {normal tree: coefficient}) of the
+    normal block t with its letters mapped.  A block the mapping fixes is
+    kept as the same object, and a relabeled comb whose head is still its
+    least letter is already normal; only the rest goes through
+    lie_normal_form."""
+    head, tail = comb_parts(t)
+    h = mapping[head]
+    new = tuple(map(mapping.__getitem__, tail))
+    odd = len(tail) % 2
+    if h == head and new == tail:
+        return h, odd, {t: 1}
+    low = min(new, default=h)
+    if h > low:
+        return low, odd, lie_normal_form(comb(h, new))
+    return h, odd, {comb(h, new): 1}
+
+
 def relabel(x, mapping, renormalize=False):
     """Apply an injective letter mapping; renormalize when it is not
-    order-preserving (relabeled trees may stop being normal)."""
-    support = frozenset(mapping[i] for i in x.support)
+    order-preserving (relabeled trees may stop being normal).
+
+    Renormalizing maps each block on its own (see _relabel_block).  Every
+    tree of a block's normal form has the block's letters, so one Koszul
+    sign sorts the blocks of every term of a monomial's image."""
+    support = frozenset(map(mapping.__getitem__, x.support))
     if not renormalize:
         terms = {}
         for mono, c in x.terms.items():
             m = tuple(relabel_tree(t, mapping) for t in mono)
             terms[m] = c
         return PoissonElement._of(support, terms)
-    out = PoissonElement(support)
+    out = {}
     for mono, c in x.terms.items():
-        acc = None
-        for t in mono:
-            block_support = frozenset(mapping[i] for i in tree_leaves(t))
-            piece = _single(lie_normal_form(relabel_tree(t, mapping)), block_support)
-            acc = piece if acc is None else acc.mul(piece)
-        out.add_scaled(acc, c)
-    return out
+        mins, odds, blocks = zip(*[_relabel_block(t, mapping) for t in mono])
+        order = sorted(range(len(mono)), key=mins.__getitem__)
+        image = {}  # distinct choices of trees give distinct monomials
+        for choice in itertools.product(*[b.items() for b in blocks]):
+            v = 1
+            for _, cb in choice:
+                v *= cb
+            image[tuple(choice[o][0] for o in order)] = v
+        add_into(out, image, c * koszul_sign(mins, odds))
+    return PoissonElement._of(support, out)
 
 
 def sigma_act(perm, x):
-    """Symmetric group action: letter j becomes perm(j); left action."""
+    """Symmetric group action: letter j becomes perm(j); left action.
+
+    An order-preserving perm only renames letters.  Otherwise relabel keeps
+    every block whose head stays its least letter; under an adjacent
+    transposition (a a+1) the one block left to renormalize is the block
+    headed by a that also holds a+1."""
     k = x.arity
     if len(perm) != k:
         raise ValueError("permutation size %d does not match arity %d" % (len(perm), k))

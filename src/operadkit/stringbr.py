@@ -212,7 +212,8 @@ def _parse_basis(raw, field):
         names.append(str(entry["name"]))
         degrees.append(entry["degree"])
     if len(set(names)) != len(names):
-        raise ValueError("duplicate basis names")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        raise PairDataError("%s names must be distinct, got %s" % (field, repeated))
     return tuple(names), tuple(degrees)
 
 

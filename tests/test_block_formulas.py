@@ -10,7 +10,6 @@ from operadkit.poisson import (
     PoissonElement,
     _bracket_terms,
     _block_odd,
-    _single,
     enumerate_basis,
     from_mono,
     mono_support,
@@ -20,6 +19,10 @@ from operadkit.poisson import (
 )
 
 MAX_ARITY = 6
+
+
+def _single(tree_terms, support):
+    return PoissonElement(support, {(t,): c for t, c in tree_terms.items()})
 
 
 def oracle_bracket_monos(m1, m2):

@@ -383,11 +383,13 @@ def test_string_validate_reports_bad_coefficients_as_unreadable(
             "product entry 1 needs indices in 0..1 and 2 coefficients, got [0, 1, ['1']]",
         ),
         (("delta",), [["0"]], "delta matrix must be 2 x 2"),
+        (("basis", 1, "name"), "e", "basis names must be distinct, got ['e']"),
     ] + [row.values for row in BAD_COEFFICIENTS],
     ids=["basis-entry-list", "basis-entry-no-name", "B-basis-entry-no-name",
          "product-entry-int", "product-entry-str-index", "tau-row-not-a-list",
          "basis-entry-str-degree", "B-basis-entry-float-degree",
-         "product-index-out-of-range", "product-coefficients-short", "delta-wrong-shape"]
+         "product-index-out-of-range", "product-coefficients-short", "delta-wrong-shape",
+         "duplicate-basis-names"]
     + [row.id for row in BAD_COEFFICIENTS],
 )
 def test_string_pair_commands_reject_malformed_pair_entries(

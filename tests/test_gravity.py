@@ -2,7 +2,9 @@
 its quadratic relation, closure under composition, scaled-degree models."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,8 @@ from operadkit.poisson import (
 )
 
 import delta_oracle
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def test_arity_two_kernel_is_the_bracket():
@@ -189,6 +193,22 @@ def test_lie_embedding_and_generation():
     rep = check_generation(4)
     assert rep.passed, rep.line()
     assert rep.total > 0
+
+
+def test_closure_workload_matches_the_benchmark_pins():
+    # the [check_id, verdict, cases] tuples perfbench gates against; read only
+    pinned = json.loads(REFERENCE.read_text())["workloads"]["closure"]["checks"]
+    got = [check_lie_embedding(5), check_generation(4)]
+    assert [[r.check_id, "pass" if r.passed else "fail", r.total] for r in got] == pinned
+
+
+def test_closure_checks_fail_under_the_identity_action(monkeypatch):
+    # negative control: the transposition images must come from the action,
+    # so an action that moves nothing leaves arities 3..5 short
+    monkeypatch.setattr("operadkit.gravity.sigma_act", lambda perm, x: x)
+    for rep in (check_lie_embedding(5), check_generation(5)):
+        assert (rep.total, len(rep.failures)) == (4, 3), rep.line()
+        assert rep.failures[0].startswith("arity 3: ")
 
 
 def test_degree_tripling_table():

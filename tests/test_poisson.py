@@ -9,7 +9,7 @@ from itertools import permutations
 
 import pytest
 
-from operadkit.exact import GradedDims, poly_coeffs_product
+from operadkit.exact import GradedDims, perm_transposition, poly_coeffs_product
 from operadkit.poisson import (
     PoissonElement,
     comb,
@@ -23,9 +23,11 @@ from operadkit.poisson import (
     poincare_polynomial,
     random_element,
     relabel,
+    relabel_tree,
     set_partitions,
     sigma_act,
     tree_bracket,
+    tree_leaves,
     unit,
 )
 from gamma_order import check_gamma_order
@@ -196,6 +198,48 @@ def test_sigma_act_is_left_action():
             for t in permutations(range(1, k + 1)):
                 lhs = sigma_act(s, sigma_act(t, x))
                 assert lhs == sigma_act(perm_compose(s, t), x)
+
+
+def oracle_sigma_act(perm, x):
+    """sigma_act as it was before each block was relabeled on its own: every
+    block goes through lie_normal_form, and the pieces are multiplied back
+    together with PoissonElement.mul, which sorts them with its signs."""
+    mapping = {j: perm[j - 1] for j in range(1, x.arity + 1)}
+    out = PoissonElement(x.support)
+    for mono, c in x.terms.items():
+        acc = None
+        for t in mono:
+            letters = frozenset(mapping[i] for i in tree_leaves(t))
+            nf = lie_normal_form(relabel_tree(t, mapping))
+            piece = PoissonElement(letters, {(u,): v for u, v in nf.items()})
+            acc = piece if acc is None else acc.mul(piece)
+        out.add_scaled(acc, c)
+    return out
+
+
+def test_sigma_act_matches_the_mul_chain_oracle_on_basis_transpositions():
+    for k in range(2, 7):
+        for mono in enumerate_basis(k):
+            x = from_mono(mono)
+            for a in range(1, k):
+                p = perm_transposition(k, a, a + 1)
+                got, want = sigma_act(p, x), oracle_sigma_act(p, x)
+                assert got.support == want.support
+                assert got.terms == want.terms, (mono, a)
+
+
+def test_sigma_act_matches_the_mul_chain_oracle_on_random_elements():
+    rng = random.Random(11)
+    for trial in range(200):
+        k = rng.randrange(2, 7)
+        x = random_element(k, rng, terms=6, homogeneous=trial % 2 == 0)
+        if trial % 3 == 0:
+            x = x.scale(Q(2, 3))
+        p = list(range(1, k + 1))
+        rng.shuffle(p)
+        got, want = sigma_act(tuple(p), x), oracle_sigma_act(tuple(p), x)
+        assert got.support == want.support
+        assert got.terms == want.terms, (x, p)
 
 
 def test_sigma_act_preserves_degree_and_identity():

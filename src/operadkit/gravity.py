@@ -291,7 +291,10 @@ def _closure_dims(generators, max_arity, b=1):
     call: each monomial met is mapped once by ``sigma_act`` under every
     (a a+1), and an element's image is the linear sum of its monomials'
     images.  Equal monomials are interned, so the table holds one copy of
-    each."""
+    each.  Each element carries its degree: the action keeps it and
+    composition adds the degrees, so only the generators are asked for
+    theirs.  A wrong degree would show as a KeyError in the index of the
+    (arity, degree) basis."""
     echelons = {}
     done = {k: [] for k in range(1, max_arity + 1)}
     fresh = []
@@ -313,29 +316,29 @@ def _closure_dims(generators, max_arity, b=1):
                 add_into(acc, image, c)
         return [PoissonElement._of(x.support, terms) for terms in out]
 
-    def admit(k, x):
+    def admit(k, d, x):
         if x.is_zero():
             return
-        d = x.degree(b)
         if (k, d) not in echelons:
             basis = enumerate_basis(k, degree=d, b=b)
             echelons[k, d] = Echelon(), {m: c for c, m in enumerate(basis)}
         ech, index = echelons[k, d]
         if ech.add({index[m]: c for m, c in x.terms.items()}):
-            fresh.append((k, x))
+            fresh.append((k, d, x))
 
     for k, x in generators:
-        admit(k, x)
+        if not x.is_zero():
+            admit(k, x.degree(b), x)
     while fresh:
-        k, x = fresh.pop(0)
+        k, d, x = fresh.pop(0)
         for y in transposed(k, x):
-            admit(k, y)
-        done[k].append(x)
+            admit(k, d, y)
+        done[k].append((d, x))
         for l in range(2, max_arity + 2 - k):
-            for y in done[l]:
-                admit(k + l - 1, compose_i(x, y, 1))
+            for e, y in done[l]:
+                admit(k + l - 1, d + e, compose_i(x, y, 1))
                 if y is not x:
-                    admit(k + l - 1, compose_i(y, x, 1))
+                    admit(k + l - 1, d + e, compose_i(y, x, 1))
     dims = {k: {} for k in range(1, max_arity + 1)}
     for (k, d), (ech, _) in echelons.items():
         dims[k][d] = ech.rank

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from operadkit import bv
+from operadkit import bv, poisson
 from operadkit.bv import (
     BVElement,
     bv_compose,
@@ -20,8 +20,10 @@ from operadkit.bv import (
     delta_apply,
     random_bv_element,
 )
+import bv_relations_oracle
 from bv_grammar import normalize_bv
 from operadkit.grammar import eval_ast, normalize, parse_expr
+from operadkit.exact import add_into
 from operadkit.gravity import check_free_module
 from operadkit.operads import check_associativity, check_equivariance, check_units
 from operadkit.poisson import (
@@ -242,13 +244,52 @@ def test_relation_suite_scaled_degree():
 def test_relation_suite_negative_control():
     # unsigned Delta: the failure counts of (squared, deviation, derivation)
     # are those the Leibniz recursion of Delta gave, with every case counted
-    expected = {3: [1, 4, 6], 4: [7, 32, 38]}
+    expected = {3: [1, 4, 6], 4: [7, 32, 38], 5: [46, 256, 324]}
     for k, failures in expected.items():
         for b in (1, 3):
             reps = check_bv_relations(k, b, _corrupt_delta=True)
             assert [len(rep.failures) for rep in reps] == failures, (k, b)
             honest = check_bv_relations(k, b)
             assert [rep.total for rep in reps] == [rep.total for rep in honest]
+
+
+def _bracket_without_e(real):
+    """``real`` (the monomial bracket) with the sign e_i of moving the block
+    Bi of M out past B>i dropped: [M, N] becomes the sum over i of
+    B<i . [Bi, N] . B>i, where a single block has no e."""
+
+    def mutant(m1, m2):
+        out = {}
+        for i, block in enumerate(m1):
+            inner = PoissonElement._of(frozenset(), real((block,), m2))
+            add_into(out, from_mono(m1[:i]).mul(inner).mul(from_mono(m1[i + 1:])).terms)
+        return out
+
+    return mutant
+
+
+def test_relation_suite_sees_a_bracket_without_its_sign_e(monkeypatch):
+    # e_i is -1 only when a block of odd degree follows Bi, which needs three
+    # letters in a, so arity 3 cannot see it; Delta does not use the monomial
+    # bracket, so Delta^2 = 0 still holds.  The counts are those of the
+    # battery that formed every bracket as a PoissonElement.
+    monkeypatch.setattr(poisson, "_bracket_terms", _bracket_without_e(poisson._bracket_terms))
+    expected = {3: [0, 0, 0], 4: [0, 4, 8], 5: [0, 40, 70]}
+    for k, failures in expected.items():
+        for b in (1, 3):
+            reps = check_bv_relations(k, b)
+            assert [len(rep.failures) for rep in reps] == failures, (k, b)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("b", [1, 3])
+def test_relation_suite_matches_the_element_by_element_oracle(b, corrupt):
+    for k in range(2, 6):
+        got = check_bv_relations(k, b, _corrupt_delta=corrupt)
+        want = bv_relations_oracle.check_bv_relations(k, b, _corrupt_delta=corrupt)
+        assert [(r.check_id, r.total, r.failures) for r in got] == [
+            (r.check_id, r.total, r.failures) for r in want
+        ], k
 
 
 def test_relation_suite_and_kernel_match_the_benchmark_pins():

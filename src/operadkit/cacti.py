@@ -4,8 +4,9 @@ A cactus of arity k is a basepointed cyclic word of arcs (lobe label,
 positive length): the order in which the traversal starting at the outer
 marked point crosses the lobes, and how much of each lobe it covers per
 visit.  The cyclic label word must be noncrossing (no i..j..i..j pattern;
-the dual graph is a tree), and spinelessness is built into the encoding:
-each lobe's inner marked point is its first traversal entry.
+the dual graph is a tree; one stack scan finds a crossing pair), and
+spinelessness is built into the encoding: each lobe's inner marked point is
+its first traversal entry.
 
 Every length is stored as an int n over one positive int denominator ``den``
 shared by the whole word, with adjacent same-label arcs merged and
@@ -33,7 +34,8 @@ Verified exactly (pointwise and as full PL data where stated): the cocycle
 law  diag(c)(theta+phi) = diag(rotate(c,theta))(phi) + diag(c)(theta),
 equivariance of composition under rotation, and the coEnd law identifying
 diag(c o_i d) with the composite of diag(c) and diag(d).  Values are
-compared by cross-multiplication.
+compared by cross-multiplication.  Each seeded battery draws its samples
+from one ``random.Random(seed)`` after its domain check.
 
 The boundary is rational: the constructors take rational lengths, times,
 values and slopes; ``arcs``, ``perimeter``, ``lobe_length(s)``, ``times``,
@@ -146,60 +148,23 @@ def _lobe_units(c):
     return out
 
 
-def _noncrossing(labels):
-    """True when the cyclic label word has no a..b..a..b pattern, in one
-    pass.  Around the circle such a pattern reads abab or baba from any
-    cut, so the linear word is scanned with a stack of open labels: a label
-    seen again closes the labels opened after it, and a closed label seen
-    again crosses the label that closed it."""
-    stack, closed = [], set()
+def _crossing_pair(labels):
+    """A label pair reading a..b..a..b around the cyclic label word, or
+    None when the word is noncrossing, in one pass.  Around the circle such
+    a pattern reads abab or baba from any cut, so the linear word is scanned
+    with a stack of open labels: a label seen again closes the labels opened
+    after it, and a closed label seen again crosses the label that closed
+    it."""
+    stack, closer = [], {}
     for lab in labels:
-        if lab in closed:
-            return False
+        if lab in closer:
+            return closer[lab], lab
         if lab in stack:
             while stack[-1] != lab:
-                closed.add(stack.pop())
+                closer[stack.pop()] = lab
         else:
             stack.append(lab)
-    return True
-
-
-def _interleaving_witness(labels):
-    """Violating label pair of the cyclic noncrossing condition, or None.
-    The word is re-cut at a label change, then recursively split at the
-    occurrences of its leading label: a label showing up in two different
-    gaps interleaves with the leading label."""
-    n = len(labels)
-    if n <= 1 or len(set(labels)) == 1:
-        return None
-    start = next(j for j in range(n) if labels[j] != labels[j - 1])
-    word = labels[start:] + labels[:start]
-
-    def walk(w):
-        if not w:
-            return None
-        a = w[0]
-        gaps, cur = [], []
-        for x in w[1:]:
-            if x == a:
-                gaps.append(cur)
-                cur = []
-            else:
-                cur.append(x)
-        gaps.append(cur)
-        seen = {}
-        for gi, g in enumerate(gaps):
-            for lab in set(g):
-                if lab in seen and seen[lab] != gi:
-                    return (a, lab)
-                seen[lab] = gi
-        for g in gaps:
-            bad = walk(g)
-            if bad:
-                return bad
-        return None
-
-    return walk(word)
+    return None
 
 
 def validate(c):
@@ -222,9 +187,9 @@ def validate(c):
             errors.append("label %d missing" % i)
     if errors:
         return errors
-    order = [lab for lab, _ in c.word]
-    if not _noncrossing(order):
-        errors.append("labels %d and %d interleave" % _interleaving_witness(order))
+    crossing = _crossing_pair([lab for lab, _ in c.word])
+    if crossing:
+        errors.append("labels %d and %d interleave" % crossing)
     return errors
 
 
@@ -619,13 +584,21 @@ def cacti_operad_instance():
 # seeded verification batches
 
 
-def _check_batch(max_arity, samples, max_denominator, least_arity=1):
-    """Refuse a batch outside the domain before any sample is drawn: every
-    arity up to max_arity needs max_denominator >= arity for positive
-    lengths on the 1/D grid."""
+def _sampled_batch(name, claim, max_arity, samples, seed, max_denominator, least_arity=1):
+    """The report and seeded generator of one battery.  A batch outside the
+    domain is refused before any sample is drawn: every arity up to
+    max_arity needs max_denominator >= arity for positive lengths on the
+    1/D grid."""
     require_at_least("max arity", max_arity, least_arity)
     require_at_least("sample count", samples, 0)
     require_at_least("max denominator", max_denominator, max_arity)
+    rep = CheckReport(
+        "%s-%d" % (name, max_arity),
+        claim,
+        {"max_arity": max_arity, "samples": samples, "seed": seed,
+         "max_denominator": max_denominator},
+    )
+    return rep, random.Random(seed)
 
 
 def _breakpoint_times(dg):
@@ -642,14 +615,11 @@ def _sample_theta(rng, max_denominator):
 def check_associativity_batch(max_arity=5, samples=1000, seed=0, max_denominator=64):
     """Nested and disjoint associativity on seeded random cacti; two cases
     per sampled triple."""
-    _check_batch(max_arity, samples, max_denominator, least_arity=2)
-    rep = CheckReport(
-        "cacti-associativity-%d" % max_arity,
+    rep, rng = _sampled_batch(
+        "cacti-associativity",
         "the splice composition satisfies both operad associativity shapes",
-        {"max_arity": max_arity, "samples": samples, "seed": seed,
-         "max_denominator": max_denominator},
+        max_arity, samples, seed, max_denominator, least_arity=2,
     )
-    rng = random.Random(seed)
     triples = [
         (k, l, m)
         for k in range(1, max_arity + 1)
@@ -681,14 +651,11 @@ def check_associativity_batch(max_arity=5, samples=1000, seed=0, max_denominator
 
 def check_cocycle(max_arity=5, samples=1000, seed=0, max_denominator=64):
     """Cocycle law on seeded random instances plus all arc-boundary times."""
-    _check_batch(max_arity, samples, max_denominator)
-    rep = CheckReport(
-        "cacti-cocycle-%d" % max_arity,
+    rep, rng = _sampled_batch(
+        "cacti-cocycle",
         "diag(c)(theta+phi) = diag(rotate(c,theta))(phi) + diag(c)(theta)",
-        {"max_arity": max_arity, "samples": samples, "seed": seed,
-         "max_denominator": max_denominator},
+        max_arity, samples, seed, max_denominator,
     )
-    rng = random.Random(seed)
     for n in range(samples):
         k = rng.randint(1, max_arity)
         c = random_cactus(k, rng.randrange(2**30), max_denominator)
@@ -706,14 +673,11 @@ def check_cocycle(max_arity=5, samples=1000, seed=0, max_denominator=64):
 
 def check_rotation_equivariance(max_arity=4, samples=1000, seed=0, max_denominator=64):
     """Composition commutes with rotation through the i-th diagonal."""
-    _check_batch(max_arity, samples, max_denominator)
-    rep = CheckReport(
-        "cacti-equivariance-%d" % max_arity,
+    rep, rng = _sampled_batch(
+        "cacti-equivariance",
         "rotate(c o_i d, theta) = rotate(c,theta) o_i rotate(d, diag_i(c)(theta))",
-        {"max_arity": max_arity, "samples": samples, "seed": seed,
-         "max_denominator": max_denominator},
+        max_arity, samples, seed, max_denominator,
     )
-    rng = random.Random(seed)
     for n in range(samples):
         k = rng.randint(1, max_arity)
         l = rng.randint(1, max_arity)
@@ -729,14 +693,11 @@ def check_rotation_equivariance(max_arity=4, samples=1000, seed=0, max_denominat
 def check_coend(max_arity=4, samples=1000, seed=0, max_denominator=64):
     """The diagonal is a map into the coEnd operad: pointwise at sampled and
     arc-boundary times, and as full PL data."""
-    _check_batch(max_arity, samples, max_denominator)
-    rep = CheckReport(
-        "cacti-coend-%d" % max_arity,
+    rep, rng = _sampled_batch(
+        "cacti-coend",
         "diag(c o_i d) equals the coEnd composite of diag(c) and diag(d)",
-        {"max_arity": max_arity, "samples": samples, "seed": seed,
-         "max_denominator": max_denominator},
+        max_arity, samples, seed, max_denominator,
     )
-    rng = random.Random(seed)
     for n in range(samples):
         k = rng.randint(1, max_arity)
         l = rng.randint(1, max_arity)
@@ -757,14 +718,11 @@ def check_coend(max_arity=4, samples=1000, seed=0, max_denominator=64):
 
 def check_rotation_action(max_arity=5, samples=500, seed=0, max_denominator=64):
     """rotate is an action of R/Z: identity, additivity, full cycle."""
-    _check_batch(max_arity, samples, max_denominator)
-    rep = CheckReport(
-        "cacti-rotation-action-%d" % max_arity,
+    rep, rng = _sampled_batch(
+        "cacti-rotation-action",
         "rotate(c,0) = c, rotate(rotate(c,a),b) = rotate(c,a+b), full cycle = c",
-        {"max_arity": max_arity, "samples": samples, "seed": seed,
-         "max_denominator": max_denominator},
+        max_arity, samples, seed, max_denominator,
     )
-    rng = random.Random(seed)
     for n in range(samples):
         k = rng.randint(1, max_arity)
         c = random_cactus(k, rng.randrange(2**30), max_denominator)
@@ -789,13 +747,12 @@ def check_rotation_action(max_arity=5, samples=500, seed=0, max_denominator=64):
 def check_winding(max_arity=5, samples=200, seed=0, max_denominator=64):
     """Total winding one per coordinate for every generated diagonal; the
     PLDiagonal constructor enforces it, this check exercises the generator."""
-    _check_batch(max_arity, samples, max_denominator)
-    rep = CheckReport(
-        "cacti-winding-%d" % max_arity,
+    rep, rng = _sampled_batch(
+        "cacti-winding",
         "every coordinate of the homotopy diagonal winds exactly once",
-        {"max_arity": max_arity, "samples": samples, "seed": seed},
+        max_arity, samples, seed, max_denominator,
     )
-    rng = random.Random(seed)
+    del rep.params["max_denominator"]  # the pinned winding params omit it
     for n in range(samples):
         k = rng.randint(1, max_arity)
         c = random_cactus(k, rng.randrange(2**30), max_denominator)

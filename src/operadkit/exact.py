@@ -19,8 +19,9 @@ bracket presentations and the rows of the elimination.
 All exact linear algebra goes through one incremental kernel, ``Echelon``:
 vectors are admitted one at a time into a fully reduced row echelon form, so
 a span is grown, tested and solved against without eliminating anything
-twice, and null spaces come out of the unique reduced form, identical for
-identical inputs, as sparse dicts.  ``SparseMatrix`` stores a matrix as its
+twice (the rank of a list of vectors is ``rank`` after admitting them), and
+null spaces come out of the unique reduced form, identical for identical
+inputs, as sparse dicts.  ``SparseMatrix`` stores a matrix as its
 row dicts and admits them last row first: the order changes the work, not
 the reduced form.
 """
@@ -362,14 +363,6 @@ class Echelon:
                 if c != p:
                     basis[c][p] = scalar(-v)
         return [{c: vec[c] for c in sorted(vec)} for vec in basis.values()]
-
-
-def span_rank(vectors):
-    """Rank of a list of dense scalar tuples (or dicts col -> scalar)."""
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v if isinstance(v, dict) else dict(enumerate(v)))
-    return ech.rank
 
 
 def parse_rational(text):

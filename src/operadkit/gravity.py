@@ -38,6 +38,7 @@ term lies outside this finite model.
 from __future__ import annotations
 
 import itertools
+from math import factorial
 
 from .bv import delta_apply
 from .exact import (
@@ -128,15 +129,12 @@ def gravity_basis(k, b=1):
 
 def moduli_dimension_oracle(k, b=1):
     """Independent per-degree dimension table: coefficients of
-    t^b prod_{j=2}^{k-1}(1 + j t^b)."""
+    t^b prod_{j=2}^{k-1}(1 + j t^b), multiplied out in u = t^b so that no
+    list is as long as b."""
     if k < 2:
         raise ValueError("oracle starts at arity 2")
     check_bracket_degree(b)
-    shift = [0] * b + [1]
-    factors = [shift]
-    for j in range(2, k):
-        factors.append([1] + [0] * (b - 1) + [j])
-    return poly_coeffs_product(factors)
+    return poly_coeffs_product([1, j] for j in range(2, k)).scaled_degrees(b).shifted(b)
 
 
 def check_free_module(k, b=1):
@@ -168,10 +166,7 @@ def check_free_module(k, b=1):
             if ok
             else "degree %d: dim ker = %d, dim im = %d" % (degree, ker_dim, im_dim),
         )
-    expected = 1
-    for j in range(2, k + 1):
-        expected *= j
-    expected //= 2
+    expected = factorial(k) // 2
     rep.count(
         total == expected,
         None if total == expected else "total %d != %d" % (total, expected),
@@ -357,9 +352,7 @@ def check_lie_embedding(max_arity, b=1):
     )
     dims = _closure_dims([(2, bracket_generator(2, b))], max_arity, b)
     for k in range(2, max_arity + 1):
-        expected = 1
-        for j in range(1, k):
-            expected *= j
+        expected = factorial(k - 1)
         got = dims[k]
         ok = got == GradedDims({b * (k - 1): expected})
         rep.count(

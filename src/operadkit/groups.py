@@ -392,16 +392,6 @@ def cyclic_semidirect(n, m, s, name):
     return FiniteGroupTable(name, [[mul(a, b) for b in range(n * m)] for a in range(n * m)])
 
 
-def c4_rtimes_c4(name="C4:C4"):
-    """<a, b | a^4 = b^4 = 1, b a b^-1 = a^-1>; (i, j) -> 4*i + j."""
-    def mul(x, y):
-        i, j = divmod(x, 4)
-        i2, j2 = divmod(y, 4)
-        return 4 * ((i + (i2 if j % 2 == 0 else -i2)) % 4) + (j + j2) % 4
-
-    return FiniteGroupTable(name, [[mul(a, b) for b in range(16)] for a in range(16)])
-
-
 def c4xc2_rtimes_c2(name="(C4xC2):C2"):
     """<a, b, c | a^4 = b^2 = c^2 = 1, all of a,b commute, c a c = a b,
     c b c = b>; (i, j, f) -> 4*(2*f + j) + i style index i + 4*j + 8*f."""
@@ -487,7 +477,7 @@ def bundled_groups():
     add(dicyclic(4, "Q16"))
     add(direct_product(dihedral(4), cyclic(2), "D4xC2"))
     add(direct_product(dicyclic(2, "Q8"), cyclic(2), "Q8xC2"))
-    add(c4_rtimes_c4())
+    add(cyclic_semidirect(4, 4, 3, "C4:C4"))  # b a b^-1 = a^-1
     add(c4xc2_rtimes_c2())
     add(central_product_c4_d4())
     add(symmetric(4))

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import factorial, prod
 
 from .exact import LinComb, add_into, koszul_sign, scalar
 
@@ -268,10 +269,6 @@ class PoissonElement(LinComb):
         from .grammar import element_to_text
 
         return "<%s>" % element_to_text(self)
-
-
-def zero(support=()):
-    return PoissonElement(support)
 
 
 def gen(i):
@@ -503,12 +500,8 @@ def poincare_polynomial(k, b=1):
     check_bracket_degree(b)
     counts = {}
     for blocks in set_partitions(tuple(range(1, k + 1))):
-        n = 1
-        for bl in blocks:
-            for m in range(1, len(bl)):
-                n *= m
         d = b * (k - len(blocks))
-        counts[d] = counts.get(d, 0) + n
+        counts[d] = counts.get(d, 0) + prod(factorial(len(bl) - 1) for bl in blocks)
     return GradedDims(counts)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from math import factorial
 
 from . import __version__
 from .exact import GradedDims, poly_coeffs_product
@@ -104,14 +105,8 @@ def check_e2_dims(max_arity=7, b=1):
         for mono in enumerate_basis(k, b=b):
             d = mono_degree(mono, b)
             got[d] = got.get(d, 0) + 1
-        factors = []
-        for j in range(1, k):
-            factors.append([1] + [0] * (b - 1) + [j])
-        want = poly_coeffs_product(factors) if factors else GradedDims({0: 1})
-        fact = 1
-        for j in range(2, k + 1):
-            fact *= j
-        ok = GradedDims(got) == want and sum(got.values()) == fact
+        want = poly_coeffs_product([1, j] for j in range(1, k)).scaled_degrees(b)
+        ok = GradedDims(got) == want and sum(got.values()) == factorial(k)
         rep.count(ok, None if ok else "arity %d: %r vs %r" % (k, got, dict(want)))
     return rep
 

@@ -615,7 +615,7 @@ def free_bv_presentation(k, supports=None):
     be closed under disjoint unions so that it spans a subalgebra.  The
     wire format pins the operator degree at +1, so only the degree-1
     bracket model is generated here."""
-    from .bv import delta_apply
+    from .bv import _embed, delta_apply
     from .poisson import PoissonElement, enumerate_basis, mono_degree
 
     if k < 1:
@@ -642,7 +642,8 @@ def free_bv_presentation(k, supports=None):
     for support in family:
         sub = tuple(sorted(support))
         for x in enumerate_basis(len(sub)):
-            mono = _relabel_mono(x, sub)
+            # an order-preserving relabel: one term, still normal, coefficient 1
+            (mono,) = _embed(x, sub).terms
             basis.append((support, mono))
     index = {key: n for n, key in enumerate(basis)}
     names = tuple("m%d" % n for n in range(len(basis)))
@@ -671,19 +672,6 @@ def free_bv_presentation(k, supports=None):
         if col:
             delta[j] = col
     return BVAlgebraData(names, degrees, product, delta)
-
-
-def _relabel_mono(mono, sub):
-    """Rename the letters 1..r of a basis monomial to the ordered subset
-    sub; order-preserving, so normal forms are stable."""
-    from .poisson import from_mono, relabel
-
-    mapping = {n + 1: lab for n, lab in enumerate(sub)}
-    out = relabel(from_mono(mono), mapping)
-    ((mono2, c),) = out.terms.items()
-    if c != 1:
-        raise AssertionError("order-preserving relabel changed a coefficient")
-    return mono2
 
 
 def pair_from_presentation(data):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cacti_oracle
 from operadkit import cacti
 from operadkit.cacti import (
     PLDiagonal,
@@ -63,18 +64,33 @@ def test_validate_flags_each_defect():
     assert validate(bad) == ["labels 1 and 2 interleave"]
 
 
+def _reads_abab(word, pair):
+    # the pair interleaves: a, b, a, b is a subsequence of some rotation
+    a, b = pair
+
+    def has(w):
+        it = iter(w)
+        return all(x in it for x in (a, b, a, b))
+
+    return a != b and any(has(word[r:] + word[:r]) for r in range(len(word)))
+
+
 def _pre_check_agrees(word):
-    return cacti._noncrossing(word) == (cacti._interleaving_witness(list(word)) is None)
+    # the stack scan's verdict is the recursive search's, and any pair it
+    # names really interleaves (it may name a different pair)
+    pair = cacti._crossing_pair(word)
+    if (pair is None) != (cacti_oracle._interleaving_witness(list(word)) is None):
+        return False
+    return pair is None or _reads_abab(word, pair)
 
 
 def test_noncrossing_pre_check_agrees_with_the_witness_search():
-    # every label word of length at most 8 over 4 labels, valid or not: the
-    # linear pre-check and the recursive witness search give one verdict
+    # every label word of length at most 8 over 4 labels, valid or not
     verdicts = {True: 0, False: 0}
     for n in range(9):
         for word in itertools.product(range(1, 5), repeat=n):
             assert _pre_check_agrees(word), word
-            verdicts[cacti._noncrossing(word)] += 1
+            verdicts[cacti._crossing_pair(word) is None] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
 
 

@@ -3,6 +3,9 @@
 
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +31,24 @@ def test_dims_tables(capsys):
     code, out, _ = run(capsys, "dims", "moduli", "--arity", "4", "--bracket-degree", "3")
     assert code == 0
     assert out.strip() == "{3: 1, 6: 5, 9: 6}"
+
+
+def test_dims_moduli_at_a_large_bracket_degree_stays_small():
+    # the oracle multiplies out in u = t^b, so no list is as long as b; the
+    # child's address space is capped so that a dense list of length b
+    # fails here with a MemoryError instead of filling the host's memory
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "operadkit.cli", "dims", "moduli", "--arity", "3",
+         "--bracket-degree", "100000001"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "{100000001: 1, 200000002: 2}"
 
 
 def test_dims_reject_bracket_degree_outside_the_model(capsys):

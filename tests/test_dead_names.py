@@ -1,0 +1,64 @@
+"""No dead names in the package: every function and class defined in
+``src/operadkit`` is referenced somewhere in ``src/operadkit`` (called,
+read as an attribute, or imported), so a second copy of a job cannot
+linger once its last caller is gone.  Dunder methods are called by Python
+itself and are not counted."""
+
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "operadkit")
+
+# Used from outside the package only: the operad harness adapters and
+# samplers the tests drive, and the rational boundary views of a cactus.
+ALLOWED = {
+    "operad_instance",
+    "bv_operad_instance",
+    "cacti_operad_instance",
+    "random_element",
+    "random_bv_element",
+    "eval",
+    "perimeter",
+    "lobe_length",
+}
+
+
+def _trees():
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as f:
+                yield name, ast.parse(f.read(), name)
+
+
+def _defined_and_referenced():
+    defined, referenced = [], set()
+    for module, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return defined, referenced
+
+
+def test_every_function_and_class_in_src_has_a_reference_in_src():
+    defined, referenced = _defined_and_referenced()
+    assert len(defined) > 100
+    dead = sorted(
+        "%s:%s" % (module, name)
+        for module, name in defined
+        if name not in referenced
+        and name not in ALLOWED
+        and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert not dead, "defined in src but referenced nowhere in src: %s" % ", ".join(dead)
+
+
+def test_the_allowlist_names_only_defined_unreferenced_names():
+    defined, referenced = _defined_and_referenced()
+    assert ALLOWED <= {name for _, name in defined}
+    assert not ALLOWED & referenced

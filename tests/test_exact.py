@@ -24,7 +24,6 @@ from operadkit.exact import (
     perm_inverse,
     perm_transposition,
     poly_coeffs_product,
-    span_rank,
 )
 from operadkit.poisson import (
     PoissonElement,
@@ -260,15 +259,22 @@ def test_kernel_entries_are_ints_when_integral_after_last_first_admission():
     assert [_mat_vec(m, _dense(vec, 5)) for vec in ker] == [[0, 0]] * 3
 
 
+def _span_rank(vectors):
+    ech = Echelon()
+    for v in vectors:
+        ech.add(v)
+    return ech.rank
+
+
 def test_span_rank_dependent_vectors():
     v1 = {0: Q(1), 1: Q(2)}
     v2 = {0: Q(2), 1: Q(4)}
     v3 = {1: Q(1)}
-    assert span_rank([v1, v2]) == 1
-    assert span_rank([v1, v2, v3]) == 2
-    assert span_rank([]) == 0
-    # dense tuples are accepted too
-    assert span_rank([(Q(1), Q(0)), (Q(0), Q(1))]) == 2
+    assert _span_rank([v1, v2]) == 1
+    assert _span_rank([v1, v2, v3]) == 2
+    assert _span_rank([]) == 0
+    # dense rows, zero entries included, enter as dicts col -> scalar
+    assert _span_rank([dict(enumerate(v)) for v in [(Q(1), Q(0)), (Q(0), Q(1))]]) == 2
 
 
 def _eliminate(rows):

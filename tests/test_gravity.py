@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from operadkit.bv import delta_apply
-from operadkit.exact import GradedDims, span_rank
+from operadkit.exact import Echelon, GradedDims
 from operadkit.gravity import (
     _closure_dims,
     _delta_slices,
@@ -246,10 +246,9 @@ def _closure_dims_oracle(generators, max_arity, b=1):
     def prune(k, xs):
         kept = []
         for xs_d in by_degree(k, xs).values():
-            vecs = []
+            ech = Echelon()
             for x in xs_d:
-                if span_rank(vecs + [vector(k, x)]) > len(vecs):
-                    vecs.append(vector(k, x))
+                if ech.add(vector(k, x)):
                     kept.append(x)
         return kept
 

@@ -283,6 +283,30 @@ def test_generators_generate_every_bundled_group():
         assert groups._closure(G, G.generators) == frozenset(range(G.order)), G.name
 
 
+def _c4_rtimes_c4_by_hand():
+    # oracle: the hand-written C4:C4 the census bundled before it was built
+    # as cyclic_semidirect(4, 4, 3); (i, j) -> 4*i + j stands for a^i b^j
+    def mul(x, y):
+        i, j = divmod(x, 4)
+        i2, j2 = divmod(y, 4)
+        return 4 * ((i + (i2 if j % 2 == 0 else -i2)) % 4) + (j + j2) % 4
+
+    return FiniteGroupTable("C4:C4", [[mul(a, b) for b in range(16)] for a in range(16)])
+
+
+def test_c4_rtimes_c4_is_its_presentation():
+    # <a, b | a^4 = b^4 = 1, b a b^-1 = a^-1> has order 16, so relations
+    # that hold in a 16-element group the two elements generate pin it
+    G = bundled_groups()["C4:C4"]
+    old = _c4_rtimes_c4_by_hand()
+    assert (G.table, G.identity, G.generators) == (old.table, old.identity, old.generators)
+    a, b = 4, 1
+    assert G.order == 16 and G.element_order(a) == 4 and G.element_order(b) == 4
+    assert G.mul(G.mul(b, a), G.inv(b)) == G.inv(a)
+    assert groups._closure(G, (a, b)) == frozenset(range(16))
+    assert not G.is_abelian()
+
+
 def test_conjugation_table_matches_mul_and_inv():
     for G in bundled_groups().values():
         for g in range(G.order):

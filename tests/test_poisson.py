@@ -36,15 +36,15 @@ from operadkit.operads import (
     check_equivariance,
     check_units,
 )
-from operadkit.wordalg import combination_to_words, tree_to_words
 from perm_helpers import perm_compose
+from wordalg import combination_to_words, tree_to_words
 
 
 def lie_from_words(words):
     """Reconstruct {normal comb: coefficient} from a full word expansion.
 
     Reads the words led by the minimal letter (the comb on them is
-    triangular, see ``operadkit.wordalg``), then re-expands and demands
+    triangular, see ``tests/wordalg.py``), then re-expands and demands
     exact agreement with the input, so a wrong reconstruction cannot pass.
     """
     if not words:

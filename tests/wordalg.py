@@ -14,8 +14,8 @@ rewriting engine.
 
 from __future__ import annotations
 
-from .exact import add_into
-from .poisson import is_leaf, tree_nleaves
+from operadkit.exact import add_into
+from operadkit.poisson import is_leaf, tree_nleaves
 
 
 def tree_to_words(t):

@@ -24,9 +24,10 @@ three-block relation of the bracket is in force.  The deviation identity
 is then a theorem checked by check_bv_relations, not an input, which pins
 the sign conventions of the underlying bracket engine.  Delta raises degree
 by the bracket degree b, squares to zero, and is a derivation of compose_i.
-check_bv_relations reads three tables that live for one call: the Delta
+check_bv_relations reads four tables that live for one call: the Delta
 terms of each arity-k monomial, the c side of each letter split with its
-Delta, and the bracket of each monomial pair of the split.
+Delta, and the bracket and the product of each monomial pair of the split;
+it enumerates the basis of each letter count once.
 
 BV elements decorate each input slot with an exterior generator of degree b
 (the homology of the framing circle); a decoration is the subset of marked
@@ -301,22 +302,24 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
     deviation of Delta from a product derivation is the bracket, and Delta
     is a graded derivation of the bracket.  Returns three reports.
 
-    Three tables live for one call.  The Delta table maps each arity-k
-    monomial, when first met, to its terms under ``delta``; Delta is linear,
-    so Delta(Delta x), Delta(a.c) and Delta([a, c]) are sums of its rows.
-    For each split of the letters into (aset, cset), every (cmono, c,
-    Delta c) is made once, before the loop over a, and the pair table maps
-    each monomial pair to poisson._bracket_terms: [a, c], shared by both
-    laws, [Delta a, c] and [a, Delta c] all read it.  b enters only through
-    the parity of |a|, which for odd b is that of b = 1, so the b = 3
-    battery repeats the b = 1 arithmetic."""
+    Four tables live for one call, beside the bases of 1..k letters, each
+    enumerated once.  The Delta table maps each arity-k monomial, when
+    first met, to its terms under ``delta``; Delta is linear, so
+    Delta(Delta x), Delta(a.c) and Delta([a, c]) are sums of its rows.  For
+    each split of the letters into (aset, cset), every (cmono, c, Delta c)
+    is made once, before the loop over a.  Per split, the pair table maps
+    each monomial pair to poisson._bracket_terms, and the product table to
+    {monomial: sign} from poisson.merge_monos: the terms of a.c, Delta(a).c,
+    a.Delta(c), [a, c], [Delta a, c] and [a, Delta c] are all read there.
+    b enters only through the parity of |a|, which for odd b is that of
+    b = 1, so the b = 3 battery repeats the b = 1 arithmetic."""
     require_at_least("arity", k, 2)  # arity 1 has no products and no pairs
     check_bracket_degree(b)
     delta = (lambda x: _delta(x, signed=False)) if _corrupt_delta else delta_apply
-    basis = enumerate_basis(k)
+    bases = {s: enumerate_basis(s) for s in range(1, k + 1)}
     support = frozenset(range(1, k + 1))
     images = {}  # the Delta table
-    pairs = {}  # the pair table of the current split
+    pairs, products = {}, {}  # the pair and product tables of the current split
 
     def delta_of(terms):
         out = {}
@@ -333,12 +336,19 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
             row = pairs[m1, m2] = poisson._bracket_terms(m1, m2)
         return row
 
+    def product_of(m1, m2):
+        row = products.get((m1, m2))
+        if row is None:
+            sign, m = poisson.merge_monos(m1, m2)
+            row = products[m1, m2] = {m: sign}
+        return row
+
     rep_sq = CheckReport(
         "bv-delta-squared-%d-b%d" % (k, b),
         "Delta composed with itself vanishes on the whole basis",
         {"arity": k, "bracket_degree": b},
     )
-    for mono in basis:
+    for mono in bases[k]:
         ok = not delta_of(delta_of({mono: 1}))
         rep_sq.count(ok, None if ok else repr(mono))
 
@@ -357,30 +367,33 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
         for aset in itertools.combinations(range(1, k + 1), asize):
             cset = tuple(sorted(set(range(1, k + 1)) - set(aset)))
             cs = []
-            for cmono in enumerate_basis(len(cset)):
+            for cmono in bases[len(cset)]:
                 c = _embed(cmono, cset)
-                cs.append((cmono, c, delta(c)))
+                (mc,) = c.terms
+                cs.append((cmono, mc, delta(c).terms))
             pairs.clear()
-            for amono in enumerate_basis(len(aset)):
+            products.clear()
+            for amono in bases[asize]:
                 a = _embed(amono, aset)
                 (ma,) = a.terms
-                da = delta(a)
+                da = delta(a).terms
                 # (-1)^{|a|}; the derivation law's (-1)^{|a|+b} is -sign, b odd
                 sign = -1 if mono_degree(amono, b) % 2 else 1
-                for cmono, c, dc in cs:
-                    (mc,) = c.terms
+                for cmono, mc, dc in cs:
                     ac = bracket_of(ma, mc)
                     # each law as lhs - rhs, which vanishes exactly when it holds
-                    dev = delta_of(a.mul(c).terms)
-                    add_into(dev, da.mul(c).terms, -1)
-                    add_into(dev, a.mul(dc).terms, -sign)
+                    dev = delta_of(product_of(ma, mc))
+                    for m, v in da.items():
+                        add_into(dev, product_of(m, mc), -v)
+                    for m, v in dc.items():
+                        add_into(dev, product_of(ma, m), -sign * v)
                     add_into(dev, ac, -sign)
                     witness = "a=%r c=%r" % (amono, cmono) if dev else None
                     rep_dev.count(not dev, witness)
                     der = delta_of(ac)
-                    for m, v in da.terms.items():
+                    for m, v in da.items():
                         add_into(der, bracket_of(m, mc), -v)
-                    for m, v in dc.terms.items():
+                    for m, v in dc.items():
                         add_into(der, bracket_of(ma, m), sign * v)
                     witness = "a=%r c=%r" % (amono, cmono) if der else None
                     rep_der.count(not der, witness)

@@ -137,7 +137,7 @@ def _cmd_group(args):
         require_at_most("arity", args.arity, ARITY_BUDGET["group " + args.action])
     try:
         G = _load_group(args.table)
-    except (OSError, ValueError, KeyError) as err:
+    except (OSError, ValueError) as err:
         print("cannot load group table %r: %s" % (args.table, err), file=sys.stderr)
         return 2
     if args.action != "tomdieck":

@@ -10,7 +10,10 @@ Weyl group order |N(H)/H|.
 
 Group tables are verified against the group axioms at construction; only
 then are a conjugation table g x g^-1 (read by ``conj``) and a greedy
-generating set built from the verified multiplication table.  The fixed
+generating set built from the verified multiplication table.  Composition,
+conjugation and the center read those tables directly: a composite maps the
+inserted tuple through one row of the multiplication table, and z is
+central exactly when its row of the table equals its column.  The fixed
 tuples are found by a scan over the rows of that table: for each generator
 s the product stream of row s is the diagonal conjugate by s of the product
 stream of G, so the whole of G^k is compared tuple by tuple with its images
@@ -23,6 +26,7 @@ invariants.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -39,7 +43,8 @@ class FiniteGroupTable:
     Associativity is checked by Light's test against it, (x s) y = x (s y)
     for s in ``generators`` only: n^2 |S| products instead of n^3.  Once the
     axioms hold, ``_conj[g][x]`` = g x g^-1 is built, read by ``conj`` and
-    ``conjugation_act``."""
+    ``conjugation_act``.  ``center`` compares rows of the table with its
+    columns (z g = g z for all g), not ``mul`` products."""
 
     __slots__ = ("name", "order", "table", "identity", "_inv", "_conj", "generators")
 
@@ -113,11 +118,8 @@ class FiniteGroupTable:
         return n
 
     def center(self):
-        return tuple(
-            z
-            for z in range(self.order)
-            if all(self.mul(z, g) == self.mul(g, z) for g in range(self.order))
-        )
+        cols = tuple(zip(*self.table))
+        return tuple(z for z, row in enumerate(self.table) if row == cols[z])
 
     def is_abelian(self):
         return len(self.center()) == self.order
@@ -132,46 +134,39 @@ class FiniteGroupTable:
 
 def substitute(G, g, hs):
     """Blockwise left translation: block j of the output is g_j times the
-    entries of hs[j], read from row g_j of the multiplication table.  One
-    block, the case ``group_compose`` makes, is a single map over its row."""
+    entries of hs[j], read from row g_j of the multiplication table."""
     if len(hs) != len(g):
         raise ValueError("need one inserted tuple per slot")
     table = G.table
-    if len(g) == 1:
-        return tuple(map(table[g[0]].__getitem__, hs[0]))
     out = []
     for gj, h in zip(g, hs):
-        row = table[gj]
-        out += [row[x] for x in h]
+        out += map(table[gj].__getitem__, h)
     return tuple(out)
 
 
 def group_compose(G, g, h, i):
-    """Partial composition: insert h at slot i, identity elsewhere.
+    """Partial composition of tuples: insert h at slot i, identity elsewhere.
 
-    Only slot i goes through ``substitute``: every other slot receives the
-    one-entry block (e,), and g_j e = g_j because the constructor verified
-    that e is a two-sided identity, so those entries are spliced in as they
-    are."""
-    k = len(g)
-    if not 1 <= i <= k:
-        raise ValueError("slot %d out of range 1..%d" % (i, k))
-    g = tuple(g)
-    return g[: i - 1] + substitute(G, g[i - 1 : i], [h]) + g[i:]
+    Slot i becomes g_i h, read from row g_i of the multiplication table.
+    Every other slot receives the one-entry block (e,), and g_j e = g_j
+    because the constructor verified that e is a two-sided identity, so
+    those entries of g are spliced in as they are."""
+    if not 1 <= i <= len(g):
+        raise ValueError("slot %d out of range 1..%d" % (i, len(g)))
+    return g[: i - 1] + tuple(map(G.table[g[i - 1]].__getitem__, h)) + g[i:]
 
 
 def conjugation_act(G, g, t):
     """Diagonal conjugation on every entry, read from row g of the
     conjugation table."""
-    row = G._conj[g]
-    return tuple(row[x] for x in t)
+    return tuple(map(G._conj[g].__getitem__, t))
 
 
 def tuple_relabel(perm, t):
     """Symmetric action: slot j becomes perm(j)."""
     out = [None] * len(t)
-    for j, x in enumerate(t):
-        out[perm[j] - 1] = x
+    for p, x in zip(perm, t):
+        out[p - 1] = x
     return tuple(out)
 
 
@@ -202,11 +197,14 @@ def fixed_point_operad(G, k):
     compared whole with its conjugate by each generator, read off the
     product of that generator's conjugation row; the fixed set is not
     factored into per-entry fixed sets, so arity k is checked on its own.
-    The comparison set Z(G)^k comes from ``G.center()``, which reads
-    ``mul`` and not the conjugation table."""
+    The comparison set Z(G)^k comes from ``G.center()``, which compares
+    rows and columns of the multiplication table and does not read the
+    conjugation table.  Closure reads each composite from
+    ``group_compose``."""
     require_at_least("arity", k, 1)
     fixed = _conjugation_fixed(G, k)
     center = G.center()
+    central = frozenset(center)
     expected = sorted(itertools.product(center, repeat=k))
     if sorted(fixed) != expected:
         raise AssertionError("fixed tuples differ from the center tuples")
@@ -214,7 +212,7 @@ def fixed_point_operad(G, k):
     for g in fixed[:8]:
         for h in pairs[:8]:
             for i in range(1, k + 1):
-                if any(x not in center for x in group_compose(G, g, h, i)):
+                if not central.issuperset(group_compose(G, g, h, i)):
                     raise AssertionError("fixed tuples are not closed under substitution")
     return fixed
 
@@ -223,14 +221,14 @@ def group_operad_instance(G):
     return OperadInstance(
         name="group-%s" % G.name,
         arity=lambda t: len(t),
-        compose=lambda x, y, i: group_compose(G, x, y, i),
+        compose=functools.partial(group_compose, G),
         act=tuple_relabel,
         unit=(G.identity,),
     )
 
 
 def random_tuple(G, k, rng):
-    return tuple(rng.randrange(G.order) for _ in range(k))
+    return tuple(map(rng.randrange, itertools.repeat(G.order, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +515,11 @@ def check_fixed_points(G, max_arity=3):
         "conjugation-fixed tuples equal the center tuples and stay closed",
         {"group": G.name, "order": G.order, "max_arity": max_arity},
     )
+    zn = len(G.center())
     for k in range(1, max_arity + 1):
         try:
             fixed = fixed_point_operad(G, k)
-            ok = len(fixed) == len(G.center()) ** k
+            ok = len(fixed) == zn**k
             rep.count(ok, None if ok else "k=%d count %d" % (k, len(fixed)))
         except AssertionError as err:
             rep.count(False, "k=%d: %s" % (k, err))
@@ -554,10 +553,7 @@ def check_group_harness(G, seed=0):
     from .operads import check_associativity, check_equivariance, check_units
 
     op = group_operad_instance(G)
-
-    def sampler(k, rng):
-        return random_tuple(G, k, rng)
-
+    sampler = functools.partial(random_tuple, G)
     reports = []
     for trip in [(1, 1, 1), (2, 2, 2), (2, 1, 2), (3, 2, 2)]:
         reports.append(
@@ -578,4 +574,6 @@ def check_group_harness(G, seed=0):
 def group_from_dict(data, name="loaded"):
     if not isinstance(data, dict):
         raise ValueError("group data must be an object, got %s" % type(data).__name__)
+    if "table" not in data:
+        raise ValueError('group data needs a "table" field')
     return FiniteGroupTable(name, data["table"], data.get("identity", 0))

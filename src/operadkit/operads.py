@@ -206,9 +206,10 @@ def check_equivariance(op, arities, sampler, sample_count, seed=0):
                 ty = acted_y[tau]
                 for i in slots:
                     lhs = compose(sx, ty, sigma[i - 1])
-                    if (sigma, i, tau) not in blocks:
-                        blocks[sigma, i, tau] = perm_block_insert(sigma, i, tau)
-                    rhs = act(blocks[sigma, i, tau], xy[i])
+                    block = blocks.get((sigma, i, tau))
+                    if block is None:
+                        block = blocks[sigma, i, tau] = perm_block_insert(sigma, i, tau)
+                    rhs = act(block, xy[i])
                     ok = lhs == rhs
                     rep.count(
                         ok,

@@ -137,9 +137,10 @@ def test_group_commands_refuse_too_many_tuples(tmp_path, capsys, action):
         {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 7]]},
         {"table": []},
         {"table": 5},
+        {"order": 2},
     ],
     ids=["not-an-object", "identity-out-of-range", "float-entry",
-         "entry-out-of-range", "empty-table", "table-not-a-list"],
+         "entry-out-of-range", "empty-table", "table-not-a-list", "no-table-field"],
 )
 def test_group_commands_reject_malformed_tables(tmp_path, capsys, action, data):
     path = tmp_path / "bad.json"
@@ -149,6 +150,15 @@ def test_group_commands_reject_malformed_tables(tmp_path, capsys, action, data):
     assert out == ""
     assert "cannot load group table" in err
     assert "Traceback" not in err
+
+
+def test_group_table_file_without_a_table_names_the_field(tmp_path, capsys):
+    path = tmp_path / "order-only.json"
+    path.write_text(json.dumps({"order": 2}))
+    code, out, err = run(capsys, "group", "verify", "--table", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "cannot load group table %r: group data needs a \"table\" field" % str(path)
 
 
 def test_verify_with_no_cases_fails(capsys):

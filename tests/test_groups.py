@@ -127,26 +127,81 @@ def test_fixed_points_are_center_powers():
     assert rep.passed, rep.line()
 
 
+def _misplace_first(G, out):
+    # entry 0 becomes the first non-central element of G
+    out = list(out)
+    out[0] = next(x for x in range(G.order) if x not in G.center())
+    return tuple(out)
+
+
+def _misplacing_compose(G, g, h, i, real=groups.group_compose):
+    out = real(G, g, h, i)
+    return _misplace_first(G, out) if len(h) >= 2 else out
+
+
+def _misplacing_substitute(G, g, hs, real=groups.substitute):
+    out = real(G, g, hs)
+    return _misplace_first(G, out) if any(len(h) >= 2 for h in hs) else out
+
+
 def test_fixed_point_closure_sees_a_broken_substitution(monkeypatch):
-    # a substitution that misplaces a non-central entry whenever an inserted
-    # block has two or more entries must fail the closure check
-    import operadkit.groups as groups
-
-    real = groups.substitute
-
-    def misplacing(G, g, hs):
-        out = list(real(G, g, hs))
-        if any(len(h) >= 2 for h in hs):
-            out[0] = next(x for x in range(G.order) if x not in G.center())
-        return tuple(out)
-
+    # a composition that misplaces a non-central entry whenever the inserted
+    # tuple has two or more entries must fail the closure check; the closure
+    # reads group_compose, which maps through the table without substitute
     s3 = symmetric(3)
     assert check_fixed_points(s3).passed
-    monkeypatch.setattr(groups, "substitute", misplacing)
+    monkeypatch.setattr(groups, "group_compose", _misplacing_compose)
     rep = check_fixed_points(s3)
     assert not rep.passed
     assert rep.total == 3
     assert "not closed under substitution" in rep.failures[0]
+
+
+def test_conjugation_equivariance_sees_a_broken_substitution(monkeypatch):
+    s3 = symmetric(3)
+    monkeypatch.setattr(groups, "substitute", _misplacing_substitute)
+    rep = check_conjugation_equivariance(s3, 60, 0)
+    assert (rep.total, len(rep.failures)) == (60, 28)
+
+
+def test_group_harness_sees_a_broken_composition(monkeypatch):
+    # the harness binds groups.group_compose when it runs, so a patch
+    # reaches every composite it makes
+    s3 = symmetric(3)
+    assert all(rep.passed for rep in check_group_harness(s3, 0))
+    monkeypatch.setattr(groups, "group_compose", _misplacing_compose)
+    reps = check_group_harness(s3, 0)
+    assert [len(rep.failures) for rep in reps] == [0, 70, 34, 128, 115, 170, 33]
+    assert [rep.total for rep in reps] == [20, 100, 60, 180, 180, 360, 180]
+
+
+def _random_tuple_by_genexpr(G, k, rng):
+    # oracle: one randrange call per entry, in a generator expression
+    return tuple(rng.randrange(G.order) for _ in range(k))
+
+
+def test_random_tuple_makes_the_draws_of_the_genexpr_oracle():
+    # one bundled group of each order: the draws read only G.order
+    for G in {G.order: G for G in bundled_groups().values()}.values():
+        for seed in (0, 1, 2):
+            new, old = random.Random(seed), random.Random(seed)
+            for k in range(6):
+                assert random_tuple(G, k, new) == _random_tuple_by_genexpr(G, k, old)
+                assert new.getstate() == old.getstate(), (G.name, seed, k)
+
+
+def _center_by_mul(G):
+    # oracle: z is central when z g = g z through mul for every g
+    return tuple(
+        z for z in range(G.order) if all(G.mul(z, g) == G.mul(g, z) for g in range(G.order))
+    )
+
+
+def test_center_matches_the_mul_oracle():
+    lib = bundled_groups()
+    assert len(lib) == 43
+    for G in lib.values():
+        assert G.center() == _center_by_mul(G), G.name
 
 
 def identity_block_compose(G, g, h, i):

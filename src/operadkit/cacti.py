@@ -289,7 +289,11 @@ class PLDiagonal:
 
     The constructor takes rational times in [0, 1), values and slopes, and
     ``times``, ``values``, ``slopes`` and ``eval`` give them back as
-    Fractions.  Equality compares ``canonical()``, which is scale-free."""
+    Fractions.  Two diagonals are equal when their canonical forms are, but
+    ``==`` builds neither: it pairs the kept (slope-change) breakpoints of
+    both sides and compares their times, values and slopes by
+    cross-multiplying the int data over the two moduli.  ``canonical()``,
+    which is scale-free, is the hash."""
 
     __slots__ = ("arity", "period", "moduli", "breaks", "levels", "rates")
 
@@ -365,13 +369,19 @@ class PLDiagonal:
         """Exact value tuple in [0,1)^k at circle time theta."""
         return tuple(Q(x, D) for x, D in self._at(theta.numerator, theta.denominator))
 
+    def _kept(self):
+        """The indices of the slope-change breakpoints, cyclically; [0] for
+        a loop with constant slopes.  Rates of one diagonal share its
+        moduli, so equal rates are equal slopes."""
+        rates = self.rates
+        return [j for j in range(len(rates)) if rates[j] != rates[j - 1]] or [0]
+
     def canonical(self):
         """Slope-change breakpoints only, cyclically, as reduced (num, den)
         pairs of time, values and slopes; a loop with constant slopes is
         anchored at time 0.  Two diagonals are equal as maps iff their
         canonical forms are equal, whatever their moduli."""
         rates, T, moduli = self.rates, self.period, self.moduli
-        keep = [j for j in range(len(rates)) if rates[j] != rates[j - 1]] or [0]
         return (
             self.arity,
             tuple(
@@ -380,12 +390,22 @@ class PLDiagonal:
                     tuple(_reduced(v, M) for v, M in zip(self.levels[j], moduli)),
                     tuple(_reduced(r * T, M) for r, M in zip(rates[j], moduli)),
                 )
-                for j in keep
+                for j in self._kept()
             ),
         )
 
     def __eq__(self, other):
-        return isinstance(other, PLDiagonal) and self.canonical() == other.canonical()
+        if not isinstance(other, PLDiagonal) or self.arity != other.arity:
+            return False
+        mine, theirs = self._kept(), other._kept()
+        T, U, M, N = self.period, other.period, self.moduli, other.moduli
+        return len(mine) == len(theirs) and all(
+            self.breaks[j] * U == other.breaks[h] * T
+            and all(v * n == w * m for v, w, m, n in zip(self.levels[j], other.levels[h], M, N))
+            and all(r * T * n == s * U * m
+                    for r, s, m, n in zip(self.rates[j], other.rates[h], M, N))
+            for j, h in zip(mine, theirs)
+        )
 
     def __hash__(self):
         return hash(self.canonical())
@@ -511,17 +531,21 @@ def verify_equivariance(c, d, i, theta):
     return lhs == rhs
 
 
+def _coend_at(left, dc, dd, i, p, q):
+    """``left`` = diag(c o_i d) agrees with the coEnd composite of dc and dd
+    at circle time p/q (ints, q > 0)."""
+    base = dc._at(p, q)
+    inner = dd._at(*base[i - 1])
+    return _same_points(left._at(p, q), base[: i - 1] + inner + base[i:])
+
+
 def verify_coend(c, d, i, theta):
     """diag(c o_i d) agrees with the coEnd composite of diag(c) and diag(d):
     pointwise at theta and as full PL data (breakpoints and slopes)."""
     left = homotopy_diagonal(compose_i(c, d, i))
     dc, dd = homotopy_diagonal(c), homotopy_diagonal(d)
     right = coend_composite(dc, dd, i)
-    p, q = theta.numerator, theta.denominator
-    base = dc._at(p, q)
-    inner = dd._at(*base[i - 1])
-    pointwise = _same_points(left._at(p, q), base[: i - 1] + inner + base[i:])
-    return pointwise and left == right
+    return _coend_at(left, dc, dd, i, theta.numerator, theta.denominator) and left == right
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +732,12 @@ def check_coend(max_arity=4, samples=1000, seed=0, max_denominator=64):
         ok = verify_coend(c, d, i, theta)
         rep.count(ok, None if ok else "c=%r d=%r i=%d theta=%s" % (c, d, i, theta))
         if n % 100 == 0:
-            boundary = all(
-                verify_coend(c, d, i, t)
-                for t in _breakpoint_times(homotopy_diagonal(compose_i(c, d, i)))
+            # verify_coend at every breakpoint of diag(c o_i d), with the
+            # diagonals, the composite and the PL comparison made once
+            left = homotopy_diagonal(compose_i(c, d, i))
+            dc, dd = homotopy_diagonal(c), homotopy_diagonal(d)
+            boundary = left == coend_composite(dc, dd, i) and all(
+                _coend_at(left, dc, dd, i, t, left.period) for t in left.breaks
             )
             rep.count(boundary, None if boundary else "boundary c=%r d=%r i=%d" % (c, d, i))
     return rep

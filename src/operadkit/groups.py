@@ -153,7 +153,8 @@ def group_compose(G, g, h, i):
     those entries of g are spliced in as they are."""
     if not 1 <= i <= len(g):
         raise ValueError("slot %d out of range 1..%d" % (i, len(g)))
-    return g[: i - 1] + tuple(map(G.table[g[i - 1]].__getitem__, h)) + g[i:]
+    row = G.table[g[i - 1]]
+    return g[: i - 1] + tuple([row[x] for x in h]) + g[i:]
 
 
 def conjugation_act(G, g, t):
@@ -197,18 +198,23 @@ def fixed_point_operad(G, k):
     compared whole with its conjugate by each generator, read off the
     product of that generator's conjugation row; the fixed set is not
     factored into per-entry fixed sets, so arity k is checked on its own.
-    The comparison set Z(G)^k comes from ``G.center()``, which compares
-    rows and columns of the multiplication table and does not read the
-    conjugation table.  Closure reads each composite from
-    ``group_compose``."""
+    The fixed list is lexicographic, and so is Z(G)^k as the product of
+    ``G.center()``, which is ascending, so the two lists are compared as
+    they are, without sorting.  ``G.center()`` compares rows and columns of
+    the multiplication table and does not read the conjugation table.
+    Closure reads each composite from ``group_compose``."""
     require_at_least("arity", k, 1)
-    fixed = _conjugation_fixed(G, k)
-    center = G.center()
-    central = frozenset(center)
-    expected = sorted(itertools.product(center, repeat=k))
-    if sorted(fixed) != expected:
+    return _verified_fixed(G, k, G.center(), _conjugation_fixed(G, 2))
+
+
+def _verified_fixed(G, k, center, pairs):
+    """``fixed_point_operad(G, k)`` with the center and the fixed pairs
+    given, so a sweep over k reads them once; at k = 2 the pairs are the
+    fixed list itself."""
+    fixed = pairs if k == 2 else _conjugation_fixed(G, k)
+    if fixed != list(itertools.product(center, repeat=k)):
         raise AssertionError("fixed tuples differ from the center tuples")
-    pairs = fixed if k == 2 else _conjugation_fixed(G, 2)
+    central = frozenset(center)
     for g in fixed[:8]:
         for h in pairs[:8]:
             for i in range(1, k + 1):
@@ -515,10 +521,12 @@ def check_fixed_points(G, max_arity=3):
         "conjugation-fixed tuples equal the center tuples and stay closed",
         {"group": G.name, "order": G.order, "max_arity": max_arity},
     )
-    zn = len(G.center())
+    center = G.center()
+    pairs = _conjugation_fixed(G, 2)
+    zn = len(center)
     for k in range(1, max_arity + 1):
         try:
-            fixed = fixed_point_operad(G, k)
+            fixed = _verified_fixed(G, k, center, pairs)
             ok = len(fixed) == zn**k
             rep.count(ok, None if ok else "k=%d count %d" % (k, len(fixed)))
         except AssertionError as err:

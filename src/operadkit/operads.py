@@ -24,11 +24,15 @@ recorded as replayable witness strings.
 Each value that does not depend on the inner loop index is computed once
 per sample, not once per case, since compose and act are pure functions
 of their arguments.  Associativity composes x o_i y for each i, y o_j z for
-each j and x o_j z for each j >= 2 once, then one composite on each side
-of every case; the sign (-1)^{|y||z|} is read once.  Equivariance acts by
-each sigma on x and by each tau on y once, composes x o_i y for each i
-once, and keeps the block insertions sigma o_i tau in a dict for the call.
-The random draws and the order of the cases are those of the plain loops.
+each j and x o_j z for each j >= 2 once, into lists by slot, then one
+composite on each side of every case; the sign (-1)^{|y||z|} is read once.
+Equivariance acts by each sigma on x and by each tau on y once, composes
+x o_i y for each i once, and keeps the block insertions sigma o_i tau in a
+dict for the call.  The identity and the adjacent transpositions are built
+once per call, and only the shuffled permutation is drawn where the plain
+loops draw it.  A failing case appends its witness, and the case count
+grows once per block of cases.  The random draws and the order of the
+cases are those of the plain loops.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .exact import perm_block_insert, perm_identity
+from .exact import perm_block_insert, perm_identity, perm_transposition
 
 
 def require_at_least(what, value, least):
@@ -134,51 +138,48 @@ def check_associativity(op, arities, sampler, sample_count, seed=0):
         {"arities": [k, l, m], "samples": sample_count, "seed": seed},
     )
     rng = random.Random(seed)
-    compose = op.compose
+    compose, failures = op.compose, rep.failures
     slots_x, slots_y = range(1, k + 1), range(1, l + 1)
+    disjoint = list(itertools.combinations(slots_x, 2))
     for n in range(sample_count):
         x, y, z = sampler(k, rng), sampler(l, rng), sampler(m, rng)
-        xy = {i: compose(x, y, i) for i in slots_x}
-        yz = {j: compose(y, z, j) for j in slots_y}
+        xy = [compose(x, y, i) for i in slots_x]
+        yz = [compose(y, z, j) for j in slots_y]
         for i in slots_x:
+            xy_i = xy[i - 1]
             for j in slots_y:
-                lhs = compose(xy[i], z, i + j - 1)
-                rhs = compose(x, yz[j], i)
-                ok = lhs == rhs
-                rep.count(
-                    ok,
-                    None if ok else
-                    "nested sample=%d i=%d j=%d x=%r y=%r z=%r" % (n, i, j, x, y, z),
-                )
+                if compose(xy_i, z, i + j - 1) != compose(x, yz[j - 1], i):
+                    failures.append(
+                        "nested sample=%d i=%d j=%d x=%r y=%r z=%r" % (n, i, j, x, y, z)
+                    )
+        rep.total += k * l
         if k < 2:
             continue
-        xz = {j: compose(x, z, j) for j in range(2, k + 1)}
+        xz = [compose(x, z, j) for j in range(2, k + 1)]
         sign = _sign_between(op, y, z)
-        for i, j in itertools.combinations(slots_x, 2):
-            lhs = compose(xy[i], z, j + l - 1)
-            rhs = compose(xz[j], y, i)
+        for i, j in disjoint:
+            lhs = compose(xy[i - 1], z, j + l - 1)
+            rhs = compose(xz[j - 2], y, i)
             if sign != 1:
                 rhs = op.scale(rhs, sign)
-            ok = lhs == rhs
-            rep.count(
-                ok,
-                None if ok else
-                "disjoint sample=%d i=%d j=%d x=%r y=%r z=%r" % (n, i, j, x, y, z),
-            )
+            if lhs != rhs:
+                failures.append(
+                    "disjoint sample=%d i=%d j=%d x=%r y=%r z=%r" % (n, i, j, x, y, z)
+                )
+        rep.total += len(disjoint)
     return rep
 
 
-def _test_perms(k, rng):
-    """Identity, the adjacent transpositions, and one shuffled permutation."""
-    perms = [perm_identity(k)]
-    for a in range(1, k):
-        p = list(range(1, k + 1))
-        p[a - 1], p[a] = p[a], p[a - 1]
-        perms.append(tuple(p))
+def _fixed_perms(k):
+    """The identity and the adjacent transpositions of {1..k}."""
+    return [perm_identity(k)] + [perm_transposition(k, a, a + 1) for a in range(1, k)]
+
+
+def _shuffled(k, rng):
+    """One random permutation of {1..k}, the last test permutation."""
     full = list(range(1, k + 1))
     rng.shuffle(full)
-    perms.append(tuple(full))
-    return perms
+    return tuple(full)
 
 
 def check_equivariance(op, arities, sampler, sample_count, seed=0):
@@ -191,16 +192,18 @@ def check_equivariance(op, arities, sampler, sample_count, seed=0):
         {"arities": [k, l], "samples": sample_count, "seed": seed},
     )
     rng = random.Random(seed)
-    compose, act = op.compose, op.act
+    compose, act, failures = op.compose, op.act, rep.failures
     slots = range(1, k + 1)
+    sigmas, taus = _fixed_perms(k), _fixed_perms(l)
+    block_cases = k * (len(taus) + 1)
     blocks = {}
     for n in range(sample_count):
         x, y = sampler(k, rng), sampler(l, rng)
-        xy = {i: compose(x, y, i) for i in slots}
+        xy = [compose(x, y, i) for i in slots]
         acted_y = {}
-        for sigma in _test_perms(k, rng):
+        for sigma in sigmas + [_shuffled(k, rng)]:
             sx = act(sigma, x)
-            for tau in _test_perms(l, rng):
+            for tau in taus + [_shuffled(l, rng)]:
                 if tau not in acted_y:
                     acted_y[tau] = act(tau, y)
                 ty = acted_y[tau]
@@ -209,13 +212,11 @@ def check_equivariance(op, arities, sampler, sample_count, seed=0):
                     block = blocks.get((sigma, i, tau))
                     if block is None:
                         block = blocks[sigma, i, tau] = perm_block_insert(sigma, i, tau)
-                    rhs = act(block, xy[i])
-                    ok = lhs == rhs
-                    rep.count(
-                        ok,
-                        None if ok else
-                        "sample=%d sigma=%r tau=%r i=%d x=%r y=%r" % (n, sigma, tau, i, x, y),
-                    )
+                    if lhs != act(block, xy[i - 1]):
+                        failures.append(
+                            "sample=%d sigma=%r tau=%r i=%d x=%r y=%r" % (n, sigma, tau, i, x, y)
+                        )
+            rep.total += block_cases
     return rep
 
 
@@ -229,14 +230,14 @@ def check_units(op, max_arity, sampler, sample_count, seed=0):
     if op.unit is None:
         raise ValueError("operad %s is non-unital" % op.name)
     rng = random.Random(seed)
+    compose, unit, failures = op.compose, op.unit, rep.failures
     for n in range(sample_count):
         for k in range(1, max_arity + 1):
             x = sampler(k, rng)
-            ok = op.compose(op.unit, x, 1) == x
-            rep.count(ok, None if ok else "left unit sample=%d k=%d x=%r" % (n, k, x))
+            if compose(unit, x, 1) != x:
+                failures.append("left unit sample=%d k=%d x=%r" % (n, k, x))
             for i in range(1, k + 1):
-                ok = op.compose(x, op.unit, i) == x
-                rep.count(
-                    ok, None if ok else "right unit sample=%d k=%d i=%d x=%r" % (n, k, i, x)
-                )
+                if compose(x, unit, i) != x:
+                    failures.append("right unit sample=%d k=%d i=%d x=%r" % (n, k, i, x))
+            rep.total += k + 1
     return rep

@@ -222,3 +222,68 @@ def test_batches_catch_a_rotation_by_twice_the_angle(monkeypatch):
         "c=<cactus 2: (1,15/64)(2,3/4)(1,1/64)> "
         "d=<cactus 2: (1,1/2)(2,5/16)(1,3/16)> i=1 theta=1/2"
     )
+
+
+def same_map(a, b):
+    """a == b, which must agree with the canonical forms both ways round and
+    give equal hashes when it holds."""
+    equal = a == b
+    assert equal == (b == a) == (a.canonical() == b.canonical())
+    if equal:
+        assert hash(a) == hash(b)
+    return equal
+
+
+def cut_at_midpoints(dg):
+    """The same map with every segment cut at its midpoint: other breakpoints
+    and moduli, no other slope changes."""
+    ends = dg.times[1:] + (Q(1),)
+    mids = [(t + e) / 2 for t, e in zip(dg.times, ends)]
+    times = [t for pair in zip(dg.times, mids) for t in pair]
+    values = [v for t, m in zip(dg.values, mids) for v in (t, dg.eval(m))]
+    slopes = [s for s in dg.slopes for _ in range(2)]
+    return PLDiagonal(dg.arity, times, values, slopes)
+
+
+@given(arities, arities, seeds, seeds, st.integers(5, 8), thetas, st.data())
+def test_diagonal_equality_agrees_with_the_canonical_form(k, l, s1, s2, D, theta, data):
+    c, d = random_cactus(k, s1, D), rotate(random_cactus(l, s2, D), theta)
+    i = data.draw(st.integers(1, k))
+    dc, dd = homotopy_diagonal(c), homotopy_diagonal(d)
+    # equal maps on other moduli and breakpoints
+    assert same_map(homotopy_diagonal(compose_i(c, d, i)), coend_composite(dc, dd, i))
+    assert same_map(dc, cut_at_midpoints(dc))
+    # diagonals of random cacti, equal or not
+    same_map(dc, dd)
+    same_map(dc, homotopy_diagonal(rotate(c, theta)))
+    same_map(cut_at_midpoints(dd), homotopy_diagonal(random_cactus(l, s1, D)))
+
+
+def canonical_fields(dg):
+    """The kept breakpoint times, values and slopes of a canonical form."""
+    return tuple(zip(*dg.canonical()[1]))
+
+
+def test_diagonal_equality_sees_a_single_field_off():
+    # near misses of equal maps, each off in one field of the canonical form
+    # only, so a comparison that skipped that field would call them equal
+    c = SpinelessCactus(4, [(1, Q(1, 4)), (2, Q(1, 8)), (3, Q(1, 4)), (2, Q(1, 8)), (4, Q(1, 4))])
+    d = homotopy_diagonal(c)
+    values = [list(row) for row in d.values]
+    values[2][1] += Q(1, 64)
+    value_off = PLDiagonal(4, d.times, values, d.slopes)
+    # coordinate 4 makes its turn on the first arc, not the last one: the
+    # values at every breakpoint agree, the slopes of two arcs do not
+    slopes = [list(row) for row in d.slopes]
+    slopes[0][3], slopes[4][3] = slopes[4][3], 0
+    slope_off = PLDiagonal(4, d.times, d.values, slopes)
+    # two breakpoints moved so that the one coordinate still winds once
+    times, loop_values, loop_slopes = (0, Q(1, 4), Q(1, 2)), ((0,), (Q(1, 4),), (Q(3, 4),)), ((1,), (2,), (Q(1, 2),))
+    loop = PLDiagonal(1, times, loop_values, loop_slopes)
+    time_off = PLDiagonal(1, (0, Q(11, 32), Q(9, 16)), loop_values, loop_slopes)
+    for a, b, field in [(d, value_off, 1), (d, slope_off, 2), (loop, time_off, 0)]:
+        assert not same_map(a, b)
+        fa, fb = canonical_fields(a), canonical_fields(b)
+        assert [fa[n] == fb[n] for n in range(3)] == [n != field for n in range(3)]
+    assert same_map(d, PLDiagonal(4, d.times, d.values, d.slopes))
+    assert same_map(loop, cut_at_midpoints(loop))

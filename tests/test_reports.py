@@ -16,6 +16,15 @@ from operadkit.reports import (
 )
 
 
+# sha256 of the whole canonical JSON of the fast suite, params included;
+# every change that keeps the suite's verdicts, cases, claims, witnesses and
+# params keeps these bytes
+FAST_SUITE_SHA256 = {
+    0: "b3ae5896df8ced8726011d60676db72d0dc2be56cacf98e060ef0deb51cba45b",
+    1: "0c7dd1d5a594b22eed7726bb3bd29b9968b89cba40e7f4da4e02d3b6c940c759",
+}
+
+
 def make_doc(fail=False):
     doc = ReportDocument("unit", seed=7)
 
@@ -123,6 +132,7 @@ def test_fast_suite_passes_and_is_deterministic(monkeypatch):
     blob1 = doc1.to_json()
     doc2 = default_suite(seed=0, fast=True)
     assert doc2.to_json() == blob1
+    assert hashlib.sha256(blob1.encode()).hexdigest() == FAST_SUITE_SHA256[0]
     ids = [c["check"] for c in json.loads(blob1)["checks"]]
     assert ids == sorted(ids)
     assert len(ids) == len(set(ids))
@@ -138,3 +148,8 @@ def test_fast_suite_passes_and_is_deterministic(monkeypatch):
     pinned = json.loads(reference.read_text())["workloads"]["suite-fast"]
     assert pinned["seed"] == 0
     assert digest == pinned["digest"]
+
+
+def test_fast_suite_bytes_at_another_seed():
+    blob = default_suite(seed=1, fast=True).to_json()
+    assert hashlib.sha256(blob.encode()).hexdigest() == FAST_SUITE_SHA256[1]

@@ -240,7 +240,7 @@ def cut_at_midpoints(dg):
     ends = dg.times[1:] + (Q(1),)
     mids = [(t + e) / 2 for t, e in zip(dg.times, ends)]
     times = [t for pair in zip(dg.times, mids) for t in pair]
-    values = [v for t, m in zip(dg.values, mids) for v in (t, dg.eval(m))]
+    values = [v for row, m in zip(dg.values, mids) for v in (row, dg.eval(m))]
     slopes = [s for s in dg.slopes for _ in range(2)]
     return PLDiagonal(dg.arity, times, values, slopes)
 
@@ -269,6 +269,7 @@ def test_diagonal_equality_sees_a_single_field_off():
     # only, so a comparison that skipped that field would call them equal
     c = SpinelessCactus(4, [(1, Q(1, 4)), (2, Q(1, 8)), (3, Q(1, 4)), (2, Q(1, 8)), (4, Q(1, 4))])
     d = homotopy_diagonal(c)
+    # one value at one kept breakpoint off
     values = [list(row) for row in d.values]
     values[2][1] += Q(1, 64)
     value_off = PLDiagonal(4, d.times, values, d.slopes)
@@ -278,8 +279,8 @@ def test_diagonal_equality_sees_a_single_field_off():
     slopes[0][3], slopes[4][3] = slopes[4][3], 0
     slope_off = PLDiagonal(4, d.times, d.values, slopes)
     # two breakpoints moved so that the one coordinate still winds once
-    times, loop_values, loop_slopes = (0, Q(1, 4), Q(1, 2)), ((0,), (Q(1, 4),), (Q(3, 4),)), ((1,), (2,), (Q(1, 2),))
-    loop = PLDiagonal(1, times, loop_values, loop_slopes)
+    loop_values, loop_slopes = ((0,), (Q(1, 4),), (Q(3, 4),)), ((1,), (2,), (Q(1, 2),))
+    loop = PLDiagonal(1, (0, Q(1, 4), Q(1, 2)), loop_values, loop_slopes)
     time_off = PLDiagonal(1, (0, Q(11, 32), Q(9, 16)), loop_values, loop_slopes)
     for a, b, field in [(d, value_off, 1), (d, slope_off, 2), (loop, time_off, 0)]:
         assert not same_map(a, b)

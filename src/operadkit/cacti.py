@@ -43,6 +43,9 @@ values and slopes; ``arcs``, ``perimeter``, ``lobe_length(s)``, ``times``,
 ``verify_*`` lemmas take an int or Fraction theta; the file format and the
 witness text spell lengths as reduced rationals.  Nothing inside reads those
 views.
+
+Every SpinelessCactus is valid: the rational constructor checks it, and
+the operations preserve it, which the tests check, so none re-checks it.
 """
 
 from __future__ import annotations
@@ -77,8 +80,8 @@ class SpinelessCactus:
     ``word`` is ``((label, n), ...)`` with adjacent same-label arcs merged
     (never across the basepoint: first/last arcs of equal label encode an
     outer marked point interior to a lobe stretch) and gcd(den, all n) = 1.
-    The constructor takes rational lengths; ``arcs``, ``perimeter`` and
-    ``lobe_length(s)`` give them back as Fractions."""
+    The constructor takes rational lengths, refusing what ``validate``
+    finds; ``arcs``, ``perimeter`` and ``lobe_length(s)`` give Fractions."""
 
     __slots__ = ("arity", "den", "word")
 
@@ -89,6 +92,9 @@ class SpinelessCactus:
         self.den, self.word = _normal_word(
             den, [(lab, ln.numerator * (den // ln.denominator)) for lab, ln in arcs]
         )
+        errors = validate(self)
+        if errors:
+            raise ValueError("; ".join(errors))
 
     @property
     def arcs(self):
@@ -193,16 +199,9 @@ def validate(c):
     return errors
 
 
-def _require_valid(c):
-    errors = validate(c)
-    if errors:
-        raise ValueError("; ".join(errors))
-
-
 def rotate(c, theta):
     """Move the outer marked point by theta = p/q of the acting circle:
     scale the lengths by q and re-cut the cyclic word at p * S."""
-    _require_valid(c)
     q = theta.denominator
     p = theta.numerator % q
     if p == 0:
@@ -227,8 +226,6 @@ def compose_i(c, d, i):
     """Pinch d into lobe i of c: over den_c * P_d, c's lengths are scaled by
     P_d and d's by L_i(c); splice d's word into the label-i arcs of c window
     by window, and insert d's labels as the block i..i+l-1."""
-    _require_valid(c)
-    _require_valid(d)
     k, l = c.arity, d.arity
     if not 1 <= i <= k:
         raise ValueError("slot %d out of range 1..%d" % (i, k))
@@ -267,8 +264,8 @@ def compose_i(c, d, i):
 
 def cactus_relabel(perm, c):
     """Symmetric action: lobe j becomes perm(j)."""
-    if len(perm) != c.arity:
-        raise ValueError("permutation size does not match arity")
+    if sorted(perm) != list(range(1, c.arity + 1)):
+        raise ValueError("%r is not a permutation of 1..%d" % (tuple(perm), c.arity))
     return _cactus(c.arity, c.den, [(perm[lab - 1], n) for lab, n in c.word])
 
 
@@ -424,7 +421,6 @@ def _diagonal(arity, period, moduli, breaks, levels, rates):
 def homotopy_diagonal(c):
     """The pinching loop of a cactus, with breakpoints at arc boundaries:
     time modulus S, coordinate moduli the lobe lengths, rates 0 or 1."""
-    _require_valid(c)
     k = c.arity
     lobes = _lobe_units(c)
     moduli = [lobes[m] for m in range(1, k + 1)]
@@ -589,9 +585,7 @@ def random_cactus(k, seed, max_denominator=64):
         return word
 
     c = _cactus(k, D, emit(order[0]))
-    c = rotate(c, Q(rng.randrange(D), D))
-    _require_valid(c)
-    return c
+    return rotate(c, Q(rng.randrange(D), D))
 
 
 def cacti_operad_instance():
@@ -826,6 +820,4 @@ def cactus_from_dict(data):
             word.append((lab, parse_rational(text)))
         except (ValueError, ZeroDivisionError):
             raise ValueError("arc %d length must be a rational p/q, got %r" % (n, text))
-    c = SpinelessCactus(arity, word)
-    _require_valid(c)
-    return c
+    return SpinelessCactus(arity, word)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .exact import perm_block_insert, perm_identity, perm_transposition
+from .exact import koszul_sign, perm_block_insert, perm_identity, perm_transposition
 
 
 def require_at_least(what, value, least):
@@ -126,7 +126,7 @@ class CheckReport:
 def _sign_between(op, y, z):
     if op.degree is None:
         return 1
-    return -1 if (op.degree(y) % 2) and (op.degree(z) % 2) else 1
+    return koszul_sign((2, 1), (op.degree(y), op.degree(z)))
 
 
 def check_associativity(op, arities, sampler, sample_count, seed=0):

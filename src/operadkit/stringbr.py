@@ -12,8 +12,8 @@ than raised: the laws hold for honest BV data but can fail for data that
 merely satisfies the loader invariants.
 
 A transfer pair adds a graded module B with maps tau: B -> A of degree +1
-and p: A -> B of degree 0 subject to D = tau o p and p o tau = 0 (verified
-at load).  The string operations are
+and p: A -> B of degree 0 subject to D = tau o p and p o tau = 0.  The
+string operations are
 
     m_bar_k(a_1, ..., a_k) = p(tau(a_1) ... tau(a_k)),  k >= 2,
 
@@ -39,6 +39,10 @@ j-th basis element, column j of "tau" is the tau-image of the j-th
 B-element, column j of "p" is the p-image of the j-th A-element.  Missing
 product entries default to zero; a missing (j, i) entry is filled from
 (i, j) by graded commutativity.  Rationals are "p/q" strings or integers.
+
+BVAlgebraData and EquivariantPair are plain records: pair_from_dict and
+validate_bv check the laws of the data they read, and the tests certify
+the honest data free_bv_presentation and pair_from_presentation build.
 """
 
 from __future__ import annotations
@@ -75,19 +79,15 @@ def format_vec(vec, names):
 
 class BVAlgebraData:
     """Finite graded-commutative associative algebra with a square-zero
-    degree +1 operator; the four laws are verified at construction."""
+    degree +1 operator; structure_errors lists the laws it breaks."""
 
     __slots__ = ("names", "degrees", "product", "delta")
 
-    def __init__(self, names, degrees, product, delta, check=True):
+    def __init__(self, names, degrees, product, delta):
         self.names = tuple(names)
         self.degrees = tuple(degrees)
         self.product = product
         self.delta = delta
-        if check:
-            errors = structure_errors(self)
-            if errors:
-                raise ValueError("; ".join(errors[:4]))
 
     @property
     def dim(self):
@@ -164,7 +164,7 @@ def structure_errors(data):
                 )
     for i, j in sorted(set(data.product) | {(j, i) for i, j in data.product}):
         lhs = data.product.get((i, j), {})
-        sign = -1 if (deg[i] % 2) and (deg[j] % 2) else 1
+        sign = koszul_sign((2, 1), (deg[i], deg[j]))
         if not _vec_eq(lhs, data.product.get((j, i), {}), sign):
             errors.append("graded commutativity fails at (%s, %s)" % (names[i], names[j]))
     prow, pcol = _product_tables(data)
@@ -247,7 +247,7 @@ def _parse_matrix_cols(rows, nrows, ncols, what):
     return cols
 
 
-def bv_data_from_dict(raw, check=True):
+def bv_data_from_dict(raw):
     names, degrees = _parse_basis(raw["basis"], "basis")
     n = len(names)
     product = {}
@@ -271,10 +271,10 @@ def bv_data_from_dict(raw, check=True):
         product[(i, j)] = {m: c for m, c in entry.items() if c}
     for (i, j) in list(product):
         if (j, i) not in product:
-            sign = -1 if (degrees[i] % 2) and (degrees[j] % 2) else 1
+            sign = koszul_sign((2, 1), (degrees[i], degrees[j]))
             product[(j, i)] = add_into({}, product[(i, j)], sign)
     delta = _parse_matrix_cols(raw.get("delta", [[0] * n for _ in range(n)]), n, n, "delta")
-    return BVAlgebraData(names, degrees, product, delta, check=check)
+    return BVAlgebraData(names, degrees, product, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def validate_bv(raw):
     in the order of the sweep over all pairs, then all triples.
     """
     try:
-        data = bv_data_from_dict(raw, check=False)
+        data = bv_data_from_dict(raw)
     except (ValueError, KeyError, TypeError) as err:
         return BVValidation(["unreadable data: %s" % err], [], None, {})
     errors = structure_errors(data)
@@ -368,13 +368,10 @@ def validate_bv(raw):
         if vec:
             brow[i][j] = bcol[j][i] = add_into({}, vec, -1 if deg[i] % 2 else 1)
 
-    def shift_sign(d1, d2):
-        return -1 if (d1 % 2) and (d2 % 2) else 1
-
     findings = []
     nonzero = {(i, j) for i in range(n) for j in brow[i]}
     for i, j in sorted(nonzero | {(j, i) for i, j in nonzero}):
-        sign = shift_sign(deg[i] + 1, deg[j] + 1)
+        sign = koszul_sign((2, 1), (deg[i] + 1, deg[j] + 1))
         if not _vec_eq(brow[i].get(j, {}), brow[j].get(i, {}), -sign):
             findings.append(("antisymmetry", "(%s, %s)" % (names[i], names[j])))
     triples = (
@@ -385,13 +382,13 @@ def validate_bv(raw):
     for i, j, k in sorted(triples | {(j, i, k) for i, j, k in triples}):
         lhs = _apply(brow[i], brow[j].get(k, {}))
         rhs = _apply(bcol[k], brow[i].get(j, {}))
-        sign = shift_sign(deg[i] + 1, deg[j] + 1)
+        sign = koszul_sign((2, 1), (deg[i] + 1, deg[j] + 1))
         add_into(rhs, _apply(brow[j], brow[i].get(k, {})), sign)
         if not _vec_eq(lhs, rhs):
             findings.append(("jacobi", "(%s, %s, %s)" % (names[i], names[j], names[k])))
         lhs = _apply(brow[i], prow[j].get(k, {}))
         rhs = _apply(pcol[k], brow[i].get(j, {}))
-        sign = shift_sign(deg[i] + 1, deg[j])
+        sign = koszul_sign((2, 1), (deg[i] + 1, deg[j]))
         add_into(rhs, _apply(prow[j], brow[i].get(k, {})), sign)
         if not _vec_eq(lhs, rhs):
             findings.append(("leibniz", "(%s, %s, %s)" % (names[i], names[j], names[k])))
@@ -404,7 +401,7 @@ def validate_bv(raw):
 
 class EquivariantPair:
     """Algebra A with module B, transfer tau (degree +1) and projection p
-    (degree 0) satisfying D = tau o p and p o tau = 0."""
+    (degree 0) satisfying D = tau o p and p o tau = 0 (see pair_errors)."""
 
     __slots__ = ("A", "b_names", "b_degrees", "tau", "p")
 
@@ -414,9 +411,6 @@ class EquivariantPair:
         self.b_degrees = tuple(b_degrees)
         self.tau = tau
         self.p = p
-        errors = pair_errors(self)
-        if errors:
-            raise ValueError("; ".join(errors[:4]))
 
     @property
     def b_dim(self):
@@ -461,10 +455,17 @@ def pair_from_dict(raw):
     if not isinstance(raw["B"], dict) or "basis" not in raw["B"]:
         raise PairDataError("pair data lacks the field 'B.basis'")
     A = bv_data_from_dict(raw)
+    errors = structure_errors(A)
+    if errors:
+        raise ValueError("; ".join(errors[:4]))
     b_names, b_degrees = _parse_basis(raw["B"]["basis"], "B.basis")
     tau = _parse_matrix_cols(raw["tau"], A.dim, len(b_names), "tau")
     p = _parse_matrix_cols(raw["p"], len(b_names), A.dim, "p")
-    return EquivariantPair(A, b_names, b_degrees, tau, p)
+    pair = EquivariantPair(A, b_names, b_degrees, tau, p)
+    errors = pair_errors(pair)
+    if errors:
+        raise ValueError("; ".join(errors[:4]))
+    return pair
 
 
 def m_bar(pair, k, args):
@@ -583,9 +584,7 @@ def check_m_bar_symmetry(pair, k=2, check_id=None):
         for i in range(k - 1):
             swapped = list(tup)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            s1 = pair.b_degrees[tup[i]] + 1
-            s2 = pair.b_degrees[tup[i + 1]] + 1
-            sign = -1 if (s1 % 2) and (s2 % 2) else 1
+            sign = koszul_sign((2, 1), [pair.b_degrees[a] + 1 for a in tup[i : i + 2]])
             ok = _vec_eq(base, m_bar(pair, k, swapped), sign)
             rep.count(ok, None if ok else "swap %d in %r" % (i, tup))
     return rep

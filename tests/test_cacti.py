@@ -2,10 +2,11 @@
 diagonal and its cocycle, coEnd, and equivariance certificates."""
 
 import itertools
+import re
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cacti_oracle
@@ -56,12 +57,16 @@ def test_constructor_merges_adjacent_arcs():
 
 
 def test_validate_flags_each_defect():
+    # the constructor refuses what validate finds
     assert validate(two_lobes()) == []
-    assert validate(SpinelessCactus(2, [(1, 1)])) == ["label 2 missing"]
-    assert "nonpositive" in validate(SpinelessCactus(1, [(1, 0)]))[0]
-    assert "outside" in validate(SpinelessCactus(1, [(2, 1)]))[0]
-    bad = SpinelessCactus(2, [(1, 1), (2, 1), (1, 1), (2, 1)])
-    assert validate(bad) == ["labels 1 and 2 interleave"]
+    with pytest.raises(ValueError, match="^label 2 missing$"):
+        SpinelessCactus(2, [(1, 1)])
+    with pytest.raises(ValueError, match="nonpositive"):
+        SpinelessCactus(1, [(1, 0)])
+    with pytest.raises(ValueError, match="outside"):
+        SpinelessCactus(1, [(2, 1)])
+    with pytest.raises(ValueError, match="^labels 1 and 2 interleave$"):
+        SpinelessCactus(2, [(1, 1), (2, 1), (1, 1), (2, 1)])
 
 
 def _reads_abab(word, pair):
@@ -138,6 +143,24 @@ def test_relabel_is_an_action():
 
     assert cactus_relabel(p, cactus_relabel(q, c)) == cactus_relabel(perm_compose(p, q), c)
     assert cactus_relabel((1, 2, 3), c) == c
+
+
+@pytest.mark.parametrize("perm", [(1, 1), (2, 3)])
+def test_relabel_rejects_a_non_permutation(perm):
+    with pytest.raises(ValueError, match=re.escape("%r is not a permutation of 1..2" % (perm,))):
+        cactus_relabel(perm, random_cactus(2, 0))
+
+
+@settings(derandomize=True, max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6), small_rationals, st.data())
+def test_operations_keep_cacti_valid(k, l, seed, theta, data):
+    # the operations build their results unchecked; this certifies them
+    c, d = random_cactus(k, seed), random_cactus(l, seed + 1)
+    perm = tuple(data.draw(st.permutations(range(1, k + 1))))
+    assert validate(rotate(c, theta)) == []
+    assert validate(cactus_relabel(perm, c)) == []
+    for i in range(1, k + 1):
+        assert validate(compose_i(c, d, i)) == []
 
 
 def test_diagonal_hand_values():

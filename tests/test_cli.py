@@ -438,16 +438,29 @@ def test_string_pair_commands_reject_malformed_pair_entries(
     assert "Traceback" not in err
 
 
-def test_string_pair_law_failures_keep_exit_1(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "path, value, bad",
+    [
+        (("tau",), [["0"], ["0"]], "delta != tau o p at e"),
+        # the algebra's laws are checked before the pair's
+        (
+            ("product", 3),
+            [1, 1, ["1", "0"]],
+            "product u*u hits e of wrong degree; graded commutativity fails at (u, u)",
+        ),
+    ],
+    ids=["pair-law", "algebra-law"],
+)
+def test_string_pair_law_failures_keep_exit_1(capsys, tmp_path, path, value, bad):
     with open(os.path.join(DATA, "bv_two_dim.json")) as fh:
         raw = json.load(fh)
-    raw["tau"] = [["0"] * len(row) for row in raw["tau"]]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(raw))
-    code, out, err = run(capsys, "string", "transfer-lie", "--data", str(path))
+    _set_path(raw, path, value)
+    data = tmp_path / "bad.json"
+    data.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "string", "transfer-lie", "--data", str(data))
     assert code == 1
     assert out == ""
-    assert "pair data rejected: delta != tau o p" in err
+    assert "pair data rejected: %s\n" % bad in err
 
 
 @pytest.mark.parametrize(

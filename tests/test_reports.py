@@ -23,6 +23,8 @@ FAST_SUITE_SHA256 = {
     0: "b3ae5896df8ced8726011d60676db72d0dc2be56cacf98e060ef0deb51cba45b",
     1: "0c7dd1d5a594b22eed7726bb3bd29b9968b89cba40e7f4da4e02d3b6c940c759",
 }
+# the same digest for the default suite at seed 0
+DEFAULT_SUITE_SHA256 = "8c89e7d5fc7ca4856b1e02798a7fcd10121a623c2fb9f2f03a0ca90853d31aec"
 
 
 def make_doc(fail=False):
@@ -153,3 +155,8 @@ def test_fast_suite_passes_and_is_deterministic(monkeypatch):
 def test_fast_suite_bytes_at_another_seed():
     blob = default_suite(seed=1, fast=True).to_json()
     assert hashlib.sha256(blob.encode()).hexdigest() == FAST_SUITE_SHA256[1]
+
+
+def test_default_suite_bytes():
+    blob = default_suite(seed=0).to_json()
+    assert hashlib.sha256(blob.encode()).hexdigest() == DEFAULT_SUITE_SHA256

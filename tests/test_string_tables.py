@@ -130,7 +130,7 @@ def dense_validate(raw):
     every basis pair and triple, with the bracket of every pair computed."""
     _apply, _vec_eq = stringbr._apply, stringbr._vec_eq
     try:
-        data = stringbr.bv_data_from_dict(raw, check=False)
+        data = stringbr.bv_data_from_dict(raw)
     except (ValueError, KeyError, TypeError) as err:
         return ["unreadable data: %s" % err], [], {}
     errors = dense_structure_errors(data)
@@ -295,7 +295,7 @@ def test_associativity_failing_only_on_the_right_is_found():
     # left side (a.b).b is zero and the right side a.(b.b) = x is not
     names, degrees = ("a", "b", "c", "x"), (0, 0, 0, 0)
     product = {(1, 1): {2: 1}, (0, 2): {3: 1}, (2, 0): {3: 1}}
-    data = stringbr.BVAlgebraData(names, degrees, product, {}, check=False)
+    data = stringbr.BVAlgebraData(names, degrees, product, {})
     want = ["associativity fails at (a, b, b)", "associativity fails at (b, b, a)"]
     assert stringbr.structure_errors(data) == dense_structure_errors(data) == want
 

@@ -16,6 +16,7 @@ from operadkit.stringbr import (
     free_bv_presentation,
     m_bar,
     m_bar_table,
+    pair_errors,
     pair_from_dict,
     pair_from_presentation,
     structure_errors,
@@ -181,7 +182,8 @@ def test_supports_family_must_close_under_unions():
 def test_pair_from_presentation_invariants():
     for k in (2, 3):
         pair = pair_from_presentation(free_bv_presentation(k))
-        # constructor re-runs pair_errors; spot check tau degrees anyway
+        assert pair_errors(pair) == []
+        assert structure_errors(pair.A) == []
         for j, col in pair.tau.items():
             for r, c in col.items():
                 assert pair.A.degrees[r] == pair.b_degrees[j] + 1

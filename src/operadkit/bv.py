@@ -24,10 +24,12 @@ three-block relation of the bracket is in force.  The deviation identity
 is then a theorem checked by check_bv_relations, not an input, which pins
 the sign conventions of the underlying bracket engine.  Delta raises degree
 by the bracket degree b, squares to zero, and is a derivation of compose_i.
-check_bv_relations reads four tables that live for one call: the Delta
-terms of each arity-k monomial, the c side of each letter split with its
-Delta, and the bracket and the product of each monomial pair of the split;
-it enumerates the basis of each letter count once.
+check_bv_relations works on monomials, not elements, and reads four tables
+that live for one call: the Delta terms of each arity-k monomial and the c
+side of each letter split with its Delta, both from _delta_mono, and the
+bracket and the product of each monomial pair of the split, from
+poisson._bracket_terms and poisson.merge_monos; it enumerates the basis of
+each letter count once.
 
 BV elements decorate each input slot with an exterior generator of degree b
 (the homology of the framing circle); a decoration is the subset of marked
@@ -58,7 +60,7 @@ from .poisson import (
     enumerate_basis,
     gen,
     mono_degree,
-    relabel,
+    relabel_tree,
     sigma_act,
     tree_bracket,
     tree_nleaves,
@@ -68,25 +70,19 @@ from .poisson import (
 # Delta on poisson elements
 
 
-def delta_apply(x, index=None):
-    """Circle operator on a poisson element; degree rises by b.  Given
-    ``index``, a map from the monomials of the target degree to rows, the
-    result is instead the terms dict of Delta(x) keyed by row."""
-    return _delta(x, True, index)
-
-
-def _delta(x, signed, index=None):
+def delta_apply(x):
+    """Circle operator on a poisson element; degree rises by b."""
     out = {}
     for mono, c in x.terms.items():
-        terms = _delta_mono(mono, signed, index)
+        terms = _delta_mono(mono, True)
         if not out and c == 1:
             out = terms  # a fresh dict: taken over, not copied
         else:
             add_into(out, terms, c)
-    return out if index is not None else PoissonElement._of(x.support, out)
+    return PoissonElement._of(x.support, out)
 
 
-def _delta_mono(mono, signed, index=None):
+def _delta_mono(mono, signed):
     # The pairwise sum of the module docstring, as a terms dict.  Bj moves
     # left past B(i,j) to meet Bi, and [Bi, Bj] has head min(Bi), so the
     # blocks stay sorted.  Unrolling the recursion, level i leaves the prefix
@@ -94,8 +90,7 @@ def _delta_mono(mono, signed, index=None):
     # carries the biderivation sign of poisson._bracket_terms times the swap
     # of [Bi, Bj] to the front: (-1)^{|B(i,j)| |Bj|}.  signed=False drops the
     # prefix, the negative control of check_bv_relations.  Distinct (i, j) or
-    # trees give distinct monomials.  With ``index`` (monomial -> row of the
-    # target slice) each term is keyed by its row instead of its monomial.
+    # trees give distinct monomials.
     odd = [(tree_nleaves(t) - 1) % 2 for t in mono]
     out = {}
     lead = 1
@@ -108,8 +103,7 @@ def _delta_mono(mono, signed, index=None):
             sign = -lead if between and odd[j] else lead
             rest = mono[i + 1:j] + mono[j + 1:]
             for tree, c in tree_bracket(mono[i], mono[j]).items():
-                m = head + (tree,) + rest
-                out[m if index is None else index[m]] = sign * c
+                out[head + (tree,) + rest] = sign * c
             between ^= odd[j]
     return out
 
@@ -302,22 +296,24 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
     deviation of Delta from a product derivation is the bracket, and Delta
     is a graded derivation of the bracket.  Returns three reports.
 
+    The sweep runs on monomials and terms dicts, not elements: every Delta
+    is ``_delta_mono(m, signed)``, and ``_corrupt_delta`` sets signed=False.
     Four tables live for one call, beside the bases of 1..k letters, each
     enumerated once.  The Delta table maps each arity-k monomial, when
-    first met, to its terms under ``delta``; Delta is linear, so
+    first met, to its ``_delta_mono`` terms; Delta is linear, so
     Delta(Delta x), Delta(a.c) and Delta([a, c]) are sums of its rows.  For
     each split of the letters into (aset, cset), every (cmono, c, Delta c)
-    is made once, before the loop over a.  Per split, the pair table maps
-    each monomial pair to poisson._bracket_terms, and the product table to
-    {monomial: sign} from poisson.merge_monos: the terms of a.c, Delta(a).c,
-    a.Delta(c), [a, c], [Delta a, c] and [a, Delta c] are all read there.
-    b enters only through the parity of |a|, which for odd b is that of
-    b = 1, so the b = 3 battery repeats the b = 1 arithmetic."""
+    is made once, before the loop over a, with c = ``_embed(cmono, cset)``.
+    Per split, the pair table maps each monomial pair to
+    poisson._bracket_terms, and the product table to {monomial: sign} from
+    poisson.merge_monos: the terms of a.c, Delta(a).c, a.Delta(c), [a, c],
+    [Delta a, c] and [a, Delta c] are all read there.  b enters only
+    through the parity of |a|, which for odd b is that of b = 1, so the
+    b = 3 battery repeats the b = 1 arithmetic."""
     require_at_least("arity", k, 2)  # arity 1 has no products and no pairs
     check_bracket_degree(b)
-    delta = (lambda x: _delta(x, signed=False)) if _corrupt_delta else delta_apply
+    signed = not _corrupt_delta
     bases = {s: enumerate_basis(s) for s in range(1, k + 1)}
-    support = frozenset(range(1, k + 1))
     images = {}  # the Delta table
     pairs, products = {}, {}  # the pair and product tables of the current split
 
@@ -326,7 +322,7 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
         for m, c in terms.items():
             row = images.get(m)
             if row is None:
-                row = images[m] = delta(PoissonElement._of(support, {m: 1})).terms
+                row = images[m] = _delta_mono(m, signed)
             add_into(out, row, c)
         return out
 
@@ -368,15 +364,13 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
             cset = tuple(sorted(set(range(1, k + 1)) - set(aset)))
             cs = []
             for cmono in bases[len(cset)]:
-                c = _embed(cmono, cset)
-                (mc,) = c.terms
-                cs.append((cmono, mc, delta(c).terms))
+                mc = _embed(cmono, cset)
+                cs.append((cmono, mc, _delta_mono(mc, signed)))
             pairs.clear()
             products.clear()
             for amono in bases[asize]:
-                a = _embed(amono, aset)
-                (ma,) = a.terms
-                da = delta(a).terms
+                ma = _embed(amono, aset)
+                da = _delta_mono(ma, signed)
                 # (-1)^{|a|}; the derivation law's (-1)^{|a|+b} is -sign, b odd
                 sign = -1 if mono_degree(amono, b) % 2 else 1
                 for cmono, mc, dc in cs:
@@ -402,8 +396,7 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
 
 
 def _embed(mono, letters):
-    """Poisson element for a basis monomial on 1..s relabeled into the
-    letter set ``letters`` (ascending)."""
+    """The basis monomial ``mono`` on 1..s relabeled into the letter set
+    ``letters`` (ascending): order-preserving, so the result is normal."""
     mapping = {j + 1: letters[j] for j in range(len(letters))}
-    base = PoissonElement(range(1, len(letters) + 1), {mono: 1})
-    return relabel(base, mapping)
+    return tuple(relabel_tree(t, mapping) for t in mono)

@@ -11,13 +11,13 @@ bracket family iota_k = Delta(x1...xk), generation of the kernel by that
 family, the embedded bracket suboperad of dimension (k-1)!, and the
 agreement of the b=3 and b=1 dimension tables under degree tripling.
 
-Each Delta matrix is built once per degree from one basis pass, a single
-``delta_apply`` per basis monomial filling both its rows and its columns.
-Given the next slice's row index, ``delta_apply`` keys each term by its row
-as it makes the term, so no monomial of the image is built or hashed twice.
-A kernel vector's certificate is the sum of those column images weighted by
-its coefficients, which by linearity is Delta of the vector and must be
-exactly zero.
+One basis pass buckets the basis by degree, and each Delta matrix is built
+once per degree, a single ``delta_apply`` per basis monomial giving its
+column image; the image's terms are entered into the rows through the next
+slice's row index.  A kernel vector's certificate is the sum of those column
+images weighted by its coefficients, which by linearity is Delta of the
+vector and must be exactly zero.  ``check_free_module`` needs only ranks, so
+each slice's images are let go before its rows are eliminated.
 
 Generated sub-sequences are grown, not recomputed: each (arity, degree)
 keeps one incremental ``Echelon``, a candidate is eliminated once when it
@@ -60,31 +60,33 @@ from .poisson import (
 )
 
 
-def _delta_slices(k, b=1):
-    """Yield (degree, cols, images, matrix) for each degree b*j, j < k: the
-    slice's basis ``cols`` in enumeration order and the matrix of Delta into
-    the next slice, one row per target monomial in enumeration order, both
-    as its rows and as its columns: ``images[c]`` is Delta(cols[c]) as a
-    dict row -> coefficient.  One basis pass buckets the arity by degree,
-    and each basis monomial goes through ``delta_apply`` once, with the
-    target slice's index, so the image comes out keyed by row."""
-    slices = {}
+def _degree_slices(k, b=1):
+    """The arity-k basis bucketed by degree: {b*j: its monomials in
+    enumeration order} for j < k, in degree order, from one basis pass."""
+    slices = {b * j: [] for j in range(k)}
     for mono in enumerate_basis(k):
-        slices.setdefault(b * (k - len(mono)), []).append(mono)
+        slices[b * (k - len(mono))].append(mono)
+    return slices
+
+
+def _delta_slice(k, slices, degree, b=1):
+    """(cols, images, matrix) of Delta from ``slices[degree]`` into the next
+    slice.  ``cols`` is the slice's basis, ``images[c]`` is
+    delta_apply(cols[c]) as a dict row -> coefficient, and the matrix has
+    one row per target monomial in enumeration order.  Rows and images are
+    separate dicts, so eliminating the rows leaves the images as they are."""
+    cols = slices[degree]
+    index = {mono: r for r, mono in enumerate(slices.get(degree + b, []))}
+    rows = [{} for _ in index]
     support = frozenset(range(1, k + 1))
-    for j in range(k):
-        degree = b * j
-        cols = slices[degree]
-        targets = slices.get(degree + b, [])
-        index = {mono: r for r, mono in enumerate(targets)}
-        rows = [{} for _ in targets]
-        images = []
-        for c, mono in enumerate(cols):
-            image = delta_apply(PoissonElement._of(support, {mono: 1}), index)
-            images.append(image)
-            for r, v in image.items():
-                rows[r][c] = v
-        yield degree, cols, images, SparseMatrix(len(cols), rows)
+    images = []
+    for c, mono in enumerate(cols):
+        image = {}
+        for m, v in delta_apply(PoissonElement._of(support, {mono: 1})).terms.items():
+            r = index[m]
+            image[r] = rows[r][c] = v
+        images.append(image)
+    return cols, images, SparseMatrix(len(cols), rows)
 
 
 class GravityBasis:
@@ -106,14 +108,22 @@ class GravityBasis:
                 yield d, x
 
 
+def _require_arity(k):
+    """Refuse an arity below 2, naming it; see the module docstring."""
+    why = ": Delta = 0 there, so the kernel is not the image" if k == 1 else ""
+    if k < 2:
+        raise ValueError("arity must be at least 2, got %r%s" % (k, why))
+
+
 def gravity_basis(k, b=1):
     """Exact kernel of Delta per degree; rejects the unary arity."""
-    if k < 2:
-        raise ValueError("gravity model starts at arity 2")
+    _require_arity(k)
     check_bracket_degree(b)
     support = frozenset(range(1, k + 1))
+    slices = _degree_slices(k, b)
     elements = {}
-    for degree, cols, images, matrix in _delta_slices(k, b):
+    for degree in slices:
+        cols, images, matrix = _delta_slice(k, slices, degree, b)
         span = []
         for vec in matrix.kernel_basis():
             image = {}
@@ -131,32 +141,26 @@ def moduli_dimension_oracle(k, b=1):
     """Independent per-degree dimension table: coefficients of
     t^b prod_{j=2}^{k-1}(1 + j t^b), multiplied out in u = t^b so that no
     list is as long as b."""
-    if k < 2:
-        raise ValueError("oracle starts at arity 2")
+    _require_arity(k)
     check_bracket_degree(b)
     return poly_coeffs_product([1, j] for j in range(2, k)).scaled_degrees(b).shifted(b)
 
 
 def check_free_module(k, b=1):
-    """ker Delta = im Delta per degree, and total kernel dimension k!/2."""
-    if k < 2:
-        raise ValueError(
-            "arity 1 rejected: Delta = 0 there, so the kernel is not the image"
-        )
+    """ker Delta = im Delta per degree, and total kernel dimension k!/2.
+    Only the ranks are kept: each slice's images go with its tuple, before
+    its rows are eliminated."""
+    _require_arity(k)
     rep = CheckReport(
         "gravity-free-module-%d-b%d" % (k, b),
         "ker Delta equals im Delta in every degree and has total dimension k!/2",
         {"arity": k, "bracket_degree": b},
     )
+    slices = _degree_slices(k, b)
+    ranks = {d: _delta_slice(k, slices, d, b)[2].rank() for d in slices}
     total = 0
-    dims = {}
-    ranks = {}
-    for degree, cols, _, matrix in _delta_slices(k, b):
-        ranks[degree] = matrix.rank()
-        dims[degree] = len(cols)
-    for j in range(k):
-        degree = b * j
-        ker_dim = dims[degree] - ranks[degree]
+    for degree, cols in slices.items():
+        ker_dim = len(cols) - ranks[degree]
         im_dim = ranks.get(degree - b, 0)
         total += ker_dim
         ok = ker_dim == im_dim

@@ -295,32 +295,40 @@ def _bracket_terms(m1, m2):
     with e_i = (-1)^{|B>i| (|N| + b)} moving Bi out of M to the right,
     d_j = (-1)^{|C<j| (|Bi| + b)} moving Bi into N past C<j, and the Koszul
     sign of sorting the blocks by minimum letter.  Distinct pairs (i, j) or
-    trees give distinct monomials."""
-    odd1 = [_block_odd(t) for t in m1]
-    odd2 = [_block_odd(t) for t in m2]
-    min1 = [tree_min(t) for t in m1]
-    min2 = [tree_min(t) for t in m2]
-    n_sh = not sum(odd2) % 2  # |N| + b, b odd
+    trees give distinct monomials.  The blocks of M and N are merged by
+    least letter once; the (i, j) term is the merged list with the lower L
+    of Bi and Cj replaced by the tree and the higher H dropped.  Counting
+    the odd-odd inversions of the word against the merged list, the sign is
+    (-1)^E, E = inv(M.N) + (odd C-blocks before L) + (odd B-blocks after L)
+    + |H| (odd blocks between L and H + [L is Cj] (1 + |L|)), where inv(M.N)
+    counts the odd-odd pairs (Bk, Cl) with min Bk > min Cl."""
+    p = len(m1)
+    blocks = m1 + m2
+    order = sorted(range(len(blocks)), key=lambda n: tree_min(blocks[n]))
+    merged = tuple(blocks[n] for n in order)
+    odd = [_block_odd(blocks[n]) for n in order]
+    at = {n: s for s, n in enumerate(order)}  # block -> its place in merged
+    outer, inv, before_n, after_m = [], 0, 0, sum(_block_odd(t) for t in m1)
+    for n, o in zip(order, odd):
+        if n < p:
+            after_m -= o
+        outer.append(before_n + after_m)
+        if n >= p and o:
+            before_n += 1
+            inv += after_m
     out = {}
-    after = sum(odd1)
     for i, bi in enumerate(m1):
-        after -= odd1[i]
-        e = -1 if after % 2 and n_sh else 1
-        bi_sh = not odd1[i]
-        before = 0
+        u = at[i]
         for j, cj in enumerate(m2):
-            d = -1 if before % 2 and bi_sh else 1
-            before += odd2[j]
-            # the bracket block sits at position i + j until the sort
-            word = list(m1[:i] + m2[:j] + (None,) + m2[j + 1:] + m1[i + 1:])
-            t_min, t_odd = min(min1[i], min2[j]), (odd1[i] + odd2[j] + 1) % 2
-            mins = min1[:i] + min2[:j] + [t_min] + min2[j + 1:] + min1[i + 1:]
-            odds = odd1[:i] + odd2[:j] + [t_odd] + odd2[j + 1:] + odd1[i + 1:]
-            sign = e * d * koszul_sign(mins, odds)
-            order = sorted(range(len(word)), key=mins.__getitem__)
+            v = at[p + j]
+            lo, hi = (u, v) if u < v else (v, u)
+            e = inv + outer[lo]
+            if odd[hi]:
+                e += sum(odd[lo + 1:hi]) + (order[lo] >= p and not odd[lo])
+            sign = -1 if e % 2 else 1
+            head, rest = merged[:lo], merged[lo + 1:hi] + merged[hi + 1:]
             for tree, c in tree_bracket(bi, cj).items():
-                word[i + j] = tree
-                out[tuple(word[o] for o in order)] = sign * c
+                out[head + (tree,) + rest] = sign * c
     return out
 
 

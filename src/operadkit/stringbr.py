@@ -250,8 +250,10 @@ def _parse_matrix_cols(rows, nrows, ncols, what):
 def bv_data_from_dict(raw):
     names, degrees = _parse_basis(raw["basis"], "basis")
     n = len(names)
-    product = {}
-    for e, item in enumerate(raw.get("product", [])):
+    product, items = {}, raw.get("product", [])
+    if not isinstance(items, (list, tuple)):
+        raise PairDataError("product must be a list, got %s" % type(items).__name__)
+    for e, item in enumerate(items):
         if not (isinstance(item, (list, tuple)) and len(item) == 3
                 and all(type(x) is int for x in item[:2])
                 and isinstance(item[2], (list, tuple))):
@@ -641,9 +643,7 @@ def free_bv_presentation(k, supports=None):
     for support in family:
         sub = tuple(sorted(support))
         for x in enumerate_basis(len(sub)):
-            # an order-preserving relabel: one term, still normal, coefficient 1
-            (mono,) = _embed(x, sub).terms
-            basis.append((support, mono))
+            basis.append((support, _embed(x, sub)))
     index = {key: n for n, key in enumerate(basis)}
     names = tuple("m%d" % n for n in range(len(basis)))
     degrees = tuple(mono_degree(mono) for _, mono in basis)

@@ -4,27 +4,31 @@ This is the ``check_bv_relations`` that ``operadkit.bv`` ran before the
 battery read its Delta images and brackets from per-call tables.  It forms
 every a, c, Delta a, Delta c, product and bracket afresh as a
 ``PoissonElement`` for each pair, so ``test_bv.py`` can compare the two
-verdicts, case counts and witness lists.
+verdicts, case counts and witness lists.  It embeds a and c with its own
+element-level ``relabel``, not the battery's monomial ``_embed``, and its
+negative control applies the unsigned Delta element by element.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from operadkit.bv import _delta, _embed, delta_apply
+from operadkit.bv import _delta_mono, delta_apply
+from operadkit.exact import add_into
 from operadkit.operads import CheckReport, require_at_least
 from operadkit.poisson import (
     PoissonElement,
     check_bracket_degree,
     enumerate_basis,
     mono_degree,
+    relabel,
 )
 
 
 def check_bv_relations(k, b=1, _corrupt_delta=False):
     require_at_least("arity", k, 2)
     check_bracket_degree(b)
-    delta = (lambda x: _delta(x, signed=False)) if _corrupt_delta else delta_apply
+    delta = _unsigned_delta if _corrupt_delta else delta_apply
     basis = enumerate_basis(k)
     support = frozenset(range(1, k + 1))
 
@@ -68,3 +72,19 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
                     rep_der.count(ok, None if ok else witness)
 
     return [rep_sq, rep_dev, rep_der]
+
+
+def _unsigned_delta(x):
+    """Delta with its prefix signs dropped, the battery's negative control."""
+    out = {}
+    for mono, c in x.terms.items():
+        add_into(out, _delta_mono(mono, False), c)
+    return PoissonElement(x.support, out)
+
+
+def _embed(mono, letters):
+    """Poisson element for a basis monomial on 1..s relabeled into the
+    letter set ``letters`` (ascending)."""
+    mapping = {j + 1: letters[j] for j in range(len(letters))}
+    base = PoissonElement(range(1, len(letters) + 1), {mono: 1})
+    return relabel(base, mapping)

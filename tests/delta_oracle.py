@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 
 from operadkit.bv import delta_apply
 from operadkit.exact import GradedDims, add_into, scalar
-from operadkit.gravity import GravityBasis, _delta_slices
+from operadkit.gravity import GravityBasis, _degree_slices, _delta_slice
 from operadkit.operads import CheckReport
 from operadkit.poisson import PoissonElement, check_bracket_degree, enumerate_basis
 
@@ -168,7 +168,8 @@ def borel_homology(k, b=1):
         raise ValueError("arity must be positive")
     out = {}
     prev_rank = 0
-    for degree, cols, _, matrix in _delta_slices(k, b):
+    slices = _degree_slices(k, b)
+    for degree, cols in slices.items():
         out[degree] = len(cols) - prev_rank
-        prev_rank = matrix.rank()
+        prev_rank = _delta_slice(k, slices, degree, b)[2].rank()
     return GradedDims(out)

@@ -1,22 +1,29 @@
 """The closed pairwise-block formulas of Delta and of the monomial bracket
-against the Leibniz recursions they replaced, kept here as test oracles."""
+against the Leibniz recursions they replaced, kept here as test oracles, and
+the merged monomial bracket against the sorted-word one it replaced."""
 
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from operadkit.bv import _delta_mono
 from operadkit.poisson import (
     PoissonElement,
     _bracket_terms,
     _block_odd,
+    comb,
     enumerate_basis,
     from_mono,
     mono_support,
     relabel,
     tree_bracket,
+    tree_min,
     tree_nleaves,
 )
+
+import bracket_oracle
 
 MAX_ARITY = 6
 
@@ -98,6 +105,40 @@ def test_pairwise_delta_equals_the_recursion_on_every_basis_monomial(signed):
 def test_pairwise_bracket_equals_the_recursion_on_disjoint_basis_pairs():
     seen = 0
     for m1, m2 in disjoint_pairs(MAX_ARITY):
-        assert _bracket_terms(m1, m2) == oracle_bracket_monos(m1, m2).terms, (m1, m2)
+        got = _bracket_terms(m1, m2)
+        assert got == oracle_bracket_monos(m1, m2).terms, (m1, m2)
+        assert list(got.items()) == list(bracket_oracle.bracket_terms(m1, m2).items())
         seen += 1
     assert seen == 4166  # sum over n <= 6 of (n - 1) n!
+
+
+def _monomial(draw, letters):
+    """A normal monomial on ``letters``, cut into blocks at drawn places;
+    each block is the comb headed by its least letter, the rest in the
+    drawn order.  A block of s letters has degree parity s - 1."""
+    n = len(letters)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    blocks = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        part = letters[lo:hi]
+        blocks.append(comb(min(part), [x for x in part if x != min(part)]))
+    return tuple(sorted(blocks, key=tree_min))
+
+
+@st.composite
+def disjoint_monomial_pairs(draw):
+    n = draw(st.integers(2, 8))
+    letters = draw(st.permutations(range(1, n + 1)))
+    split = draw(st.integers(1, n - 1))
+    return _monomial(draw, letters[:split]), _monomial(draw, letters[split:])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(disjoint_monomial_pairs())
+# odd and even blocks on both sides, interleaved by least letter
+@example((((1, 5), 3, (6, 7)), (2, (4, 8))))
+@example(((2, (4, 8)), ((1, 5), 3, (6, 7))))
+def test_merged_bracket_equals_the_sorted_word_reference(pair):
+    m1, m2 = pair
+    want = bracket_oracle.bracket_terms(m1, m2)
+    assert list(_bracket_terms(m1, m2).items()) == list(want.items())

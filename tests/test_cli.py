@@ -21,6 +21,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "free-module"], ["dims", "grav"], ["dims", "moduli"]]
+)
+@pytest.mark.parametrize(
+    "arity, bad",
+    [
+        ("0", "arity must be at least 2, got 0"),
+        ("1", "arity must be at least 2, got 1: Delta = 0 there, so the kernel is not the image"),
+    ],
+)
+def test_gravity_commands_name_the_refused_arity(capsys, argv, arity, bad):
+    code, out, err = run(capsys, *argv, "--arity", arity)
+    assert (code, out) == (2, "")
+    assert err == "error: %s\n" % bad
+
+
 def test_dims_tables(capsys):
     code, out, _ = run(capsys, "dims", "grav", "--arity", "3")
     assert code == 0
@@ -436,6 +452,29 @@ def test_string_pair_commands_reject_malformed_pair_entries(
     assert out == ""
     assert "cannot load pair data '%s': %s" % (data, bad) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "value, bad",
+    [({}, "product must be a list, got dict"), ("", "product must be a list, got str"),
+     (0, "product must be a list, got int")],
+    ids=["dict", "empty-str", "int"],
+)
+def test_string_commands_refuse_a_product_that_is_not_a_list(tmp_path, capsys, value, bad):
+    # an empty dict or string once read as no products at all, and an int
+    # ended in a TypeError
+    with open(os.path.join(DATA, "bv_two_dim.json")) as fh:
+        raw = json.load(fh)
+    raw["product"] = value
+    data = tmp_path / "bad.json"
+    data.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "string", "transfer-lie", "--data", str(data))
+    assert (code, out) == (2, "")
+    assert "cannot load pair data '%s': %s" % (data, bad) in err
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, "string", "validate", "--data", str(data))
+    assert code == 1
+    assert out.splitlines() == ["REJECT 1 structural errors", "  unreadable data: " + bad]
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,8 @@ from operadkit.bv import delta_apply
 from operadkit.exact import Echelon, GradedDims
 from operadkit.gravity import (
     _closure_dims,
-    _delta_slices,
+    _degree_slices,
+    _delta_slice,
     bracket_generator,
     check_free_module,
     check_generation,
@@ -92,7 +93,9 @@ def test_engine_and_delta_eliminations_stay_integral():
                     assert _integral(compose_i(x, y, i).terms)
     # the slices are admitted last row first, and still only meet pivots +-1
     for b, k in itertools.product((1, 3), range(2, 7)):
-        for degree, _, images, matrix in _delta_slices(k, b):
+        slices = _degree_slices(k, b)
+        for degree in slices:
+            _, images, matrix = _delta_slice(k, slices, degree, b)
             assert all(_integral(image) for image in images), (b, k, degree)
             ech = matrix._echelon()
             assert all(_integral(row) for row in ech.rows.values()), (b, k, degree)
@@ -108,9 +111,11 @@ def test_delta_slices_match_the_per_degree_matrices():
     # one basis pass gives the per-degree enumerations, and the rows of each
     # slice are the entries of the (row, col)-keyed matrix, row by row
     for b, k in itertools.product((1, 3), range(2, 7)):
-        for j, (degree, cols, images, matrix) in enumerate(_delta_slices(k, b)):
+        slices = _degree_slices(k, b)
+        assert list(slices) == [b * j for j in range(k)]
+        for degree in slices:
+            cols, images, matrix = _delta_slice(k, slices, degree, b)
             want, want_cols, want_rows = delta_oracle.delta_matrix(k, degree, b)
-            assert degree == b * j
             assert cols == want_cols and matrix.cols == len(want_cols)
             assert len(matrix.rows) == len(want_rows)
             entries = {(r, c): v for r, row in enumerate(matrix.rows) for c, v in row.items()}
@@ -134,16 +139,16 @@ def test_gravity_basis_and_free_module_match_the_oracle(b):
 def test_gravity_basis_refuses_a_kernel_vector_that_fails_its_certificate(monkeypatch):
     # doubling one matrix entry moves the kernel, while the column images
     # the certificate reads stay those of Delta
-    real = _delta_slices
+    real = _delta_slice
 
-    def skewed(k, b=1):
-        for degree, cols, images, matrix in real(k, b):
-            if matrix.rows:
-                row = matrix.rows[0]
-                row[min(row)] *= 2
-            yield degree, cols, images, matrix
+    def skewed(k, slices, degree, b=1):
+        cols, images, matrix = real(k, slices, degree, b)
+        if matrix.rows:
+            row = matrix.rows[0]
+            row[min(row)] *= 2
+        return cols, images, matrix
 
-    monkeypatch.setattr("operadkit.gravity._delta_slices", skewed)
+    monkeypatch.setattr("operadkit.gravity._delta_slice", skewed)
     with pytest.raises(AssertionError, match="certificate"):
         gravity_basis(4)
 

@@ -49,7 +49,7 @@ from .exact import (
     perm_transposition,
     poly_coeffs_product,
 )
-from .operads import CheckReport
+from .operads import CheckReport, require_at_least
 from .poisson import (
     PoissonElement,
     check_bracket_degree,
@@ -180,8 +180,7 @@ def check_free_module(k, b=1):
 
 def bracket_generator(k, b=1):
     """The degree-b class Delta(x1...xk) generating the bracket family."""
-    if k < 2:
-        raise ValueError("bracket generator needs arity >= 2")
+    require_at_least("arity", k, 2)
     mono = tuple(range(1, k + 1))
     iota = delta_apply(from_mono(mono))
     if not delta_apply(iota).is_zero():
@@ -213,8 +212,8 @@ def verify_generalized_jacobi(k, l, b=1):
     identity holds; acceptance asserts that sign is consistent across all
     checked (k, l), not any termwise convention.
     """
-    if k < 2 or l < 0:
-        raise ValueError("need k >= 2 and l >= 0")
+    require_at_least("k", k, 2)
+    require_at_least("l", l, 0)
     rep = CheckReport(
         "gravity-generalized-jacobi-%d-%d-b%d" % (k, l, b),
         "the bracket family satisfies the quadratic relation in arity k+l",
@@ -246,8 +245,7 @@ def verify_generalized_jacobi(k, l, b=1):
 
 def check_suboperad_closure(max_arity, b=1):
     """Partial composition of Delta-closed elements stays Delta-closed."""
-    if max_arity < 2:
-        raise ValueError("need max_arity >= 2")
+    require_at_least("max arity", max_arity, 2)
     rep = CheckReport(
         "gravity-closure-%d-b%d" % (max_arity, b),
         "compose_i of kernel basis elements lands in ker Delta",
@@ -347,8 +345,7 @@ def _closure_dims(generators, max_arity, b=1):
 def check_lie_embedding(max_arity, b=1):
     """The sub-sequence generated by iota_2 alone has dimension (k-1)! in
     arity k, concentrated in the top kernel degree b(k-1)."""
-    if max_arity < 2:
-        raise ValueError("need max_arity >= 2")
+    require_at_least("max arity", max_arity, 2)
     rep = CheckReport(
         "gravity-lie-embedding-%d-b%d" % (max_arity, b),
         "the binary bracket generates a (k-1)!-dimensional top-degree suboperad",
@@ -369,8 +366,7 @@ def check_lie_embedding(max_arity, b=1):
 
 def check_generation(max_arity, b=1):
     """The bracket family iota_m (m >= 2) generates the whole kernel."""
-    if max_arity < 2:
-        raise ValueError("need max_arity >= 2")
+    require_at_least("max arity", max_arity, 2)
     rep = CheckReport(
         "gravity-generation-%d-b%d" % (max_arity, b),
         "the bracket family generates ker Delta dimension-for-dimension",
@@ -390,8 +386,7 @@ def check_generation(max_arity, b=1):
 
 def grav4_table(max_arity):
     """The b=3 dimension tables are the b=1 tables with degrees tripled."""
-    if max_arity < 2:
-        raise ValueError("need max_arity >= 2")
+    require_at_least("max arity", max_arity, 2)
     rep = CheckReport(
         "gravity-degree-tripling-%d" % max_arity,
         "b=3 kernel dimensions equal the b=1 dimensions under degree tripling",

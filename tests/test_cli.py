@@ -21,18 +21,31 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+UNARY = "arity must be at least 2, got 1: Delta = 0 there, so the kernel is not the image"
+
+
+# each gravity command refuses a bound below its least value and names the value
+REFUSED_ARITIES = [
+    (["verify", "free-module", "--arity", "0"], "arity must be at least 2, got 0"),
+    (["verify", "free-module", "--arity", "1"], UNARY),
+    (["dims", "grav", "--arity", "0"], "arity must be at least 2, got 0"),
+    (["dims", "grav", "--arity", "1"], UNARY),
+    (["dims", "moduli", "--arity", "0"], "arity must be at least 2, got 0"),
+    (["dims", "moduli", "--arity", "1"], UNARY),
+    (["verify", "closure", "--max-arity", "1"], "max arity must be at least 2, got 1"),
+    (["verify", "generation", "--max-arity", "0"], "max arity must be at least 2, got 0"),
+    (["verify", "lie", "--max-arity", "1"], "max arity must be at least 2, got 1"),
+    (["verify", "grav4", "--max-arity", "1"], "max arity must be at least 2, got 1"),
+    (["verify", "jacobi", "--k", "1"], "k must be at least 2, got 1"),
+    (["verify", "jacobi", "--k", "2", "--l", "-1"], "l must be at least 0, got -1"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv", [["verify", "free-module"], ["dims", "grav"], ["dims", "moduli"]]
+    "argv, bad", REFUSED_ARITIES, ids=[" ".join(argv[1:]) for argv, _ in REFUSED_ARITIES]
 )
-@pytest.mark.parametrize(
-    "arity, bad",
-    [
-        ("0", "arity must be at least 2, got 0"),
-        ("1", "arity must be at least 2, got 1: Delta = 0 there, so the kernel is not the image"),
-    ],
-)
-def test_gravity_commands_name_the_refused_arity(capsys, argv, arity, bad):
-    code, out, err = run(capsys, *argv, "--arity", arity)
+def test_gravity_commands_name_the_refused_arity(capsys, argv, bad):
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: %s\n" % bad
 

@@ -1,10 +1,10 @@
 """Exact workbench for bracket-product operads and their cousins.
 
-Layers: poisson (multilinear bracket-product elements), bv (the circle
-operator extension), gravity (kernel classes and their relations), cacti
-(arc-length cactus configurations with the rotation circle), groups
-(finite group tuple operads), stringbr (data-driven finite BV
-presentations).  Everything computes over exact rationals; `reports` and
+Layers: poisson (multilinear bracket-product elements and their text
+form), bv (the circle operator extension), gravity (kernel classes and
+their relations), cacti (arc-length cactus configurations with the
+rotation circle), groups (finite group tuple operads), stringbr
+(data-driven finite BV presentations).  Everything computes over exact rationals; `reports` and
 `cli` assemble the seeded verification batteries.
 """
 
@@ -13,12 +13,12 @@ __version__ = "0.1.0"
 from .bv import BVElement, bv_compose, bv_from_poisson, bv_sigma_act, delta_apply
 from .cacti import PLDiagonal, SpinelessCactus, homotopy_diagonal, random_cactus
 from .exact import GradedDims, Q
-from .grammar import element_to_text, normalize, parse_expr
 from .gravity import gravity_basis, moduli_dimension_oracle
 from .groups import FiniteGroupTable, bundled_groups, tom_dieck_summands
 from .poisson import (
     PoissonElement,
     compose_i,
+    element_to_text,
     enumerate_basis,
     gen,
     poincare_polynomial,
@@ -50,8 +50,6 @@ __all__ = [
     "homotopy_diagonal",
     "m_bar",
     "moduli_dimension_oracle",
-    "normalize",
-    "parse_expr",
     "poincare_polynomial",
     "random_cactus",
     "sigma_act",

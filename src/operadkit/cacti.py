@@ -807,8 +807,8 @@ def cactus_from_dict(data):
     arity, arcs = data["arity"], data["arcs"]
     if not isinstance(arity, int) or isinstance(arity, bool):
         raise ValueError("arity must be an int, got %r" % (arity,))
-    if not isinstance(arcs, list):
-        raise ValueError("arcs must be a list of [label, length] pairs")
+    if not isinstance(arcs, list) or not arcs:
+        raise ValueError("arcs must be a non-empty list of [label, length] pairs")
     word = []
     for n, arc in enumerate(arcs, 1):
         if not (isinstance(arc, list) and len(arc) == 2):

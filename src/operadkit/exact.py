@@ -51,9 +51,6 @@ class GradedDims(dict):
             if n:
                 self[int(d)] = int(n)
 
-    def total(self):
-        return sum(self.values())
-
     def shifted(self, by):
         """Same table with every degree translated by ``by``."""
         return GradedDims({d + by: n for d, n in self.items()})

@@ -40,6 +40,10 @@ bracket edges of the host monomial (see compose_i).  The sign convention is
 certified globally: both operad associativity shapes, Sigma-equivariance,
 and the downstream differential and bracket identities are verified over
 exact rationals by the test suite.
+
+Printing.  element_to_text writes an element as a signed sum of monomials
+in mono_key order, with x{n} for letters above 9; PoissonElement.__repr__
+wraps that text in angle brackets.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ import itertools
 from functools import lru_cache
 from math import factorial, prod
 
-from .exact import LinComb, add_into, koszul_sign, scalar
+from .exact import GradedDims, LinComb, add_into, format_rational, koszul_sign, scalar
+from .operads import OperadInstance, require_at_least
 
 # ---------------------------------------------------------------------------
 # bracket trees: a leaf is an int letter, a node is a pair (left, right)
@@ -266,9 +271,35 @@ class PoissonElement(LinComb):
         return PoissonElement._of(support, out)
 
     def __repr__(self):
-        from .grammar import element_to_text
-
         return "<%s>" % element_to_text(self)
+
+
+def tree_to_text(t):
+    if is_leaf(t):
+        return "x%d" % t if t <= 9 else "x{%d}" % t
+    return "[%s, %s]" % (tree_to_text(t[0]), tree_to_text(t[1]))
+
+
+def mono_to_text(mono):
+    return "*".join(tree_to_text(t) for t in mono)
+
+
+def element_to_text(x):
+    if not isinstance(x, PoissonElement):
+        raise TypeError("expected a PoissonElement")
+    if x.is_zero():
+        return "0"
+    parts = []
+    for mono in sorted(x.terms, key=mono_key):
+        c = x.terms[mono]
+        body = mono_to_text(mono)
+        if abs(c) != 1:
+            body = "%s*%s" % (format_rational(abs(c)), body)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
 
 
 def gen(i):
@@ -501,10 +532,7 @@ def enumerate_basis(k, degree=None, b=1):
 
 def poincare_polynomial(k, b=1):
     """Degree -> dimension table of e_b(k) by direct normal-form enumeration."""
-    from .exact import GradedDims
-
-    if k < 1:
-        raise ValueError("arity must be >= 1")
+    require_at_least("arity", k, 1)
     check_bracket_degree(b)
     counts = {}
     for blocks in set_partitions(tuple(range(1, k + 1))):
@@ -531,8 +559,6 @@ def random_element(k, rng, terms=3, coeff_bound=3, homogeneous=True):
 
 def operad_instance():
     """Harness adapter for this operad."""
-    from .operads import OperadInstance
-
     return OperadInstance(
         name="bracket-product",
         compose=compose_i,

@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 
 from .exact import Echelon, add_into, format_rational, koszul_sign, parse_rational, perm_inverse
-from .operads import CheckReport
+from .operads import CheckReport, require_at_least
 
 
 def _vec_eq(u, v, c=1):
@@ -473,8 +473,7 @@ def pair_from_dict(raw):
 def m_bar(pair, k, args):
     """p applied to the ordered product of tau-images; args are B-indices
     or sparse B-vectors, extended multilinearly."""
-    if k < 2:
-        raise ValueError("string operations start at arity 2")
+    require_at_least("k", k, 2)
     if len(args) != k:
         raise ValueError("need %d arguments" % k)
     vecs = [a if isinstance(a, dict) else {a: 1} for a in args]
@@ -498,8 +497,8 @@ def verify_gravity_algebra(pair, k, l, check_id=None):
     is {}: its tail and Koszul sign are not built.  The head is still looked
     up for every pair i < j, so the m_bar calls do not depend on which
     heads vanish."""
-    if k < 2 or l < 0:
-        raise ValueError("need k >= 2 and l >= 0")
+    require_at_least("k", k, 2)
+    require_at_least("l", l, 0)
     rep = CheckReport(
         check_id or "string-gravity-%d-%d" % (k, l),
         "generalized Jacobi for m_bar over all basis tuples",

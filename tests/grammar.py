@@ -1,4 +1,6 @@
-"""Text grammar for bracket-product expressions.
+"""Text grammar for bracket-product expressions, a test helper: the tests
+write PoissonElements and BVElements as text and read them back through
+this module.  No part of the library reads an expression.
 
     expr   := term (('+' | '-') term)*
     term   := ('-')* item ('*' item)*
@@ -9,19 +11,23 @@
 'D' and the '@' marking postfix belong to the operator extension.  The one
 evaluator, ``eval_ast(node, delta)``, evaluates D through the hook ``delta``
 (the BV layer passes its circle operator) and rejects D when no hook is
-given; it always rejects markings, which only the BV layer reads.  Parsing
-yields a small tuple AST:
+given; it always rejects markings, which only ``eval_bv_ast`` reads.
+Parsing yields a small tuple AST:
 
     ("gen", i) ("num", q) ("add", a, b) ("sub", a, b) ("neg", a)
     ("mul", a, b) ("br", a, b) ("delta", a) ("mark", a, (i, ...))
+
+The printers, ``element_to_text`` and its tree and monomial parts, live in
+``operadkit.poisson`` beside ``PoissonElement.__repr__``.
 """
 
 from __future__ import annotations
 
 import re
 
-from .exact import Q, format_rational
-from .poisson import PoissonElement, gen, is_leaf, mono_key
+from operadkit.bv import BVElement, bv_from_poisson, delta_apply
+from operadkit.exact import Q, add_into, koszul_sign
+from operadkit.poisson import gen
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+\d*)|([\[\](){}*+,/@-]))")
 
@@ -197,29 +203,43 @@ def normalize(source):
     return value
 
 
-def tree_to_text(t):
-    if is_leaf(t):
-        return "x%d" % t if t <= 9 else "x{%d}" % t
-    return "[%s, %s]" % (tree_to_text(t[0]), tree_to_text(t[1]))
+def eval_bv_ast(node):
+    """Evaluate a parsed expression tree into a BVElement; supports the
+    plain grammar plus D(e) and the slot-marking postfix e @ {i,...}."""
+    kind = node[0]
+    if kind == "mark":
+        inner = eval_bv_ast(node[1])
+        added = sorted(set(node[2]))
+        terms = {}
+        for (mono, marking), c in inner.terms.items():
+            new = marking | frozenset(added)
+            if len(new) != len(marking) + len(added):
+                continue  # doubled marking: exterior square is zero
+            # appended letters resort into the ascending marking word
+            word = sorted(marking) + added
+            add_into(terms, {(mono, new): c}, koszul_sign(word, [1] * len(word)))
+        return BVElement(inner.support, terms)
+    if kind in ("add", "sub"):
+        a, c = eval_bv_ast(node[1]), eval_bv_ast(node[2])
+        return a + c if kind == "add" else a - c
+    if kind == "neg":
+        return -eval_bv_ast(node[1])
+    if kind == "mul":
+        # scalar coefficients may multiply decorated elements
+        left, right = node[1], node[2]
+        if left[0] == "num":
+            return eval_bv_ast(right).scale(left[1])
+        if right[0] == "num":
+            return eval_bv_ast(left).scale(right[1])
+    value = eval_ast(node, delta_apply)
+    if isinstance(value, Q):
+        raise ValueError("expression is a bare scalar, not an element")
+    return bv_from_poisson(value)
 
 
-def mono_to_text(mono):
-    return "*".join(tree_to_text(t) for t in mono)
-
-
-def element_to_text(x):
-    if not isinstance(x, PoissonElement):
-        raise TypeError("expected a PoissonElement")
-    if x.is_zero():
-        return "0"
-    parts = []
-    for mono in sorted(x.terms, key=mono_key):
-        c = x.terms[mono]
-        body = mono_to_text(mono)
-        if abs(c) != 1:
-            body = "%s*%s" % (format_rational(abs(c)), body)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
+def normalize_bv(source):
+    """Parse and evaluate decorated-element text into a BVElement."""
+    node = source if isinstance(source, tuple) else parse_expr(source)
+    out = eval_bv_ast(node)
+    out.arity  # validates contiguous support
+    return out

@@ -21,8 +21,7 @@ from operadkit.bv import (
     random_bv_element,
 )
 import bv_relations_oracle
-from bv_grammar import normalize_bv
-from operadkit.grammar import eval_ast, normalize, parse_expr
+from grammar import eval_ast, normalize, normalize_bv, parse_expr
 from operadkit.exact import add_into
 from operadkit.gravity import check_free_module
 from operadkit.operads import check_associativity, check_equivariance, check_units
@@ -187,7 +186,7 @@ def test_normalize_bv_round_trip_via_repr_terms():
             # rebuild from the term dict through the text grammar
             pieces = []
             for (mono, marking), c in x.terms.items():
-                from operadkit.grammar import mono_to_text
+                from operadkit.poisson import mono_to_text
 
                 body = "(%s)" % mono_to_text(mono)
                 if marking:

@@ -38,11 +38,16 @@ REFUSED_ARITIES = [
     (["verify", "grav4", "--max-arity", "1"], "max arity must be at least 2, got 1"),
     (["verify", "jacobi", "--k", "1"], "k must be at least 2, got 1"),
     (["verify", "jacobi", "--k", "2", "--l", "-1"], "l must be at least 0, got -1"),
+    (["dims", "e2", "--arity", "0"], "arity must be at least 1, got 0"),
+    (["string", "mbar", "--data", os.path.join(DATA, "bv_free_blocks.json"),
+      "--k", "1", "--args", "t_m0"], "k must be at least 2, got 1"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, bad", REFUSED_ARITIES, ids=[" ".join(argv[1:]) for argv, _ in REFUSED_ARITIES]
+    "argv, bad",
+    REFUSED_ARITIES,
+    ids=[" ".join(os.path.basename(a) for a in argv[1:]) for argv, _ in REFUSED_ARITIES],
 )
 def test_gravity_commands_name_the_refused_arity(capsys, argv, bad):
     code, out, err = run(capsys, *argv)

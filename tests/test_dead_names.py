@@ -2,7 +2,8 @@
 ``src/operadkit`` is referenced somewhere in ``src/operadkit`` (called,
 read as an attribute, or imported), so a second copy of a job cannot
 linger once its last caller is gone.  Dunder methods are called by Python
-itself and are not counted."""
+itself and are not counted.  Every name in ``operadkit.__all__`` must also
+exist, so a star import cannot fail on an export whose code has moved."""
 
 import ast
 import os
@@ -56,6 +57,17 @@ def test_every_function_and_class_in_src_has_a_reference_in_src():
         and not (name.startswith("__") and name.endswith("__"))
     )
     assert not dead, "defined in src but referenced nowhere in src: %s" % ", ".join(dead)
+
+
+def test_every_exported_name_is_an_attribute_of_the_package():
+    import operadkit
+
+    star = {}
+    exec("from operadkit import *", star)
+    assert operadkit.__all__
+    missing = [name for name in operadkit.__all__ if not hasattr(operadkit, name)]
+    assert not missing, "named in operadkit.__all__ but not defined: %s" % ", ".join(missing)
+    assert set(operadkit.__all__) <= set(star)
 
 
 def test_the_allowlist_names_only_defined_unreferenced_names():

@@ -48,7 +48,7 @@ def test_graded_dims_drops_zeros_and_totals():
     d = GradedDims({0: 1, 1: 3, 2: 0})
     assert d == GradedDims({1: 3, 0: 1})
     assert 2 not in d
-    assert d.total() == 4
+    assert sum(d.values()) == 4
     assert d.shifted(2) == GradedDims({2: 1, 3: 3})
     assert d.scaled_degrees(3) == GradedDims({0: 1, 3: 3})
 
@@ -166,7 +166,7 @@ def _old_gamma_ltr_sign(degrees):  # inline in operads.full_gamma_ltr
     return -1 if inv % 2 else 1
 
 
-def _old_mark_sign(marking, added):  # inline in the "mark" branch of bv_grammar.eval_bv_ast
+def _old_mark_sign(marking, added):  # inline in eval_bv_ast, tests/grammar.py
     inv = sum(1 for s in marking for t in added if t < s)
     return -1 if inv % 2 else 1
 

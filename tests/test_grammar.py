@@ -5,8 +5,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from operadkit.grammar import element_to_text, normalize, parse_expr
-from operadkit.poisson import gen, random_element
+from grammar import normalize, parse_expr
+from operadkit.poisson import element_to_text, gen, random_element
 
 
 def test_parse_basic_shapes():

@@ -201,7 +201,7 @@ def test_pair_constructor_rejects_broken_invariants():
 
 def test_m_bar_arity_bound_and_symmetry():
     pair = pair_from_presentation(free_bv_presentation(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be at least 2, got 1$"):
         m_bar(pair, 1, [{0: Q(1)}])
     rep = check_m_bar_symmetry(pair, 2)
     assert rep.passed, rep.line()
@@ -225,6 +225,10 @@ def test_block_family_gives_nonzero_m_bar():
 
 def test_gravity_relations_on_generated_pairs():
     pair3 = pair_from_presentation(free_bv_presentation(3))
+    with pytest.raises(ValueError, match=r"^l must be at least 0, got -1$"):
+        verify_gravity_algebra(pair3, 2, -1)
+    with pytest.raises(ValueError, match=r"^k must be at least 2, got 1$"):
+        verify_gravity_algebra(pair3, 1, 0)
     for k, l in [(2, 0), (3, 0), (2, 1)]:
         rep = verify_gravity_algebra(pair3, k, l)
         assert rep.passed, rep.line()

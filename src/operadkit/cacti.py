@@ -177,7 +177,7 @@ def validate(c):
     """All invariant violations of a cactus, as strings; empty means valid."""
     errors = []
     if c.arity < 1:
-        errors.append("arity must be at least 1")
+        errors.append("arity must be at least 1, got %r" % c.arity)
         return errors
     if not c.word:
         errors.append("empty arc word")
@@ -553,8 +553,7 @@ def random_cactus(k, seed, max_denominator=64):
     recursive lobe tree, DFS traversal, and arc lengths on the 1/D grid with
     D = max_denominator.  Lobes with children are visited more than once
     whenever an interior stretch is positive, so multi-arc labels occur."""
-    if k < 1:
-        raise ValueError("arity must be at least 1")
+    require_at_least("arity", k, 1)
     rng = random.Random("cactus-%d-%d-%d" % (k, seed, max_denominator))
     D = max_denominator
     if D < k:

@@ -23,9 +23,9 @@ Generated sub-sequences are grown, not recomputed: each (arity, degree)
 keeps one incremental ``Echelon``, a candidate is eliminated once when it
 is offered, and orbits are closed under the k-1 adjacent transpositions
 (which generate S_k) instead of all k! permutations.  Each call keeps a
-table of every monomial's images under those transpositions, made by
-``sigma_act`` when the monomial is first met, so an element's images are
-sums of table rows and no monomial is renormalized twice.
+table of every monomial's images under those transpositions, made by the
+monomial kernel ``_transposition_images`` when the monomial is first met,
+so an element's images are sums of table rows.
 
 Only odd b >= 1 is in the model's domain; the kernel and the oracle reject
 any other bracket degree.
@@ -46,12 +46,12 @@ from .exact import (
     GradedDims,
     SparseMatrix,
     add_into,
-    perm_transposition,
     poly_coeffs_product,
 )
 from .operads import CheckReport, require_at_least
 from .poisson import (
     PoissonElement,
+    _transposition_images,
     check_bracket_degree,
     compose_i,
     enumerate_basis,
@@ -285,13 +285,13 @@ def _closure_dims(generators, max_arity, b=1):
     moves slot i to slot 1, and sigma.x lies in the span.
 
     The images under the transpositions come from a table local to the
-    call: each monomial met is mapped once by ``sigma_act`` under every
-    (a a+1), and an element's image is the linear sum of its monomials'
-    images.  Equal monomials are interned, so the table holds one copy of
-    each.  Each element carries its degree: the action keeps it and
-    composition adds the degrees, so only the generators are asked for
-    theirs.  A wrong degree would show as a KeyError in the index of the
-    (arity, degree) basis."""
+    call: ``_transposition_images`` maps each monomial met once under every
+    (a a+1), with sigma_act's dicts, and an element's image is the linear
+    sum of its monomials' images.  Equal monomials are interned, so the
+    table holds one copy of each.  Each element carries its degree: the
+    action keeps it and composition adds the degrees, so only the
+    generators are asked for theirs.  A wrong degree would show as a
+    KeyError in the index of the (arity, degree) basis."""
     echelons = {}
     done = {k: [] for k in range(1, max_arity + 1)}
     fresh = []
@@ -303,11 +303,9 @@ def _closure_dims(generators, max_arity, b=1):
         for m, c in x.terms.items():
             row = images.get(m)
             if row is None:
-                one = PoissonElement._of(x.support, {m: 1})
                 row = images[interned.setdefault(m, m)] = [
-                    {interned.setdefault(u, u): v for u, v in
-                     sigma_act(perm_transposition(k, a, a + 1), one).terms.items()}
-                    for a in range(1, k)
+                    {interned.setdefault(u, u): v for u, v in image.items()}
+                    for image in _transposition_images(m, k)
                 ]
             for acc, image in zip(out, row):
                 add_into(acc, image, c)

@@ -417,15 +417,47 @@ def sigma_act(perm, x):
     """Symmetric group action: letter j becomes perm(j); left action.
 
     An order-preserving perm only renames letters.  Otherwise relabel keeps
-    every block whose head stays its least letter; under an adjacent
-    transposition (a a+1) the one block left to renormalize is the block
-    headed by a that also holds a+1."""
+    every block whose head stays its least letter.  _transposition_images
+    gives the same dicts for the adjacent transpositions of one monomial."""
     k = x.arity
     if len(perm) != k:
         raise ValueError("permutation size %d does not match arity %d" % (len(perm), k))
     mapping = {j: perm[j - 1] for j in range(1, k + 1)}
     increasing = all(perm[j] > perm[j - 1] for j in range(1, k))
     return relabel(x, mapping, renormalize=not increasing)
+
+
+def _transposition_images(mono, k):
+    """The terms dicts of (a a+1).mono for a = 1..k-1, equal to sigma_act's
+    item for item.  With a in block P and a+1 in block Q:
+    1. P != Q: the letters swap.  If both are heads, P and Q are adjacent
+       and trade places, with sign -1 when both have odd degree; otherwise
+       no head lies between a and a+1, so the block order holds.
+    2. P = Q, a not its head: the tail entries swap; the comb stays normal.
+    3. P = Q with head a: P becomes lie_normal_form(comb(a+1, tail with
+       a+1 -> a)) in place, since its least letter is still a."""
+    words, where = [], {}
+    for r, t in enumerate(mono):
+        head, tail = comb_parts(t)
+        words.append((head,) + tail)
+        where.update((x, (r, p)) for p, x in enumerate(words[r]))
+    out = []
+    for a in range(1, k):
+        (r, p), (s, q) = where[a], where[a + 1]
+        w = list(words[r])
+        v = w if r == s else list(words[s])
+        w[p], v[q] = a + 1, a
+        if r == s:
+            trees = lie_normal_form(comb(w[0], w[1:])) if p == 0 else {comb(w[0], w[1:]): 1}
+            out.append({mono[:r] + (u,) + mono[r + 1:]: c for u, c in trees.items()})
+            continue
+        heads = p == q == 0
+        blocks = list(mono)
+        blocks[r], blocks[s] = comb(w[0], w[1:]), comb(v[0], v[1:])
+        if heads:
+            blocks[r], blocks[s] = blocks[s], blocks[r]
+        out.append({tuple(blocks): -1 if heads and len(w) % 2 == len(v) % 2 == 0 else 1})
+    return out
 
 
 def _slot_twist(mono, i):

@@ -253,6 +253,21 @@ def test_cacti_compose_rejects_malformed_files(tmp_path, capsys, data, bad):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("arity", [0, -1])
+def test_cacti_compose_names_the_refused_arity(tmp_path, capsys, arity):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(cactus_to_dict(random_cactus(2, 5))))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"arity": arity, "arcs": [[1, "1/2"], [2, "1/2"]]}))
+    code, out, err = run(capsys, "cacti", "compose", str(path), str(good), "--at", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "cannot load cactus %r: arity must be at least 1, got %d\n" % (
+        str(path), arity)
+    with pytest.raises(ValueError, match="^arity must be at least 1, got %d$" % arity):
+        random_cactus(arity, 5)
+
+
 def test_group_commands(capsys):
     code, out, _ = run(capsys, "group", "fixed-points", "--table", "S3", "--arity", "2")
     assert code == 0

@@ -208,12 +208,26 @@ def test_closure_workload_matches_the_benchmark_pins():
 
 
 def test_closure_checks_fail_under_the_identity_action(monkeypatch):
-    # negative control: the transposition images must come from the action,
-    # so an action that moves nothing leaves arities 3..5 short
-    monkeypatch.setattr("operadkit.gravity.sigma_act", lambda perm, x: x)
+    # negative control: the transposition images must come from the kernel,
+    # so a kernel that moves nothing leaves arities 3..5 short
+    monkeypatch.setattr(
+        "operadkit.gravity._transposition_images", lambda m, k: [{m: 1}] * (k - 1)
+    )
     for rep in (check_lie_embedding(5), check_generation(5)):
         assert (rep.total, len(rep.failures)) == (4, 3), rep.line()
         assert rep.failures[0].startswith("arity 3: ")
+
+
+def test_closure_checks_make_no_sigma_act_call(monkeypatch):
+    # the transposition table comes from the monomial kernel alone
+    def no_sigma_act(perm, x):
+        raise AssertionError("the closure sweep called sigma_act")
+
+    monkeypatch.setattr("operadkit.poisson.sigma_act", no_sigma_act)
+    monkeypatch.setattr("operadkit.gravity.sigma_act", no_sigma_act)
+    for rep in (check_lie_embedding(5), check_generation(4)):
+        assert rep.passed, rep.line()
+        assert rep.total > 0
 
 
 def test_degree_tripling_table():

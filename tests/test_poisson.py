@@ -12,6 +12,7 @@ import pytest
 from operadkit.exact import GradedDims, perm_transposition, poly_coeffs_product
 from operadkit.poisson import (
     PoissonElement,
+    _transposition_images,
     comb,
     compose_i,
     enumerate_basis,
@@ -226,6 +227,23 @@ def test_sigma_act_matches_the_mul_chain_oracle_on_basis_transpositions():
                 got, want = sigma_act(p, x), oracle_sigma_act(p, x)
                 assert got.support == want.support
                 assert got.terms == want.terms, (mono, a)
+
+
+def test_transposition_kernel_equals_sigma_act_on_every_basis_monomial():
+    # the gravity closure's table reads the kernel; sigma_act is the reference,
+    # compared item for item with insertion order, signs and coefficients
+    assert _transposition_images((1,), 1) == []
+    pairs = 0
+    for k in range(2, 7):
+        for mono in enumerate_basis(k):
+            got = _transposition_images(mono, k)
+            assert len(got) == k - 1
+            x = from_mono(mono)
+            for a in range(1, k):
+                want = sigma_act(perm_transposition(k, a, a + 1), x).terms
+                assert list(got[a - 1].items()) == list(want.items()), (mono, a)
+                pairs += 1
+    assert pairs == 4166
 
 
 def test_sigma_act_matches_the_mul_chain_oracle_on_random_elements():

@@ -67,6 +67,11 @@ def test_validate_flags_each_defect():
         SpinelessCactus(1, [(2, 1)])
     with pytest.raises(ValueError, match="^labels 1 and 2 interleave$"):
         SpinelessCactus(2, [(1, 1), (2, 1), (1, 1), (2, 1)])
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="^arity must be at least 1, got %d$" % k):
+            SpinelessCactus(k, [(1, 1)])
+        with pytest.raises(ValueError, match="^arity must be at least 1, got %d$" % k):
+            random_cactus(k, 5)
 
 
 def _reads_abab(word, pair):

@@ -264,8 +264,6 @@ def test_cacti_compose_names_the_refused_arity(tmp_path, capsys, arity):
     assert out == ""
     assert err == "cannot load cactus %r: arity must be at least 1, got %d\n" % (
         str(path), arity)
-    with pytest.raises(ValueError, match="^arity must be at least 1, got %d$" % arity):
-        random_cactus(arity, 5)
 
 
 def test_group_commands(capsys):

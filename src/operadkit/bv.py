@@ -190,14 +190,16 @@ def bv_compose(x, y, i):
     """Semidirect-product partial composition of decorated elements.
 
     Each term is read as the graded word  Q . D_{s1} ^ D_{s2} ^ ...  and the
-    composite is assembled letter by letter: a marking on the substitution
-    slot is split by the exterior coproduct, either acting on the inserted
-    poisson part as Delta or landing on one of the inserted slots as a
-    transferred marking (a doubled marking vanishes); all decoration signs
-    are Koszul reorder signs of the underlying word, and the poisson
-    composition contributes its own certified suspension signs.  With Delta
-    a derivation of compose_i (checked by the identity suite), this rule
-    passes the associativity/equivariance harness."""
+    composite of a term pair is assembled from its poisson core
+    compose_i(Q, R), computed once: a marking on the substitution slot is
+    split by the exterior coproduct, either acting on the inserted poisson
+    part as Delta or landing on one of the inserted slots as a transferred
+    marking (a doubled marking vanishes).  Every outcome goes through one
+    step: its target word, the Koszul reorder sign of the source word onto
+    it, its marking, and _attach; the poisson composition contributes its
+    own certified suspension signs.  With Delta a derivation of compose_i
+    (checked by the identity suite), this rule passes the
+    associativity/equivariance harness."""
     k, l = x.arity, y.arity
     if not 1 <= i <= k:
         raise ValueError("slot %d out of range 1..%d" % (i, k))
@@ -218,41 +220,25 @@ def bv_compose(x, y, i):
             degrees = [1] * len(source)
             degrees[0] = mono_degree(mono_q)
             degrees[1 + len(s_set)] = mono_degree(mono_r)
+            kept = [(s if s < i else s + l - 1, ("g", s)) for s in s_set if s != i]
+            kept += [(t + i - 1, ("h", t)) for t in t_set]
 
-            def reorder_sign(target):
+            def attach(core, lead, placed):
+                target = lead + [lab for _, lab in sorted(placed)]
                 pos = {lab: n for n, lab in enumerate(target)}
-                return koszul_sign([pos[lab] for lab in source], degrees)
+                sign = koszul_sign([pos[lab] for lab in source], degrees)
+                _attach(out, core, frozenset(f for f, _ in placed), cq * cr * sign)
 
-            fx = {s: (s if s < i else s + l - 1) for s in s_set}
-            fy = {t: t + i - 1 for t in t_set}
-            coef = cq * cr
-            rest = sorted(s_set - {i})
-            kept = [(fx[s], ("g", s)) for s in rest] + [
-                (fy[t], ("h", t)) for t in t_set
-            ]
+            core = compose_i(q_el, r_el, i)
             if i not in s_set:
-                target = [("Q",), ("R",)] + [lab for _, lab in sorted(kept)]
-                sign = reorder_sign(target)
-                marking = frozenset(f for f, _ in kept)
-                core = compose_i(q_el, r_el, i)
-                _attach(out, core, marking, coef * sign)
+                attach(core, [("Q",), ("R",)], kept)
                 continue
             # the slot marking acts on the inserted poisson part as Delta
-            target = [("Q",), ("g", i), ("R",)] + [lab for _, lab in sorted(kept)]
-            sign = reorder_sign(target)
-            marking = frozenset(f for f, _ in kept)
-            acted = compose_i(q_el, delta_apply(r_el), i)
-            _attach(out, acted, marking, coef * sign)
+            attach(compose_i(q_el, delta_apply(r_el), i), [("Q",), ("g", i), ("R",)], kept)
             # ... or transfers to one of the unmarked inserted slots
-            core = compose_i(q_el, r_el, i)
             for j in range(1, l + 1):
-                if j in t_set:
-                    continue
-                placed = kept + [(j + i - 1, ("g", i))]
-                target = [("Q",), ("R",)] + [lab for _, lab in sorted(placed)]
-                sign = reorder_sign(target)
-                marking = frozenset(f for f, _ in placed)
-                _attach(out, core, marking, coef * sign)
+                if j not in t_set:
+                    attach(core, [("Q",), ("R",)], kept + [(j + i - 1, ("g", i))])
     return out
 
 

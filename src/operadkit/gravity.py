@@ -151,6 +151,7 @@ def check_free_module(k, b=1):
     Only the ranks are kept: each slice's images go with its tuple, before
     its rows are eliminated."""
     _require_arity(k)
+    check_bracket_degree(b)
     rep = CheckReport(
         "gravity-free-module-%d-b%d" % (k, b),
         "ker Delta equals im Delta in every degree and has total dimension k!/2",
@@ -181,6 +182,7 @@ def check_free_module(k, b=1):
 def bracket_generator(k, b=1):
     """The degree-b class Delta(x1...xk) generating the bracket family."""
     require_at_least("arity", k, 2)
+    check_bracket_degree(b)
     mono = tuple(range(1, k + 1))
     iota = delta_apply(from_mono(mono))
     if not delta_apply(iota).is_zero():
@@ -214,6 +216,7 @@ def verify_generalized_jacobi(k, l, b=1):
     """
     require_at_least("k", k, 2)
     require_at_least("l", l, 0)
+    check_bracket_degree(b)
     rep = CheckReport(
         "gravity-generalized-jacobi-%d-%d-b%d" % (k, l, b),
         "the bracket family satisfies the quadratic relation in arity k+l",
@@ -344,6 +347,7 @@ def check_lie_embedding(max_arity, b=1):
     """The sub-sequence generated by iota_2 alone has dimension (k-1)! in
     arity k, concentrated in the top kernel degree b(k-1)."""
     require_at_least("max arity", max_arity, 2)
+    check_bracket_degree(b)
     rep = CheckReport(
         "gravity-lie-embedding-%d-b%d" % (max_arity, b),
         "the binary bracket generates a (k-1)!-dimensional top-degree suboperad",
@@ -365,6 +369,7 @@ def check_lie_embedding(max_arity, b=1):
 def check_generation(max_arity, b=1):
     """The bracket family iota_m (m >= 2) generates the whole kernel."""
     require_at_least("max arity", max_arity, 2)
+    check_bracket_degree(b)
     rep = CheckReport(
         "gravity-generation-%d-b%d" % (max_arity, b),
         "the bracket family generates ker Delta dimension-for-dimension",

@@ -360,13 +360,13 @@ def dicyclic(n, name=None):
     )
 
 
-def symmetric(n, name=None):
-    perms = sorted(itertools.permutations(range(n)))
+def _permutation_group(name, perms):
+    """The permutations ``perms`` of range(n), closed under composition, in
+    sorted order; the product p.q maps j to p[q[j]]."""
+    perms = sorted(perms)
     index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms
-    ]
-    return FiniteGroupTable(name or "S%d" % n, table, identity=index[tuple(range(n))])
+    table = [[index[tuple(p[j] for j in q)] for q in perms] for p in perms]
+    return FiniteGroupTable(name, table, identity=index[tuple(range(len(perms[0])))])
 
 
 def direct_product(G, H, name=None):
@@ -454,7 +454,7 @@ def bundled_groups():
     for n in range(1, 17):
         add(cyclic(n))
     add(direct_product(cyclic(2), cyclic(2), "C2xC2"))
-    add(symmetric(3))
+    add(_permutation_group("S3", itertools.permutations(range(3))))
     add(dihedral(4))
     add(dicyclic(2, "Q8"))
     add(direct_product(cyclic(4), cyclic(2), "C4xC2"))
@@ -464,7 +464,8 @@ def bundled_groups():
     add(direct_product(cyclic(6), cyclic(2), "C6xC2"))
     add(dihedral(6))
     add(cyclic_semidirect(3, 4, 2, "C3:C4"))  # dicyclic of order 12
-    add(_alternating4())
+    s4 = list(itertools.permutations(range(4)))
+    add(_permutation_group("A4", [p for p in s4 if koszul_sign(p, (1,) * 4) > 0]))
     add(dihedral(7))
     # order 16
     add(direct_product(cyclic(4), cyclic(4), "C4xC4"))
@@ -484,7 +485,7 @@ def bundled_groups():
     add(cyclic_semidirect(4, 4, 3, "C4:C4"))  # b a b^-1 = a^-1
     add(c4xc2_rtimes_c2())
     add(central_product_c4_d4())
-    add(symmetric(4))
+    add(_permutation_group("S4", s4))
     counts = {}
     for G in lib.values():
         counts[G.order] = counts.get(G.order, 0) + 1
@@ -497,17 +498,6 @@ def bundled_groups():
     if len(set(invs)) != len(invs):
         raise AssertionError("order-16 tables are not pairwise distinct")
     return lib
-
-
-def _alternating4():
-    perms = sorted(
-        p for p in itertools.permutations(range(4)) if koszul_sign(p, (1,) * 4) > 0
-    )
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[i]] for i in range(4))] for q in perms] for p in perms
-    ]
-    return FiniteGroupTable("A4", table, identity=index[tuple(range(4))])
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,10 @@ biderivation, so the bracket of two monomials is one closed sum over pairs
 of blocks, [B1...Bp, C1...Cq] = sum_{i,j} +-sort(... [Bi, Cj] ...), each
 tree bracket taken from the cached tree_bracket (see _bracket_terms).
 
-Composition.  compose_i substitutes and rebuilds through the same rules,
-times a suspension sign that transports the inserted element past the odd
+Composition.  compose_i is a monomial kernel too: on each monomial of the
+host it rebuilds the block holding the slot from the terms of the inserted
+element with _bracket_terms, joins the other blocks with merge_monos, and
+applies a suspension sign that transports the inserted element past the odd
 bracket edges of the host monomial (see compose_i).  The sign convention is
 certified globally: both operad associativity shapes, Sigma-equivariance,
 and the downstream differential and bracket identities are verified over
@@ -263,12 +265,9 @@ class PoissonElement(LinComb):
             raise ValueError(
                 "not multilinear: letters %s repeat" % sorted(self.support & other.support)
             )
-        support = self.support | other.support
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                add_into(out, _bracket_terms(m1, m2), c1 * c2)
-        return PoissonElement._of(support, out)
+        return PoissonElement._of(
+            self.support | other.support, _bracket_sum(self.terms, other.terms)
+        )
 
     def __repr__(self):
         return "<%s>" % element_to_text(self)
@@ -315,6 +314,15 @@ def unit():
 
 def from_mono(mono):
     return PoissonElement(mono_support(mono), {tuple(mono): 1})
+
+
+def _bracket_sum(u, v):
+    """[u, v] for terms dicts u, v on disjoint letters, bilinearly."""
+    out = {}
+    for m1, c1 in u.items():
+        for m2, c2 in v.items():
+            add_into(out, _bracket_terms(m1, m2), c1 * c2)
+    return out
 
 
 def _bracket_terms(m1, m2):
@@ -460,69 +468,49 @@ def _transposition_images(mono, k):
     return out
 
 
-def _slot_twist(mono, i):
-    """Number of bracket edges enclosing-or-after letter i in the canonical
-    edge order (per block innermost first, blocks in order): q - j when i is
-    tail letter number j of its block with q edges, q when i is the head,
-    plus all edges of later blocks."""
-    r = next(idx for idx, t in enumerate(mono) if i in tree_leaves(t))
-    head, tail = comb_parts(mono[r])
-    q = len(tail)
-    a = q if i == head else q - (tail.index(i) + 1)
-    return a + sum(tree_nleaves(t) - 1 for t in mono[r + 1:])
-
-
 def compose_i(x, y, i):
     """Partial composition: substitute y for letter i of x.
 
-    Letters of y become i..i+l-1, letters of x above i shift up by l-1;
-    brackets against products expand by the Leibniz rule during rebuild.
+    Letters of y become i..i+l-1 and letters of x above i shift up by l-1,
+    both order-preserving.  On each monomial of x, with i in the block
+    [[h, t1], ..., tq], the kernel rebuilds that block on the terms dict of
+    y: from y itself when i is the head h, from [comb(h, t1..tp-1), y] when
+    i = tp; then it brackets with each later tail letter through
+    _bracket_terms.  The blocks before it all sort first, and merge_monos
+    joins the blocks after it.
 
     Substituting an element of odd degree for a degree-0 letter transports
-    it past the odd bracket edges of the host monomial, so each rebuilt
-    term carries the suspension sign (-1)^{A(m,i) e(y)} where e(y) is the
-    edge count (degree/b) of the inserted component and A(m,i) counts the
-    edges enclosing-or-after slot i (see _slot_twist).  This convention is
-    the unique one under which both associativity shapes and equivariance
-    hold; it is certified exhaustively over basis triples by the test
-    suite rather than asserted termwise.
+    it past the odd bracket edges of the host monomial, so y's terms of odd
+    edge count (degree/b) are negated when the tail letters after i and the
+    edges of the later blocks number an odd total.  This convention is the
+    unique one under which both associativity shapes and equivariance hold;
+    it is certified exhaustively over basis triples by the test suite
+    rather than asserted termwise.
     """
     k, l = x.arity, y.arity
     if not 1 <= i <= k:
         raise ValueError("slot %d out of range 1..%d" % (i, k))
     xmap = {j: (j if j <= i else j + l - 1) for j in range(1, k + 1)}
-    ymap = {j: j + i - 1 for j in range(1, l + 1)}
-    xr = relabel(x, xmap)  # order-preserving
-    yr = relabel(y, ymap)
-    support = frozenset(range(1, k + l))
-    out = PoissonElement(support)
-    for parity in (0, 1):
-        yd = PoissonElement._of(
-            yr.support,
-            {m: c for m, c in yr.terms.items() if mono_degree(m) % 2 == parity},
-        )
-        if yd.is_zero():
-            continue
-        for mono, c in xr.terms.items():
-            if parity and _slot_twist(mono, i) % 2:
-                c = -c
-            pieces = []
-            for t in mono:
-                if i in tree_leaves(t):
-                    pieces.append(_subst_tree(t, i, yd))
-                else:
-                    pieces.append(from_mono((t,)))
-            acc = pieces[0]
-            for p in pieces[1:]:
-                acc = acc.mul(p)
-            add_into(out.terms, acc.terms, c)
-    return out
-
-
-def _subst_tree(t, i, repl):
-    if is_leaf(t):
-        return repl if t == i else gen(t)
-    return _subst_tree(t[0], i, repl).bracket(_subst_tree(t[1], i, repl))
+    ys = relabel(y, {j: j + i - 1 for j in range(1, l + 1)}).terms
+    twisted = {m: -c if mono_degree(m) % 2 else c for m, c in ys.items()}
+    out = {}
+    for mono, c in relabel(x, xmap).terms.items():
+        r = next(n for n, t in enumerate(mono) if i in tree_leaves(t))
+        head, tail = comb_parts(mono[r])
+        p = ((head,) + tail).index(i)
+        before, after = mono[:r], mono[r + 1:]
+        edges = len(tail) - p + sum(tree_nleaves(t) - 1 for t in after)
+        terms = twisted if edges % 2 else ys
+        if p:
+            terms = _bracket_sum({(comb(head, tail[:p - 1]),): 1}, terms)
+        for t in tail[p:]:
+            terms = _bracket_sum(terms, {(t,): 1})
+        joined = {}
+        for m, v in terms.items():
+            sign, merged = merge_monos(m, after)
+            joined[before + merged] = sign * v
+        add_into(out, joined, c)
+    return PoissonElement._of(frozenset(range(1, k + l)), out)
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,9 @@ def check_e2_dims(max_arity=7, b=1):
     """Basis enumeration counts match the generating function
     prod_{j<k} (1 + j t^b) and total k!."""
     from .operads import CheckReport
-    from .poisson import enumerate_basis, mono_degree
+    from .poisson import check_bracket_degree, enumerate_basis, mono_degree
 
+    check_bracket_degree(b)
     rep = CheckReport(
         "e2-dimension-table-%d-b%d" % (max_arity, b),
         "normal-form counts per degree match prod (1 + j t^b) and total k!",

@@ -618,8 +618,7 @@ def free_bv_presentation(k, supports=None):
     from .bv import _embed, delta_apply
     from .poisson import PoissonElement, enumerate_basis, mono_degree
 
-    if k < 1:
-        raise ValueError("need at least one letter")
+    require_at_least("k", k, 1)
     if supports is None:
         family = [
             frozenset(sub)
@@ -695,12 +694,13 @@ def check_nested_gravity(k, l, check_id=None):
     bracket classes on disjoint letter blocks, so the nested operations do
     not collapse.  Since tau is injective and tau o p is the operator, the
     relation is checked after applying tau, where every m_bar composite
-    becomes an exact bracket-calculus expression."""
+    becomes an exact bracket-calculus expression.  It needs k >= 3, since
+    for k = 2 the relation is a tautology, and l >= 0."""
     from .bv import delta_apply
     from .poisson import PoissonElement, gen
 
-    if k < 3:
-        raise ValueError("the relation is a tautology for k = 2")
+    require_at_least("k", k, 3)
+    require_at_least("l", l, 0)
     rep = CheckReport(
         check_id or "string-gravity-nested-%d-%d" % (k, l),
         "generalized Jacobi on disjoint bracket blocks, via the transfer",

@@ -1,9 +1,10 @@
 """No dead names in the package: every function and class defined in
 ``src/operadkit`` is referenced somewhere in ``src/operadkit`` (called,
-read as an attribute, or imported), so a second copy of a job cannot
-linger once its last caller is gone.  Dunder methods are called by Python
-itself and are not counted.  Every name in ``operadkit.__all__`` must also
-exist, so a star import cannot fail on an export whose code has moved."""
+read as an attribute, or imported) outside its own body, so a second copy
+of a job cannot linger once its last caller is gone, even if it calls
+itself.  Dunder methods are called by Python itself and are not counted.
+Every name in ``operadkit.__all__`` must also exist, so a star import
+cannot fail on an export whose code has moved."""
 
 import ast
 import os
@@ -31,18 +32,28 @@ def _trees():
                 yield name, ast.parse(f.read(), name)
 
 
-def _defined_and_referenced():
+def _defined_and_referenced(trees=None):
+    """Defined names, and the names referenced outside their own bodies: a
+    recursive call does not keep a function alive."""
     defined, referenced = [], set()
-    for module, tree in _trees():
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((module, node.name))
-            elif isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
+
+    def visit(module, node, inside):
+        names = ()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((module, node.name))
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name):
+            names = (node.id,)
+        elif isinstance(node, ast.Attribute):
+            names = (node.attr,)
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        referenced.update(name for name in names if name not in inside)
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, inside)
+
+    for module, tree in trees or _trees():
+        visit(module, tree, frozenset())
     return defined, referenced
 
 
@@ -57,6 +68,19 @@ def test_every_function_and_class_in_src_has_a_reference_in_src():
         and not (name.startswith("__") and name.endswith("__"))
     )
     assert not dead, "defined in src but referenced nowhere in src: %s" % ", ".join(dead)
+
+
+def test_a_recursive_call_does_not_keep_a_function_alive():
+    source = (
+        "def orphan(t):\n"
+        "    return t if t < 1 else orphan(t - 1)\n"
+        "def used():\n"
+        "    return 0\n"
+        "used()\n"
+    )
+    defined, referenced = _defined_and_referenced([("m.py", ast.parse(source))])
+    assert defined == [("m.py", "orphan"), ("m.py", "used")]
+    assert referenced == {"t", "used"}
 
 
 def test_every_exported_name_is_an_attribute_of_the_package():

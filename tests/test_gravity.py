@@ -32,6 +32,7 @@ from operadkit.poisson import (
     relabel,
     sigma_act,
 )
+from operadkit.reports import check_e2_dims
 
 import delta_oracle
 
@@ -53,6 +54,30 @@ def test_gravity_rejects_unary():
     with pytest.raises(ValueError):
         moduli_dimension_oracle(1)
 
+
+
+@pytest.mark.parametrize("b", [2, 0, -1])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda b: check_free_module(4, b),
+        lambda b: check_lie_embedding(4, b),
+        lambda b: check_generation(4, b),
+        lambda b: verify_generalized_jacobi(3, 1, b),
+        lambda b: bracket_generator(3, b),
+        lambda b: check_e2_dims(4, b),
+    ],
+    ids=["free-module", "lie-embedding", "generation", "jacobi", "generator", "e2-dims"],
+)
+def test_out_of_domain_bracket_degree_is_refused_before_any_work(monkeypatch, check, b):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the refusal")
+
+    for name in ("_degree_slices", "_closure_dims", "delta_apply", "compose_i", "from_mono"):
+        monkeypatch.setattr("operadkit.gravity." + name, no_work)
+    monkeypatch.setattr("operadkit.poisson.enumerate_basis", no_work)
+    with pytest.raises(ValueError, match=r"^bracket degree must be odd and positive, got %d$" % b):
+        check(b)
 
 def test_kernel_dimensions_match_oracle():
     for k in range(2, 6):

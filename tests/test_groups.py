@@ -10,6 +10,7 @@ import pytest
 import operadkit.groups as groups
 from operadkit.groups import (
     FiniteGroupTable,
+    _permutation_group,
     bundled_groups,
     check_conjugation_equivariance,
     check_fixed_points,
@@ -26,10 +27,13 @@ from operadkit.groups import (
     random_tuple,
     subgroups,
     substitute,
-    symmetric,
     tom_dieck_summands,
     tuple_relabel,
 )
+
+
+def symmetric(n):
+    return _permutation_group("S%d" % n, itertools.permutations(range(n)))
 
 
 def test_table_constructor_rejects_malformed_input():

@@ -31,6 +31,7 @@ from operadkit.poisson import (
     tree_leaves,
     unit,
 )
+import compose_oracle
 from gamma_order import check_gamma_order
 from operadkit.operads import (
     check_associativity,
@@ -292,6 +293,56 @@ def test_compose_spot_values():
     assert compose_i(prod, prod, 2) == x1.mul(x2).mul(x3)
     assert compose_i(prod, br, 1) == x1.bracket(x2).mul(x3)
 
+
+
+def _basis_triples():
+    """Every (basis x, basis y, slot) with arities k, l <= 4 and k + l - 1 <= 6."""
+    for k in range(1, 5):
+        for l in range(1, 5):
+            if k + l - 1 > 6:
+                continue
+            for mx in enumerate_basis(k):
+                for my in enumerate_basis(l):
+                    for i in range(1, k + 1):
+                        yield from_mono(mx), from_mono(my), i
+
+
+def test_compose_kernel_equals_the_element_rebuild_on_every_basis_triple():
+    n = 0
+    for x, y, i in _basis_triples():
+        got, want = compose_i(x, y, i), compose_oracle.compose_i(x, y, i)
+        assert got.support == want.support, (x, y, i)
+        assert list(got.terms.items()) == list(want.terms.items()), (x, y, i)
+        n += 1
+    assert n == 1623
+
+
+def test_compose_kernel_equals_the_element_rebuild_on_mixed_degrees():
+    rng = random.Random(24)
+    for _ in range(200):
+        k, l = rng.randint(1, 4), rng.randint(1, 4)
+        x = random_element(k, rng, terms=4, homogeneous=False)
+        y = random_element(l, rng, terms=4, homogeneous=False)
+        i = rng.randint(1, k)
+        # the rebuild adds y's even part first, so only the dicts compare
+        assert compose_i(x, y, i) == compose_oracle.compose_i(x, y, i), (x, y, i)
+
+
+def test_compose_kernel_builds_no_element_per_term(monkeypatch):
+    rng = random.Random(5)
+    cases = [(random_element(k, rng, terms=4, homogeneous=False),
+              random_element(l, rng, terms=4, homogeneous=False), i)
+             for k, l in [(3, 2), (2, 3), (4, 3)] for i in range(1, k + 1)]
+    want = [compose_oracle.compose_i(x, y, i) for x, y, i in cases]
+
+    def refuse(*args):
+        raise AssertionError("compose_i built an element per term")
+
+    for name in ("mul", "bracket"):
+        monkeypatch.setattr(PoissonElement, name, refuse)
+    monkeypatch.setattr("operadkit.poisson.gen", refuse)
+    monkeypatch.setattr("operadkit.poisson.from_mono", refuse)
+    assert [compose_i(x, y, i) for x, y, i in cases] == want
 
 def test_operad_harness_on_engine():
     op = operad_instance()

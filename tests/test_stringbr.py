@@ -251,6 +251,21 @@ def test_nested_gravity_is_nonvacuous():
         check_nested_gravity(2, 0)
 
 
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_nested_gravity(3, -1), "l must be at least 0, got -1"),
+        (lambda: check_nested_gravity(2, 0), "k must be at least 3, got 2"),
+        (lambda: check_nested_gravity(1, 0), "k must be at least 3, got 1"),
+        (lambda: free_bv_presentation(0), "k must be at least 1, got 0"),
+    ],
+    ids=["nested-l-1", "nested-k2", "nested-k1", "free-k0"],
+)
+def test_refusals_name_the_value(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
+
 def test_transfer_lie_on_two_dim_pair():
     pair = pair_from_dict(two_dim_raw())
     rep = check_transfer_lie(pair)

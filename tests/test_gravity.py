@@ -55,7 +55,6 @@ def test_gravity_rejects_unary():
         moduli_dimension_oracle(1)
 
 
-
 @pytest.mark.parametrize("b", [2, 0, -1])
 @pytest.mark.parametrize(
     "check",
@@ -78,6 +77,7 @@ def test_out_of_domain_bracket_degree_is_refused_before_any_work(monkeypatch, ch
     monkeypatch.setattr("operadkit.poisson.enumerate_basis", no_work)
     with pytest.raises(ValueError, match=r"^bracket degree must be odd and positive, got %d$" % b):
         check(b)
+
 
 def test_kernel_dimensions_match_oracle():
     for k in range(2, 6):

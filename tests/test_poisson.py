@@ -294,7 +294,6 @@ def test_compose_spot_values():
     assert compose_i(prod, br, 1) == x1.bracket(x2).mul(x3)
 
 
-
 def _basis_triples():
     """Every (basis x, basis y, slot) with arities k, l <= 4 and k + l - 1 <= 6."""
     for k in range(1, 5):
@@ -319,7 +318,7 @@ def test_compose_kernel_equals_the_element_rebuild_on_every_basis_triple():
 
 def test_compose_kernel_equals_the_element_rebuild_on_mixed_degrees():
     rng = random.Random(24)
-    for _ in range(200):
+    for _ in range(300):
         k, l = rng.randint(1, 4), rng.randint(1, 4)
         x = random_element(k, rng, terms=4, homogeneous=False)
         y = random_element(l, rng, terms=4, homogeneous=False)
@@ -330,9 +329,11 @@ def test_compose_kernel_equals_the_element_rebuild_on_mixed_degrees():
 
 def test_compose_kernel_builds_no_element_per_term(monkeypatch):
     rng = random.Random(5)
-    cases = [(random_element(k, rng, terms=4, homogeneous=False),
-              random_element(l, rng, terms=4, homogeneous=False), i)
-             for k, l in [(3, 2), (2, 3), (4, 3)] for i in range(1, k + 1)]
+    cases = []
+    for k, l in [(3, 2), (2, 3), (4, 3)]:
+        x = random_element(k, rng, terms=4, homogeneous=False)
+        y = random_element(l, rng, terms=4, homogeneous=False)
+        cases += [(x, y, i) for i in range(1, k + 1)]
     want = [compose_oracle.compose_i(x, y, i) for x, y, i in cases]
 
     def refuse(*args):
@@ -343,6 +344,7 @@ def test_compose_kernel_builds_no_element_per_term(monkeypatch):
     monkeypatch.setattr("operadkit.poisson.gen", refuse)
     monkeypatch.setattr("operadkit.poisson.from_mono", refuse)
     assert [compose_i(x, y, i) for x, y, i in cases] == want
+
 
 def test_operad_harness_on_engine():
     op = operad_instance()

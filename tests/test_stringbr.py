@@ -251,7 +251,6 @@ def test_nested_gravity_is_nonvacuous():
         check_nested_gravity(2, 0)
 
 
-
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -265,6 +264,7 @@ def test_nested_gravity_is_nonvacuous():
 def test_refusals_name_the_value(call, message):
     with pytest.raises(ValueError, match="^%s$" % message):
         call()
+
 
 def test_transfer_lie_on_two_dim_pair():
     pair = pair_from_dict(two_dim_raw())

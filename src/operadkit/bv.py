@@ -52,7 +52,7 @@ import itertools
 
 from . import poisson
 from .exact import LinComb, add_into, koszul_sign, scalar
-from .operads import CheckReport, OperadInstance, require_at_least
+from .operads import CheckReport, OperadInstance, require_at_least, require_permutation
 from .poisson import (
     PoissonElement,
     check_bracket_degree,
@@ -153,9 +153,8 @@ class BVElement(LinComb):
         return "<BV " + " + ".join(bits) + ">"
 
 
-def bv_from_poisson(x, marking=()):
-    marking = _norm_marking(marking)
-    return BVElement(x.support, {(m, marking): c for m, c in x.terms.items()})
+def bv_from_poisson(x):
+    return BVElement(x.support, {(m, frozenset()): c for m, c in x.terms.items()})
 
 
 def bv_unit():
@@ -169,9 +168,7 @@ def bv_unit():
 def bv_sigma_act(perm, x):
     """Left action: slot j becomes perm(j); markings relabel with the
     exterior resort sign of the marked-slot word."""
-    k = x.arity
-    if len(perm) != k:
-        raise ValueError("permutation size %d does not match arity %d" % (len(perm), k))
+    require_permutation(perm, x.arity)
     out = BVElement(x.support)
     for (mono, marking), c in x.terms.items():
         px = sigma_act(perm, PoissonElement(x.support, {mono: c}))

@@ -56,7 +56,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .exact import Q, format_rational, parse_rational
-from .operads import CheckReport, OperadInstance, require_at_least
+from .operads import CheckReport, OperadInstance, require_at_least, require_permutation
 
 
 def circle_point(q):
@@ -264,8 +264,7 @@ def compose_i(c, d, i):
 
 def cactus_relabel(perm, c):
     """Symmetric action: lobe j becomes perm(j)."""
-    if sorted(perm) != list(range(1, c.arity + 1)):
-        raise ValueError("%r is not a permutation of 1..%d" % (tuple(perm), c.arity))
+    require_permutation(perm, c.arity)
     return _cactus(c.arity, c.den, [(perm[lab - 1], n) for lab, n in c.word])
 
 

@@ -24,8 +24,8 @@ keeps one incremental ``Echelon``, a candidate is eliminated once when it
 is offered, and orbits are closed under the k-1 adjacent transpositions
 (which generate S_k) instead of all k! permutations.  Each call keeps a
 table of every monomial's images under those transpositions, made by the
-monomial kernel ``_transposition_images`` when the monomial is first met,
-so an element's images are sums of table rows.
+monomial kernel ``_transposed``, which also carries sigma_act, when the
+monomial is first met, so an element's images are sums of table rows.
 
 Only odd b >= 1 is in the model's domain; the kernel and the oracle reject
 any other bracket degree.
@@ -51,7 +51,7 @@ from .exact import (
 from .operads import CheckReport, require_at_least
 from .poisson import (
     PoissonElement,
-    _transposition_images,
+    _transposed,
     check_bracket_degree,
     compose_i,
     enumerate_basis,
@@ -249,6 +249,7 @@ def verify_generalized_jacobi(k, l, b=1):
 def check_suboperad_closure(max_arity, b=1):
     """Partial composition of Delta-closed elements stays Delta-closed."""
     require_at_least("max arity", max_arity, 2)
+    check_bracket_degree(b)
     rep = CheckReport(
         "gravity-closure-%d-b%d" % (max_arity, b),
         "compose_i of kernel basis elements lands in ker Delta",
@@ -288,13 +289,14 @@ def _closure_dims(generators, max_arity, b=1):
     moves slot i to slot 1, and sigma.x lies in the span.
 
     The images under the transpositions come from a table local to the
-    call: ``_transposition_images`` maps each monomial met once under every
-    (a a+1), with sigma_act's dicts, and an element's image is the linear
-    sum of its monomials' images.  Equal monomials are interned, so the
-    table holds one copy of each.  Each element carries its degree: the
-    action keeps it and composition adds the degrees, so only the
-    generators are asked for theirs.  A wrong degree would show as a
-    KeyError in the index of the (arity, degree) basis."""
+    call: ``_transposed(m, a)``, the kernel sigma_act applies letter by
+    letter, maps each monomial m met once under every (a a+1), and an
+    element's image is the linear sum of its monomials' images.  Equal
+    monomials are interned, so the table holds one copy of each.  Each
+    element carries its degree: the action keeps it and composition adds
+    the degrees, so only the generators are asked for theirs.  A wrong
+    degree would show as a KeyError in the index of the (arity, degree)
+    basis."""
     echelons = {}
     done = {k: [] for k in range(1, max_arity + 1)}
     fresh = []
@@ -307,8 +309,8 @@ def _closure_dims(generators, max_arity, b=1):
             row = images.get(m)
             if row is None:
                 row = images[interned.setdefault(m, m)] = [
-                    {interned.setdefault(u, u): v for u, v in image.items()}
-                    for image in _transposition_images(m, k)
+                    {interned.setdefault(u, u): v for u, v in _transposed(m, a).items()}
+                    for a in range(1, k)
                 ]
             for acc, image in zip(out, row):
                 add_into(acc, image, c)

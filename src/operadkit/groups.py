@@ -322,13 +322,11 @@ def tom_dieck_summands(G, max_order=64):
 # table constructors
 
 
-def cyclic(n, name=None):
-    return FiniteGroupTable(
-        name or "C%d" % n, [[(a + b) % n for b in range(n)] for a in range(n)]
-    )
+def cyclic(n):
+    return FiniteGroupTable("C%d" % n, [[(a + b) % n for b in range(n)] for a in range(n)])
 
 
-def dihedral(n, name=None):
+def dihedral(n):
     """Order 2n: (i, 0) rotations, (i, 1) reflections; index i + n*f."""
     def mul(a, b):
         i, f = a % n, a // n
@@ -336,9 +334,7 @@ def dihedral(n, name=None):
         return ((i + j) % n if not f else (i - j) % n) + n * (f ^ g)
 
     order = 2 * n
-    return FiniteGroupTable(
-        name or "D%d" % n, [[mul(a, b) for b in range(order)] for a in range(order)]
-    )
+    return FiniteGroupTable("D%d" % n, [[mul(a, b) for b in range(order)] for a in range(order)])
 
 
 def dicyclic(n, name=None):
@@ -396,7 +392,7 @@ def cyclic_semidirect(n, m, s, name):
     return FiniteGroupTable(name, [[mul(a, b) for b in range(n * m)] for a in range(n * m)])
 
 
-def c4xc2_rtimes_c2(name="(C4xC2):C2"):
+def c4xc2_rtimes_c2():
     """<a, b, c | a^4 = b^2 = c^2 = 1, all of a,b commute, c a c = a b,
     c b c = b>; (i, j, f) -> 4*(2*f + j) + i style index i + 4*j + 8*f."""
     def mul(x, y):
@@ -406,10 +402,10 @@ def c4xc2_rtimes_c2(name="(C4xC2):C2"):
             j2 = (j2 + i2) % 2
         return (i + i2) % 4 + 4 * ((j + j2) % 2) + 8 * (f ^ f2)
 
-    return FiniteGroupTable(name, [[mul(a, b) for b in range(16)] for a in range(16)])
+    return FiniteGroupTable("(C4xC2):C2", [[mul(a, b) for b in range(16)] for a in range(16)])
 
 
-def central_product_c4_d4(name="C4oD4"):
+def central_product_c4_d4():
     """Central product identifying the square of the C4 generator with the
     rotation square of D4: (C4 x D4)/<(z^2, r^2)>.  Coset representatives
     are the pairs with first coordinate in {0, 1}."""
@@ -426,7 +422,7 @@ def central_product_c4_d4(name="C4oD4"):
         (i, d), (i2, d2) = reps[a], reps[b]
         return index[canon((i + i2) % 4, D.mul(d, d2))]
 
-    return FiniteGroupTable(name, [[mul(a, b) for b in range(16)] for a in range(16)])
+    return FiniteGroupTable("C4oD4", [[mul(a, b) for b in range(16)] for a in range(16)])
 
 
 def _group_invariants(G):

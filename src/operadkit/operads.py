@@ -49,6 +49,12 @@ def require_at_least(what, value, least):
         raise ValueError("%s must be at least %d, got %r" % (what, least, value))
 
 
+def require_permutation(perm, k):
+    """Reject anything but a permutation of 1..k, naming it."""
+    if sorted(perm) != list(range(1, k + 1)):
+        raise ValueError("%r is not a permutation of 1..%d" % (tuple(perm), k))
+
+
 def require_at_most(what, value, most):
     """Reject an arity above its budget ``most``, naming the value."""
     if value > most:

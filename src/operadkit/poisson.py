@@ -43,6 +43,9 @@ certified globally: both operad associativity shapes, Sigma-equivariance,
 and the downstream differential and bracket identities are verified over
 exact rationals by the test suite.
 
+Action.  sigma_act applies a reduced word in the adjacent transpositions
+(a a+1), letter by letter, through the one monomial kernel _transposed.
+
 Printing.  element_to_text writes an element as a signed sum of monomials
 in mono_key order, with x{n} for letters above 9; PoissonElement.__repr__
 wraps that text in angle brackets.
@@ -54,8 +57,8 @@ import itertools
 from functools import lru_cache
 from math import factorial, prod
 
-from .exact import GradedDims, LinComb, add_into, format_rational, koszul_sign, scalar
-from .operads import OperadInstance, require_at_least
+from .exact import GradedDims, LinComb, add_into, format_rational, scalar
+from .operads import OperadInstance, require_at_least, require_permutation
 
 # ---------------------------------------------------------------------------
 # bracket trees: a leaf is an int letter, a node is a pair (left, right)
@@ -375,97 +378,73 @@ def _bracket_terms(m1, m2):
 # operad structure
 
 
-def _relabel_block(t, mapping):
-    """(least letter, degree parity, {normal tree: coefficient}) of the
-    normal block t with its letters mapped.  A block the mapping fixes is
-    kept as the same object, and a relabeled comb whose head is still its
-    least letter is already normal; only the rest goes through
-    lie_normal_form."""
-    head, tail = comb_parts(t)
-    h = mapping[head]
-    new = tuple(map(mapping.__getitem__, tail))
-    odd = len(tail) % 2
-    if h == head and new == tail:
-        return h, odd, {t: 1}
-    low = min(new, default=h)
-    if h > low:
-        return low, odd, lie_normal_form(comb(h, new))
-    return h, odd, {comb(h, new): 1}
-
-
-def relabel(x, mapping, renormalize=False):
-    """Apply an injective letter mapping; renormalize when it is not
-    order-preserving (relabeled trees may stop being normal).
-
-    Renormalizing maps each block on its own (see _relabel_block).  Every
-    tree of a block's normal form has the block's letters, so one Koszul
-    sign sorts the blocks of every term of a monomial's image."""
+def relabel(x, mapping):
+    """Apply an order-preserving injective letter mapping, which keeps every
+    tree normal and the blocks in order."""
     support = frozenset(map(mapping.__getitem__, x.support))
-    if not renormalize:
-        terms = {}
-        for mono, c in x.terms.items():
-            m = tuple(relabel_tree(t, mapping) for t in mono)
-            terms[m] = c
-        return PoissonElement._of(support, terms)
-    out = {}
-    for mono, c in x.terms.items():
-        mins, odds, blocks = zip(*[_relabel_block(t, mapping) for t in mono])
-        order = sorted(range(len(mono)), key=mins.__getitem__)
-        image = {}  # distinct choices of trees give distinct monomials
-        for choice in itertools.product(*[b.items() for b in blocks]):
-            v = 1
-            for _, cb in choice:
-                v *= cb
-            image[tuple(choice[o][0] for o in order)] = v
-        add_into(out, image, c * koszul_sign(mins, odds))
-    return PoissonElement._of(support, out)
+    terms = {tuple(relabel_tree(t, mapping) for t in m): c for m, c in x.terms.items()}
+    return PoissonElement._of(support, terms)
 
 
-def sigma_act(perm, x):
-    """Symmetric group action: letter j becomes perm(j); left action.
-
-    An order-preserving perm only renames letters.  Otherwise relabel keeps
-    every block whose head stays its least letter.  _transposition_images
-    gives the same dicts for the adjacent transpositions of one monomial."""
-    k = x.arity
-    if len(perm) != k:
-        raise ValueError("permutation size %d does not match arity %d" % (len(perm), k))
-    mapping = {j: perm[j - 1] for j in range(1, k + 1)}
-    increasing = all(perm[j] > perm[j - 1] for j in range(1, k))
-    return relabel(x, mapping, renormalize=not increasing)
-
-
-def _transposition_images(mono, k):
-    """The terms dicts of (a a+1).mono for a = 1..k-1, equal to sigma_act's
-    item for item.  With a in block P and a+1 in block Q:
+def _transposed(mono, a):
+    """The terms dict of (a a+1).mono.  With a in block P and a+1 in block Q:
     1. P != Q: the letters swap.  If both are heads, P and Q are adjacent
        and trade places, with sign -1 when both have odd degree; otherwise
        no head lies between a and a+1, so the block order holds.
     2. P = Q, a not its head: the tail entries swap; the comb stays normal.
     3. P = Q with head a: P becomes lie_normal_form(comb(a+1, tail with
-       a+1 -> a)) in place, since its least letter is still a."""
-    words, where = [], {}
-    for r, t in enumerate(mono):
-        head, tail = comb_parts(t)
-        words.append((head,) + tail)
-        where.update((x, (r, p)) for p, x in enumerate(words[r]))
-    out = []
-    for a in range(1, k):
-        (r, p), (s, q) = where[a], where[a + 1]
-        w = list(words[r])
-        v = w if r == s else list(words[s])
-        w[p], v[q] = a + 1, a
-        if r == s:
-            trees = lie_normal_form(comb(w[0], w[1:])) if p == 0 else {comb(w[0], w[1:]): 1}
-            out.append({mono[:r] + (u,) + mono[r + 1:]: c for u, c in trees.items()})
-            continue
-        heads = p == q == 0
-        blocks = list(mono)
-        blocks[r], blocks[s] = comb(w[0], w[1:]), comb(v[0], v[1:])
-        if heads:
-            blocks[r], blocks[s] = blocks[s], blocks[r]
-        out.append({tuple(blocks): -1 if heads and len(w) % 2 == len(v) % 2 == 0 else 1})
-    return out
+       a+1 -> a)) in place, since its least letter is still a.
+    The gravity closure calls this k-1 times a monomial, so the letters are
+    read off each block's spine without comb_parts, until both are found."""
+    where = {}  # letter -> (block, place in its word, word), for a and a+1
+    for n, t in enumerate(mono):
+        word = []
+        while not isinstance(t, int):
+            t, x = t
+            word.append(x)
+        word.append(t)
+        word.reverse()
+        for x in (a, a + 1):
+            if x in word:
+                where[x] = n, word.index(x), word
+        if len(where) == 2:
+            break
+    (r, p, w), (s, q, v) = where[a], where[a + 1]
+    w[p], v[q] = a + 1, a
+    if r == s:
+        trees = lie_normal_form(comb(w[0], w[1:])) if p == 0 else {comb(w[0], w[1:]): 1}
+        return {mono[:r] + (u,) + mono[r + 1:]: c for u, c in trees.items()}
+    heads = p == q == 0
+    blocks = list(mono)
+    blocks[r], blocks[s] = comb(w[0], w[1:]), comb(v[0], v[1:])
+    if heads:
+        blocks[r], blocks[s] = blocks[s], blocks[r]
+    return {tuple(blocks): -1 if heads and len(w) % 2 == len(v) % 2 == 0 else 1}
+
+
+def sigma_act(perm, x):
+    """Symmetric group action: letter j becomes perm(j); left action.
+
+    Sorting the values of perm by swaps of adjacent values a, a+1 writes
+    perm = s_a1 ... s_am as a reduced word in the adjacent transpositions
+    s_a = (a a+1).  The word acts right to left, each letter through the
+    monomial kernel _transposed; the identity is the empty word."""
+    k = x.arity
+    require_permutation(perm, k)
+    at = sorted(range(k), key=perm.__getitem__)  # at[v - 1]: place of value v
+    word = []
+    for n in range(k - 1, 0, -1):
+        for a in range(n):
+            if at[a] > at[a + 1]:
+                at[a], at[a + 1] = at[a + 1], at[a]
+                word.append(a + 1)
+    terms = dict(x.terms)
+    for a in reversed(word):
+        out = {}
+        for m, c in terms.items():
+            add_into(out, _transposed(m, a), c)
+        terms = out
+    return PoissonElement._of(x.support, terms)
 
 
 def compose_i(x, y, i):

@@ -689,7 +689,7 @@ def pair_from_presentation(data):
     return EquivariantPair(data, b_names, b_degrees, tau, p)
 
 
-def check_nested_gravity(k, l, check_id=None):
+def check_nested_gravity(k, l):
     """Nonvacuous instance of the generalized Jacobi: the arguments are
     bracket classes on disjoint letter blocks, so the nested operations do
     not collapse.  Since tau is injective and tau o p is the operator, the
@@ -702,7 +702,7 @@ def check_nested_gravity(k, l, check_id=None):
     require_at_least("k", k, 3)
     require_at_least("l", l, 0)
     rep = CheckReport(
-        check_id or "string-gravity-nested-%d-%d" % (k, l),
+        "string-gravity-nested-%d-%d" % (k, l),
         "generalized Jacobi on disjoint bracket blocks, via the transfer",
         {"k": k, "l": l, "letters": 2 * (k + l)},
     )

@@ -65,8 +65,12 @@ def test_gravity_rejects_unary():
         lambda b: verify_generalized_jacobi(3, 1, b),
         lambda b: bracket_generator(3, b),
         lambda b: check_e2_dims(4, b),
+        lambda b: check_suboperad_closure(2, b),
     ],
-    ids=["free-module", "lie-embedding", "generation", "jacobi", "generator", "e2-dims"],
+    ids=[
+        "free-module", "lie-embedding", "generation", "jacobi", "generator", "e2-dims",
+        "closure",
+    ],
 )
 def test_out_of_domain_bracket_degree_is_refused_before_any_work(monkeypatch, check, b):
     def no_work(*args, **kwargs):
@@ -235,9 +239,7 @@ def test_closure_workload_matches_the_benchmark_pins():
 def test_closure_checks_fail_under_the_identity_action(monkeypatch):
     # negative control: the transposition images must come from the kernel,
     # so a kernel that moves nothing leaves arities 3..5 short
-    monkeypatch.setattr(
-        "operadkit.gravity._transposition_images", lambda m, k: [{m: 1}] * (k - 1)
-    )
+    monkeypatch.setattr("operadkit.gravity._transposed", lambda m, a: {m: 1})
     for rep in (check_lie_embedding(5), check_generation(5)):
         assert (rep.total, len(rep.failures)) == (4, 3), rep.line()
         assert rep.failures[0].startswith("arity 3: ")

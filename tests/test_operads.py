@@ -2,12 +2,18 @@
 prove the checks can fail."""
 
 import random
+import re
 
 import pytest
 
 import harness_oracle
 from gamma_order import check_gamma_order, full_gamma, full_gamma_ltr
-from operadkit.bv import bv_operad_instance, random_bv_element
+from operadkit.bv import (
+    bv_from_poisson,
+    bv_operad_instance,
+    bv_sigma_act,
+    random_bv_element,
+)
 from operadkit.cacti import cacti_operad_instance, random_cactus
 from operadkit.groups import bundled_groups, group_operad_instance, random_tuple
 from operadkit.operads import (
@@ -16,6 +22,7 @@ from operadkit.operads import (
     check_associativity,
     check_equivariance,
     check_units,
+    require_permutation,
 )
 from operadkit.poisson import (
     compose_i,
@@ -45,6 +52,26 @@ def test_check_report_shape():
     ok.count(True)
     assert ok.line() == "PASS demo-check (1 cases)"
     assert "witnesses" not in ok.to_dict()
+
+
+@pytest.mark.parametrize(
+    "act, perm",
+    [
+        (sigma_act, (1, 1, 3)),
+        (sigma_act, (2, 3, 4)),
+        (sigma_act, (1, 2)),
+        (lambda p, x: bv_sigma_act(p, bv_from_poisson(x)), (3, 3, 1)),
+        (lambda p, x: bv_sigma_act(p, bv_from_poisson(x).scale(0)), (1, 2, 3, 4)),
+    ],
+    ids=["repeat", "shifted", "short", "bv-repeat", "bv-zero-long"],
+)
+def test_the_actions_refuse_a_non_permutation(act, perm):
+    # one check names the tuple for every action, before any term is read
+    message = "^%s$" % re.escape("%r is not a permutation of 1..3" % (perm,))
+    with pytest.raises(ValueError, match=message):
+        act(perm, gen(1).bracket(gen(2)).mul(gen(3)))
+    with pytest.raises(ValueError, match=message):
+        require_permutation(list(perm), 3)
 
 
 def test_check_with_no_cases_fails():

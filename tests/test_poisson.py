@@ -224,12 +224,10 @@ def test_sigma_act_matches_the_mul_chain_oracle_on_basis_transpositions():
     # 10, and the adjacent transpositions at arity 6
     pairs = 0
     for k in range(1, 7):
-        perms = (
-            permutations(range(1, k + 1))
-            if k <= 5
-            else [perm_transposition(k, a, a + 1) for a in range(1, k)]
-        )
-        perms = list(perms)
+        if k <= 5:
+            perms = list(permutations(range(1, k + 1)))
+        else:
+            perms = [perm_transposition(k, a, a + 1) for a in range(1, k)]
         for mono in enumerate_basis(k):
             x = from_mono(mono)
             for p in perms:

@@ -251,25 +251,6 @@ def bv_operad_instance():
     )
 
 
-def random_bv_element(k, rng, terms=3, coeff_bound=3):
-    """Random homogeneous decorated element (used by harness samplers)."""
-    basis = enumerate_basis(k)
-    slots = list(range(1, k + 1))
-    mono = basis[rng.randrange(len(basis))]
-    target = mono_degree(mono) + rng.randrange(0, k + 1)
-    pool = [
-        (m, frozenset(s))
-        for m in basis
-        if 0 <= target - mono_degree(m) <= k
-        for s in itertools.combinations(slots, target - mono_degree(m))
-    ]
-    out = {}
-    for _ in range(terms):
-        m, s = pool[rng.randrange(len(pool))]
-        add_into(out, {(m, s): rng.randint(-coeff_bound, coeff_bound) or 1})
-    return BVElement(range(1, k + 1), out)
-
-
 # ---------------------------------------------------------------------------
 # identity suite
 

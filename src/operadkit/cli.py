@@ -201,6 +201,7 @@ def _cmd_string(args):
     if args.action == "gravity":
         require_at_least("k", args.k, 2)
         require_at_least("l", args.l, 0)
+        require_at_least("arity k+l", args.k + args.l, 3)
         require_at_most("arity k+l", args.k + args.l, ARITY_BUDGET["string gravity"])
         work = pair.b_dim ** (args.k + args.l) * (args.k * (args.k - 1) // 2)
         require_at_most("b_dim^(k+l) * k(k-1)/2", work, STRING_GRAVITY_BUDGET)
@@ -278,7 +279,7 @@ def build_parser():
     p.add_argument("action", choices=["validate", "mbar", "gravity", "transfer-lie"])
     p.add_argument("--data", required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--l", type=int, default=0)
+    p.add_argument("--l", type=int, default=1)
     p.add_argument("--args", nargs="*", default=[])
     p.set_defaults(fn=_cmd_string)
 

@@ -34,6 +34,13 @@ biderivation, so the bracket of two monomials is one closed sum over pairs
 of blocks, [B1...Bp, C1...Cq] = sum_{i,j} +-sort(... [Bi, Cj] ...), each
 tree bracket taken from the cached tree_bracket (see _bracket_terms).
 
+Sharing.  Each normal tree that enumerate_basis puts in a block or that
+tree_bracket builds is interned in one table, which lives as long as the
+tree_bracket cache: equal trees are one object, stored once, so equal
+monomials compare block by block by identity, not leaf by leaf (the row
+index of a Delta slice, the bracket cache).  Relabelled, composed and
+transposed trees are not interned.
+
 Composition.  compose_i is a monomial kernel too: on each monomial of the
 host it rebuilds the block holding the slot from the terms of the inserted
 element with _bracket_terms, joins the other blocks with merge_monos, and
@@ -120,6 +127,13 @@ def relabel_tree(t, mapping):
     return (relabel_tree(t[0], mapping), relabel_tree(t[1], mapping))
 
 
+_INTERN = {}  # normal tree -> its one shared object; see Sharing
+
+
+def _intern(t):
+    return _INTERN.setdefault(t, t)
+
+
 # ---------------------------------------------------------------------------
 # normal-form bracket of trees
 
@@ -128,9 +142,9 @@ def relabel_tree(t, mapping):
 def tree_bracket(s, t):
     """Normal form of [s, t] for normal trees s, t with disjoint letters.
 
-    Returns a dict {normal tree: integer coefficient}.  Termination: at most
-    one antisymmetry flip, then the right argument's leaf count strictly
-    decreases in every recursive call.
+    Returns a dict {normal tree: integer coefficient}, its trees interned
+    (see Sharing).  Termination: at most one antisymmetry flip, then the
+    right argument's leaf count strictly decreases in every recursive call.
     """
     hs, ht = tree_min(s), tree_min(t)
     if ht < hs:
@@ -138,10 +152,10 @@ def tree_bracket(s, t):
         sign = 1 if (tree_nleaves(s) * tree_nleaves(t)) % 2 else -1
         return {u: sign * c for u, c in tree_bracket(t, s).items()}
     if is_leaf(t):
-        return {(s, t): 1}
+        return {_intern((s, t)): 1}
     t2, last = t  # t = [t2, last], last a leaf since t is a comb
     # last exceeds the head of every u, so (u, last) is normal
-    out = {(u, last): c for u, c in tree_bracket(s, t2).items()}
+    out = {_intern((u, last)): c for u, c in tree_bracket(s, t2).items()}
     # - (-1)^{||t2|| ||last||} [[s,last], t2], with ||last|| odd
     sgn = 1 if tree_nleaves(t2) % 2 else -1
     return add_into(out, tree_bracket((s, last), t2), sgn)
@@ -498,7 +512,9 @@ def compose_i(x, y, i):
 
 def set_partitions(items):
     """All partitions of ``items`` (a sorted tuple) into blocks, each block a
-    sorted tuple, blocks ordered by minimum; deterministic order."""
+    sorted tuple, blocks ordered by minimum; deterministic order.  The block
+    that the least item ``first`` joins or opens has the least head, so it
+    goes in front of the others, which stay sorted: no sort is needed."""
     items = tuple(items)
     if not items:
         yield ()
@@ -508,24 +524,26 @@ def set_partitions(items):
         # first joins an existing block or opens its own
         yield ((first,),) + sub
         for j in range(len(sub)):
-            block = tuple(sorted((first,) + sub[j]))
-            blocks = sub[:j] + (block,) + sub[j + 1 :]
-            yield tuple(sorted(blocks, key=lambda bl: bl[0]))
+            yield ((first,) + sub[j],) + sub[:j] + sub[j + 1:]
 
 
 def enumerate_basis(k, degree=None, b=1):
     """All normal-form monomials of arity k, optionally degree-filtered.
 
     Deterministic order: partitions in generator order, then tail
-    permutations lexicographically block by block.
+    permutations lexicographically block by block.  Each block's trees are
+    built once a call and shared by every partition holding it (see Sharing).
     """
+    combs = {}  # block letters -> its interned normal trees
     out = []
     for blocks in set_partitions(tuple(range(1, k + 1))):
         if degree is not None and b * (k - len(blocks)) != degree:
             continue
-        trees = [[comb(bl[0], tail) for tail in itertools.permutations(bl[1:])]
-                 for bl in blocks]
-        out.extend(itertools.product(*trees))
+        for bl in blocks:
+            if bl not in combs:
+                combs[bl] = [_intern(comb(bl[0], tail))
+                             for tail in itertools.permutations(bl[1:])]
+        out.extend(itertools.product(*map(combs.__getitem__, blocks)))
     return out
 
 
@@ -538,22 +556,6 @@ def poincare_polynomial(k, b=1):
         d = b * (k - len(blocks))
         counts[d] = counts.get(d, 0) + prod(factorial(len(bl) - 1) for bl in blocks)
     return GradedDims(counts)
-
-
-def random_element(k, rng, terms=3, coeff_bound=3, homogeneous=True):
-    """Random integer combination of normal monomials of arity k.
-
-    Homogeneous by default (Koszul-signed identities need a degree).
-    """
-    basis = enumerate_basis(k)
-    if homogeneous:
-        d = rng.choice(sorted({mono_degree(m) for m in basis}))
-        basis = [m for m in basis if mono_degree(m) == d]
-    out = {}
-    for _ in range(min(terms, len(basis))):
-        m = rng.choice(basis)
-        add_into(out, {m: rng.randint(-coeff_bound, coeff_bound) or 1})
-    return PoissonElement(range(1, k + 1), out)
 
 
 def operad_instance():

@@ -18,7 +18,6 @@ from operadkit.bv import (
     bv_unit,
     check_bv_relations,
     delta_apply,
-    random_bv_element,
 )
 import bv_relations_oracle
 from grammar import eval_ast, normalize, normalize_bv, parse_expr
@@ -30,10 +29,10 @@ from operadkit.poisson import (
     enumerate_basis,
     from_mono,
     gen,
-    random_element,
     relabel,
 )
 from perm_helpers import perm_compose
+from samplers import random_bv_element, random_element
 
 
 def poisson_part(x, marking=()):

@@ -542,8 +542,10 @@ def test_string_pair_law_failures_keep_exit_1(capsys, tmp_path, path, value, bad
         ("12", "5", "arity k+l must be at most 16, got 17"),
         ("1", "1", "k must be at least 2, got 1"),
         ("2", "-1", "l must be at least 0, got -1"),
+        # no m_bar_{k+l-1} below arity 3: every tuple would compare {} with {}
+        ("2", "0", "arity k+l must be at least 3, got 2"),
     ],
-    ids=["k6-l4", "k5-l0", "arity", "k-too-small", "l-negative"],
+    ids=["k6-l4", "k5-l0", "arity", "k-too-small", "l-negative", "vacuous"],
 )
 def test_string_gravity_refuses_work_over_budget(capsys, k, l, bad):
     blocks = os.path.join(DATA, "bv_free_blocks.json")

@@ -11,14 +11,12 @@ import os
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "operadkit")
 
-# Used from outside the package only: the operad harness adapters and
-# samplers the tests drive, and the rational boundary views of a cactus.
+# Used from outside the package only: the operad harness adapters the tests
+# drive, and the rational boundary views of a cactus.
 ALLOWED = {
     "operad_instance",
     "bv_operad_instance",
     "cacti_operad_instance",
-    "random_element",
-    "random_bv_element",
     "eval",
     "perimeter",
     "lobe_length",

@@ -1,6 +1,7 @@
 """Exact arithmetic layer: graded dimension tables, permutations, Koszul
 signs, sparse rank/kernel, rational parsing."""
 
+import itertools
 from fractions import Fraction as Q
 
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from operadkit.bv import BVElement, delta_apply, random_bv_element
+from operadkit.bv import BVElement, delta_apply
 from operadkit.exact import (
     Echelon,
     GradedDims,
@@ -28,10 +29,10 @@ from operadkit.exact import (
 from operadkit.poisson import (
     PoissonElement,
     compose_i,
-    random_element,
     relabel,
 )
 from perm_helpers import perm_apply, perm_check, perm_compose, perm_permute_list
+from samplers import random_bv_element, random_element
 
 perms = st.integers(2, 6).flatmap(lambda k: st.permutations(range(1, k + 1)))
 
@@ -91,6 +92,29 @@ def test_perm_block_insert_expands_slot():
     # identity blocks leave a relabeled sigma
     assert perm_block_insert((1, 2), 1, (1,)) == (1, 2)
     assert perm_block_insert((2, 1), 2, (1, 2)) == (3, 1, 2)
+
+
+def test_perm_block_insert_is_multiplicative():
+    # (s s') o_i (t t') = (s o_{s'(i)} t)(s' o_i t'), with (pq)(i) = p(q(i)):
+    # the lemma under which equivariance on generators gives it on all of
+    # S_k x S_l, over every s, s', t, t' and i with k, l <= 4, k + l - 1 <= 6
+    cases = 0
+    for k, l in itertools.product(range(1, 5), repeat=2):
+        if k + l - 1 > 6:
+            continue
+        sk = list(itertools.permutations(range(1, k + 1)))
+        sl = list(itertools.permutations(range(1, l + 1)))
+        for s, s2 in itertools.product(sk, repeat=2):
+            ss = perm_compose(s, s2)
+            for t, t2 in itertools.product(sl, repeat=2):
+                tt = perm_compose(t, t2)
+                for i in range(1, k + 1):
+                    want = perm_compose(
+                        perm_block_insert(s, s2[i - 1], t), perm_block_insert(s2, i, t2)
+                    )
+                    assert perm_block_insert(ss, i, tt) == want, (s, s2, t, t2, i)
+                    cases += 1
+    assert cases == 166653
 
 
 def test_koszul_sign_examples():

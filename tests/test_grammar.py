@@ -6,7 +6,8 @@ from fractions import Fraction as Q
 import pytest
 
 from grammar import normalize, parse_expr
-from operadkit.poisson import element_to_text, gen, random_element
+from operadkit.poisson import element_to_text, gen
+from samplers import random_element
 
 
 def test_parse_basic_shapes():

@@ -12,7 +12,6 @@ from operadkit.bv import (
     bv_from_poisson,
     bv_operad_instance,
     bv_sigma_act,
-    random_bv_element,
 )
 from operadkit.cacti import cacti_operad_instance, random_cactus
 from operadkit.groups import bundled_groups, group_operad_instance, random_tuple
@@ -28,10 +27,10 @@ from operadkit.poisson import (
     compose_i,
     gen,
     operad_instance,
-    random_element,
     sigma_act,
     unit,
 )
+from samplers import random_bv_element, random_element
 
 
 def sampler(k, rng):

@@ -9,7 +9,7 @@ from itertools import permutations
 
 import pytest
 
-from operadkit.exact import GradedDims, perm_transposition, poly_coeffs_product
+from operadkit.exact import GradedDims, add_into, perm_transposition, poly_coeffs_product
 from operadkit.poisson import (
     PoissonElement,
     _transposed,
@@ -22,7 +22,6 @@ from operadkit.poisson import (
     mono_degree,
     operad_instance,
     poincare_polynomial,
-    random_element,
     relabel,
     relabel_tree,
     set_partitions,
@@ -39,6 +38,7 @@ from operadkit.operads import (
     check_units,
 )
 from perm_helpers import perm_compose
+from samplers import random_element
 from wordalg import combination_to_words, tree_to_words
 
 
@@ -142,6 +142,47 @@ def test_set_partitions_bell_numbers():
         parts = list(set_partitions(tuple(range(1, n + 1))))
         assert len(parts) == bell
         assert len(set(parts)) == bell
+
+
+def sorting_set_partitions(items):
+    """set_partitions as it was when it sorted each grown block and then the
+    blocks by minimum."""
+    items = tuple(items)
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for sub in sorting_set_partitions(rest):
+        yield ((first,),) + sub
+        for j in range(len(sub)):
+            block = tuple(sorted((first,) + sub[j]))
+            blocks = sub[:j] + (block,) + sub[j + 1:]
+            yield tuple(sorted(blocks, key=lambda bl: bl[0]))
+
+
+def test_set_partitions_equals_the_sorting_version_in_order():
+    for items in [tuple(range(1, n + 1)) for n in range(8)] + [(2, 5, 6, 9, 11)]:
+        assert list(set_partitions(items)) == list(sorting_set_partitions(items)), items
+
+
+def test_enumerate_basis_holds_one_object_per_block():
+    # every partition that holds a block shares its interned trees
+    for k in range(1, 8):
+        blocks = [t for m in enumerate_basis(k) for t in m]
+        assert len({id(t) for t in blocks}) == len(set(blocks)), k
+    assert len(set(blocks)) == 2372
+
+
+def test_tree_bracket_returns_the_basis_blocks_themselves():
+    # a bracket of two blocks of a basis monomial is a sum of basis blocks,
+    # each returned as the very object the basis holds
+    for k in range(2, 8):
+        basis = enumerate_basis(k)
+        block = {t: t for m in basis for t in m}
+        for m in basis:
+            for s, t in itertools.combinations(m, 2):
+                for u in tree_bracket(s, t):
+                    assert u is block[u], (s, t, u)
 
 
 def test_generators_and_multilinearity():
@@ -248,6 +289,35 @@ def test_transposition_kernel_equals_sigma_act_on_every_basis_monomial():
             for a in range(1, k):
                 want = oracle_sigma_act(perm_transposition(k, a, a + 1), x).terms
                 assert _transposed(mono, a) == want, (mono, a)
+                pairs += 1
+    assert pairs == 4166
+
+
+def transposed_terms(a, terms):
+    """(a a+1) applied linearly to a terms dict through the kernel."""
+    out = {}
+    for m, c in terms.items():
+        add_into(out, _transposed(m, a), c)
+    return out
+
+
+def test_transposition_kernel_satisfies_the_coxeter_relations():
+    # s_a^2 = 1, s_a s_{a+1} s_a = s_{a+1} s_a s_{a+1}, and s_a s_c = s_c s_a
+    # for |a - c| >= 2, on every basis monomial up to arity 6: by the Coxeter
+    # presentation of S_k, sigma_act's reduced words then define an action
+    s = transposed_terms
+    pairs = 0
+    for k in range(2, 7):
+        for mono in enumerate_basis(k):
+            x = {mono: 1}
+            image = {a: s(a, x) for a in range(1, k)}
+            for a in range(1, k):
+                assert s(a, image[a]) == x, ("square", mono, a)
+                if a + 1 < k:
+                    braid = s(a, s(a + 1, image[a])), s(a + 1, s(a, image[a + 1]))
+                    assert braid[0] == braid[1], ("braid", mono, a)
+                for c in range(a + 2, k):
+                    assert s(a, image[c]) == s(c, image[a]), ("commute", mono, a, c)
                 pairs += 1
     assert pairs == 4166
 

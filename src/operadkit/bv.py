@@ -246,7 +246,6 @@ def bv_operad_instance():
         compose=bv_compose,
         act=bv_sigma_act,
         degree=lambda x: (x.degree() or 0) if not x.is_zero() else 0,
-        scale=lambda x, c: x.scale(c),
         unit=bv_unit(),
     )
 

@@ -58,7 +58,7 @@ def _cmd_dims(args):
     if args.table == "e2":
         dims = poincare_polynomial(args.arity, b)
     elif args.table == "grav":
-        dims = gravity_basis(args.arity, b).dims()
+        dims = GradedDims.of_bases(gravity_basis(args.arity, b))
     else:
         dims = moduli_dimension_oracle(args.arity, b)
     print(_dims_table(dims))

@@ -16,14 +16,13 @@ letter set and carries the vector-space operations shared by poisson and BV
 elements; the same ``add_into`` serves the plain dict vectors of the string
 bracket presentations and the rows of the elimination.
 
-All exact linear algebra goes through one incremental kernel, ``Echelon``:
-vectors are admitted one at a time into a fully reduced row echelon form, so
-a span is grown, tested and solved against without eliminating anything
-twice (the rank of a list of vectors is ``rank`` after admitting them), and
-null spaces come out of the unique reduced form, identical for identical
-inputs, as sparse dicts.  ``SparseMatrix`` stores a matrix as its
-row dicts and admits them last row first: the order changes the work, not
-the reduced form.
+All exact linear algebra goes through one incremental kernel, ``Echelon``,
+which keeps only a fully reduced row echelon form: vectors are admitted one
+at a time, so a span is grown and tested without eliminating anything twice
+(the rank of a list of vectors is ``rank`` after admitting them), and null
+spaces come out of the unique reduced form, identical for identical inputs,
+as sparse dicts.  ``SparseMatrix`` stores a matrix as its row dicts and
+admits them last row first: the order changes the work, not the reduced form.
 """
 
 from __future__ import annotations
@@ -50,6 +49,11 @@ class GradedDims(dict):
                 raise ValueError("negative dimension at degree %s" % d)
             if n:
                 self[int(d)] = int(n)
+
+    @classmethod
+    def of_bases(cls, bases):
+        """Dimensions of a mapping degree -> list of basis vectors."""
+        return cls({d: len(v) for d, v in bases.items()})
 
     def shifted(self, by):
         """Same table with every degree translated by ``by``."""
@@ -285,13 +289,12 @@ class Echelon:
     visits only the pivot columns present in the vector, not every row.  A
     new pivot p is back-substituted into the rows only when some row has
     ever held column p.  The rows are the unique reduced echelon form of
-    the span, whatever the order of ``add``.
+    the span, whatever the order of ``add``, and all that is kept.
     """
 
     def __init__(self):
         self.rows = {}
         self.touched = set()  # every column any row has held
-        self.added = []  # the independent vectors, in the order added
 
     @property
     def rank(self):
@@ -307,8 +310,7 @@ class Echelon:
         return out
 
     def add(self, vec):
-        """Admit vec unless it lies in the span; True when it was admitted.
-        The caller must not change vec afterwards (``solve`` reads it)."""
+        """Admit vec unless it lies in the span; True when it was admitted."""
         row = self.reduce(vec)
         if not row:
             return False
@@ -326,27 +328,7 @@ class Echelon:
                     add_into(other, row, -f)
         self.touched.update(row)
         self.rows[p] = row
-        self.added.append(vec)
         return True
-
-    def solve(self, vec):
-        """Exact coefficients {i: c_i}, nonzero only and normalised by
-        ``scalar``, with vec the sum of c_i times the i-th vector admitted
-        by ``add``.  Raises ArithmeticError when vec lies outside the span.
-
-        Read at the pivot columns, the admitted vectors form an invertible
-        square matrix, so the coefficients solve sum_i c_i v_i[p] = vec[p];
-        the echelon form of that system, with vec as its last column, is the
-        identity followed by the solution."""
-        if self.reduce(vec):
-            raise ArithmeticError("vector lies outside the span")
-        n = len(self.added)
-        system = Echelon()
-        for p in self.rows:
-            eq = {i: v[p] for i, v in enumerate(self.added) if v.get(p)}
-            eq[n] = vec.get(p, 0)
-            system.add(eq)
-        return {i: scalar(r[n]) for i, r in sorted(system.rows.items()) if r.get(n)}
 
     def kernel_basis(self, cols):
         """Basis of the vectors of length ``cols`` orthogonal to every row,

@@ -14,10 +14,11 @@ agreement of the b=3 and b=1 dimension tables under degree tripling.
 One basis pass buckets the basis by degree, and each Delta matrix is built
 once per degree, a single ``delta_apply`` per basis monomial giving its
 column image; the image's terms are entered into the rows through the next
-slice's row index.  A kernel vector's certificate is the sum of those column
-images weighted by its coefficients, which by linearity is Delta of the
-vector and must be exactly zero.  ``check_free_module`` needs only ranks, so
-each slice's images are let go before its rows are eliminated.
+slice's row index.  ``gravity_basis`` gives the kernel as {degree:
+[PoissonElement]}, each vector certified: the sum of those column images
+weighted by its coefficients, Delta of the vector by linearity, must be
+exactly zero.  ``check_free_module`` needs only ranks, so each slice's
+images are let go before its rows are eliminated.
 
 Generated sub-sequences are grown, not recomputed: each (arity, degree)
 keeps one incremental ``Echelon``, a candidate is eliminated once when it
@@ -89,25 +90,6 @@ def _delta_slice(k, slices, degree, b=1):
     return cols, images, SparseMatrix(len(cols), rows)
 
 
-class GravityBasis:
-    """Per-degree bases of ker Delta in arity k.  Each element was certified
-    Delta-closed when it was built: its coefficients, applied to the Delta
-    images of the basis monomials, sum to exactly zero."""
-
-    def __init__(self, arity, bracket_degree, elements):
-        self.arity = arity
-        self.bracket_degree = bracket_degree
-        self.elements = dict(elements)  # degree -> list of PoissonElement
-
-    def dims(self):
-        return GradedDims({d: len(v) for d, v in self.elements.items()})
-
-    def all_elements(self):
-        for d in sorted(self.elements):
-            for x in self.elements[d]:
-                yield d, x
-
-
 def _require_arity(k):
     """Refuse an arity below 2, naming it; see the module docstring."""
     why = ": Delta = 0 there, so the kernel is not the image" if k == 1 else ""
@@ -116,7 +98,11 @@ def _require_arity(k):
 
 
 def gravity_basis(k, b=1):
-    """Exact kernel of Delta per degree; rejects the unary arity."""
+    """Exact kernel of Delta in arity k as {degree: [PoissonElement]}, in
+    degree order, over the degrees where it is nonzero; rejects the unary
+    arity.  Each element is certified when it is built: its coefficients,
+    applied to the Delta images of the basis monomials, sum to exactly
+    zero, or an AssertionError is raised."""
     _require_arity(k)
     check_bracket_degree(b)
     support = frozenset(range(1, k + 1))
@@ -134,7 +120,7 @@ def gravity_basis(k, b=1):
             span.append(PoissonElement(support, {cols[c]: v for c, v in vec.items()}))
         if span:
             elements[degree] = span
-    return GravityBasis(k, b, elements)
+    return elements
 
 
 def moduli_dimension_oracle(k, b=1):
@@ -255,13 +241,16 @@ def check_suboperad_closure(max_arity, b=1):
         "compose_i of kernel basis elements lands in ker Delta",
         {"max_arity": max_arity, "bracket_degree": b},
     )
-    bases = {k: gravity_basis(k, b) for k in range(2, max_arity)}
+    bases = {
+        k: [x for span in gravity_basis(k, b).values() for x in span]
+        for k in range(2, max_arity)
+    }
     for k in range(2, max_arity):
         for l in range(2, max_arity):
             if k + l - 1 > max_arity:
                 continue
-            for _, x in bases[k].all_elements():
-                for _, y in bases[l].all_elements():
+            for x in bases[k]:
+                for y in bases[l]:
                     for i in range(1, k + 1):
                         z = compose_i(x, y, i)
                         ok = delta_apply(z).is_zero()
@@ -380,7 +369,7 @@ def check_generation(max_arity, b=1):
     gens = [(m, bracket_generator(m, b)) for m in range(2, max_arity + 1)]
     dims = _closure_dims(gens, max_arity, b)
     for k in range(2, max_arity + 1):
-        target = gravity_basis(k, b).dims()
+        target = GradedDims.of_bases(gravity_basis(k, b))
         ok = dims[k] == target
         rep.count(
             ok,
@@ -398,8 +387,8 @@ def grav4_table(max_arity):
         {"max_arity": max_arity},
     )
     for k in range(2, max_arity + 1):
-        d1 = gravity_basis(k, 1).dims()
-        d3 = gravity_basis(k, 3).dims()
+        d1 = GradedDims.of_bases(gravity_basis(k, 1))
+        d3 = GradedDims.of_bases(gravity_basis(k, 3))
         ok = d3 == d1.scaled_degrees(3)
         rep.count(
             ok,

@@ -65,21 +65,17 @@ class OperadInstance:
     """Adapter bundling one concrete operad's operations.
 
     compose(x, y, i), act(perm, x), arity(x) are required.  degree(x) may be
-    None for ungraded operads; scale(x, s) is required when degree is given
-    (Koszul signs need it).  Elements are compared with ==.
+    None for ungraded operads; the elements of a graded one scale themselves,
+    x.scale(s), for the Koszul signs.  Elements are compared with ==.
     """
 
-    def __init__(self, name, compose, act, arity, degree=None, scale=None,
-                 unit=None):
+    def __init__(self, name, compose, act, arity, degree=None, unit=None):
         self.name = name
         self.compose = compose
         self.act = act
         self.arity = arity
         self.degree = degree
-        self.scale = scale
         self.unit = unit
-        if degree is not None and scale is None:
-            raise ValueError("graded operads need scale for Koszul signs")
 
 
 class CheckReport:
@@ -167,7 +163,7 @@ def check_associativity(op, arities, sampler, sample_count, seed=0):
             lhs = compose(xy[i - 1], z, j + l - 1)
             rhs = compose(xz[j - 2], y, i)
             if sign != 1:
-                rhs = op.scale(rhs, sign)
+                rhs = rhs.scale(sign)
             if lhs != rhs:
                 failures.append(
                     "disjoint sample=%d i=%d j=%d x=%r y=%r z=%r" % (n, i, j, x, y, z)

@@ -566,7 +566,6 @@ def operad_instance():
         act=sigma_act,
         arity=lambda x: x.arity,
         degree=lambda x: x.degree() if not x.is_zero() else 0,
-        scale=lambda x, s: x.scale(s),
         unit=unit(),
     )
 

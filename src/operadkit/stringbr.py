@@ -49,7 +49,9 @@ from __future__ import annotations
 
 import itertools
 
-from .exact import Echelon, add_into, format_rational, koszul_sign, parse_rational, perm_inverse
+from .exact import (
+    Echelon, add_into, format_rational, koszul_sign, parse_rational, perm_inverse, scalar
+)
 from .operads import CheckReport, require_at_least
 
 
@@ -675,17 +677,25 @@ def pair_from_presentation(data):
     """Split off a complement of the kernel: B is spanned by basis columns
     whose images under the operator are independent, tau restricts the
     operator to them, and p solves delta(x) = tau(p(x)).  The pair laws
-    hold by construction."""
+    hold by construction.  The m-th independent image is admitted with a 1
+    in the tag column n + m, past every basis column, so a tag is never a
+    pivot; a dependent image reduces to tags alone, and p of it is minus
+    that remainder."""
     n = data.dim
     images = Echelon()
-    pivots = []
-    for j in range(n):
-        if data.delta.get(j) and images.add(data.delta[j]):
+    pivots, p = [], {}
+    for j in filter(data.delta.get, range(n)):
+        rest = images.reduce(data.delta[j])
+        if min(rest) < n:
+            rest[n + len(pivots)] = 1
+            images.add(rest)
+            p[j] = {len(pivots): 1}
             pivots.append(j)
+        else:
+            p[j] = {c - n: scalar(-v) for c, v in sorted(rest.items())}
     b_names = tuple("t_" + data.names[j] for j in pivots)
     b_degrees = tuple(data.degrees[j] for j in pivots)
     tau = {m: dict(data.delta[j]) for m, j in enumerate(pivots)}
-    p = {j: images.solve(data.delta[j]) for j in range(n) if data.delta.get(j)}
     return EquivariantPair(data, b_names, b_degrees, tau, p)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 
 from operadkit.bv import delta_apply
 from operadkit.exact import GradedDims, add_into, scalar
-from operadkit.gravity import GravityBasis, _degree_slices, _delta_slice
+from operadkit.gravity import _degree_slices, _delta_slice
 from operadkit.operads import CheckReport
 from operadkit.poisson import PoissonElement, check_bracket_degree, enumerate_basis
 
@@ -117,7 +117,7 @@ def gravity_basis(k, b=1):
                 raise AssertionError("kernel vector fails its certificate")
             span.append(x)
         elements[degree] = span
-    return GravityBasis(k, b, elements)
+    return elements
 
 
 def check_free_module(k, b=1):

@@ -32,7 +32,7 @@ def full_gamma_ltr(op, c, ds):
         offset += op.arity(ds[i - 1]) - 1
     # the right-to-left order reverses the inserted elements
     if op.degree is not None and koszul_sign(range(k, 0, -1), [op.degree(d) for d in ds]) < 0:
-        out = op.scale(out, -1)
+        out = out.scale(-1)
     return out
 
 

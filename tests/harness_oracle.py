@@ -43,7 +43,7 @@ def check_associativity(op, arities, sampler, sample_count, seed=0):
             rhs = op.compose(op.compose(x, z, j), y, i)
             sign = _sign_between(op, y, z)
             if sign != 1:
-                rhs = op.scale(rhs, sign)
+                rhs = rhs.scale(sign)
             ok = lhs == rhs
             rep.count(
                 ok,

@@ -1,10 +1,22 @@
-"""Random samplers of e_b and BV elements that only the tests draw from."""
+"""Random samplers of e_b and BV elements that only the tests draw from,
+and the hypothesis strategy of exact scalars."""
 
 import itertools
+
+from hypothesis import strategies as st
 
 from operadkit.bv import BVElement
 from operadkit.exact import add_into
 from operadkit.poisson import PoissonElement, enumerate_basis, mono_degree
+
+
+# Small ints and rationals, zero often, so that ranks and kernels vary and
+# an elimination meets both int rows and non-unit pivots (Fraction rows).
+scalars = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
 
 
 def random_element(k, rng, terms=3, coeff_bound=3, homogeneous=True):

@@ -4,12 +4,16 @@ read as an attribute, or imported) outside its own body, so a second copy
 of a job cannot linger once its last caller is gone, even if it calls
 itself.  Dunder methods are called by Python itself and are not counted.
 Every name in ``operadkit.__all__`` must also exist, so a star import
-cannot fail on an export whose code has moved."""
+cannot fail on an export whose code has moved.  And no option is dead:
+every defaulted parameter of a function or ``__init__`` in the package is
+set by some call in ``src``, ``tests`` or ``perfbench``."""
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src", "operadkit")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SRC = os.path.join(ROOT, "src", "operadkit")
+CALLERS = [SRC, os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")]
 
 # Used from outside the package only: the operad harness adapters the tests
 # drive, and the rational boundary views of a cactus.
@@ -23,10 +27,10 @@ ALLOWED = {
 }
 
 
-def _trees():
-    for name in sorted(os.listdir(SRC)):
+def _trees(folder=SRC):
+    for name in sorted(os.listdir(folder)):
         if name.endswith(".py"):
-            with open(os.path.join(SRC, name)) as f:
+            with open(os.path.join(folder, name)) as f:
                 yield name, ast.parse(f.read(), name)
 
 
@@ -53,6 +57,61 @@ def _defined_and_referenced(trees=None):
     for module, tree in trees or _trees():
         visit(module, tree, frozenset())
     return defined, referenced
+
+
+def _options(trees):
+    """(module, called name, parameter, positional index or None) for each
+    defaulted parameter.  An ``__init__`` is called by its class's name,
+    and a method's positionals are offset by one for ``self``; keyword-only
+    parameters have no index.  Other dunder methods are skipped."""
+    for module, tree in trees:
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                owner.update((item, node.name) for item in node.body)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name.startswith("__") and node.name != "__init__":
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            offset = 1 if node in owner and not static else 0
+            name = owner[node] if node.name == "__init__" else node.name
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for index in range(first, len(positional)):
+                yield module, name, positional[index].arg, index - offset
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield module, name, arg.arg, None
+
+
+def _calls(trees):
+    """Per called name, matched by name alone: the most positionals any
+    call passes and every keyword any call names.  A ``*args`` counts as
+    every positional and a ``**kwargs`` as every keyword (None)."""
+    calls = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            entry = calls.setdefault(name, [0, set()])
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            entry[0] = max(entry[0], float("inf") if starred else len(node.args))
+            entry[1].update(k.arg for k in node.keywords)
+    return calls
+
+
+def _unset_options(defining, calling):
+    calls = _calls(calling)
+    unset = []
+    for module, name, param, index in _options(defining):
+        most, keywords = calls.get(name, (0, set()))
+        if not (param in keywords or None in keywords or (index is not None and most > index)):
+            unset.append("%s:%s(%s)" % (module, name, param))
+    return unset
 
 
 def test_every_function_and_class_in_src_has_a_reference_in_src():
@@ -96,3 +155,34 @@ def test_the_allowlist_names_only_defined_unreferenced_names():
     defined, referenced = _defined_and_referenced()
     assert ALLOWED <= {name for _, name in defined}
     assert not ALLOWED & referenced
+
+
+def test_every_option_in_src_is_set_by_some_call():
+    calling = [tree for folder in CALLERS for tree in _trees(folder)]
+    assert len(list(_options(_trees()))) > 50
+    unset = _unset_options(_trees(), calling)
+    assert not unset, "defaulted but set by no call: %s" % ", ".join(unset)
+
+
+def test_an_option_no_call_sets_is_found():
+    defining = (
+        "def gravity_basis(k, b=1, renormalize=False):\n"
+        "    return gravity_basis(k, b)\n"
+        "class OperadInstance:\n"
+        "    def __init__(self, name, compose, degree=None, scale=None, unit=None):\n"
+        "        pass\n"
+        "    def check(self, cases, seed=0, *, strict=False):\n"
+        "        pass\n"
+    )
+    calling = (
+        "OperadInstance('e', compose_i, degree=len, unit=1).check([], 1)\n"
+        "gravity_basis(4, 3)\n"
+    )
+    unset = _unset_options(
+        [("m.py", ast.parse(defining))], [("t.py", ast.parse(calling))]
+    )
+    assert unset == [
+        "m.py:gravity_basis(renormalize)",
+        "m.py:OperadInstance(scale)",
+        "m.py:check(strict)",
+    ]

@@ -32,7 +32,7 @@ from operadkit.poisson import (
     relabel,
 )
 from perm_helpers import perm_apply, perm_check, perm_compose, perm_permute_list
-from samplers import random_bv_element, random_element
+from samplers import random_bv_element, random_element, scalars
 
 perms = st.integers(2, 6).flatmap(lambda k: st.permutations(range(1, k + 1)))
 
@@ -351,15 +351,6 @@ def _reference_kernel(pivots, cols):
     return basis
 
 
-# Small ints and rationals, zero often, so that ranks and kernels vary and
-# the elimination meets both int rows and non-unit pivots (Fraction rows).
-scalars = st.one_of(
-    st.just(0),
-    st.integers(-3, 3),
-    st.fractions(min_value=-3, max_value=3, max_denominator=3),
-)
-
-
 @st.composite
 def matrices(draw):
     rows = draw(st.integers(0, 6))
@@ -409,25 +400,17 @@ def test_echelon_matches_reference_elimination(case):
         assert all(type(v) is int for vec in kernel for v in vec.values())
 
 
-@given(matrices(), st.lists(scalars, min_size=6, max_size=6))
-def test_echelon_solve_recovers_coefficients(case, weights):
-    _, cols, data = case
+@pytest.mark.parametrize("vec", [{0: 1, 2: 3}, {1: 2, 2: Q(1, 3)}])
+def test_echelon_keeps_no_admitted_vector(vec):
+    # a vector that is already a reduced row, and one scaled at its pivot
     ech = Echelon()
-    for row in data:
-        ech.add({c: v for c, v in enumerate(row) if v})
-    target = {}
-    for i, w in enumerate(weights[: ech.rank]):
-        for c, v in ech.added[i].items():
-            target[c] = target.get(c, 0) + w * v
-    want = {i: w for i, w in enumerate(weights[: ech.rank]) if w}
-    got = ech.solve(target)
-    assert got == want
-    # integral coefficients come back as ints, whatever the pivots were
-    assert all(type(got[i]) is int for i, w in want.items() if w.denominator == 1)
-    if ech.rank < cols:
-        (free, *_) = [c for c in range(cols) if c not in ech.rows]
-        with pytest.raises(ArithmeticError):
-            ech.solve({**target, free: target.get(free, 0) + 1})
+    ech.add({0: 1, 1: 1})
+    assert ech.add(vec)
+    rows = {p: dict(row) for p, row in ech.rows.items()}
+    rank, kernel = ech.rank, ech.kernel_basis(3)
+    vec.clear()
+    vec.update({0: 5, 2: 7})
+    assert ech.rows == rows and ech.rank == rank and ech.kernel_basis(3) == kernel
 
 
 @given(st.fractions(max_denominator=10**6))

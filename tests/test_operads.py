@@ -37,6 +37,10 @@ def sampler(k, rng):
     return random_element(k, rng, terms=2, coeff_bound=2)
 
 
+def bv_sampler(k, rng):
+    return random_bv_element(k, rng, terms=2, coeff_bound=2)
+
+
 def test_check_report_shape():
     rep = CheckReport("demo-check", "a claim", {"k": 2})
     rep.count(True)
@@ -106,7 +110,6 @@ def _poisson_instance(name, compose=compose_i, act=sigma_act, unit_element=None)
         act=act,
         arity=lambda x: x.arity,
         degree=lambda x: x.degree() if not x.is_zero() else 0,
-        scale=lambda x, s: x.scale(s),
         unit=unit() if unit_element is None else unit_element,
     )
 
@@ -160,6 +163,28 @@ def test_harness_catches_wrong_unit():
     assert rep.failures[-1] == "right unit sample=9 k=3 i=3 x=<-2*x1*x2*x3>"
 
 
+def _without_degree(op):
+    """The same operad with its grading forgotten, so no Koszul sign."""
+    return OperadInstance(op.name, op.compose, op.act, op.arity, unit=op.unit)
+
+
+@pytest.mark.parametrize(
+    "op, sample, failures",
+    [
+        (operad_instance(), sampler, 11),
+        (bv_operad_instance(), bv_sampler, 2),
+    ],
+    ids=["poisson", "bv"],
+)
+def test_the_disjoint_associativity_sign_matters(op, sample, failures):
+    # with its grading, each instance passes; without it, the harness reads
+    # a sign of 1 and only the disjoint shape fails, on odd y and z
+    assert check_associativity(op, (2, 2, 2), sample, 40, seed=0).passed
+    rep = check_associativity(_without_degree(op), (2, 2, 2), sample, 40, seed=0)
+    assert rep.total == 200 and len(rep.failures) == failures
+    assert all(f.startswith("disjoint ") for f in rep.failures)
+
+
 def test_units_format_no_witness_for_passing_cases():
     # integer tuples under blockwise translation, unit (0,); each sampled
     # element counts how often a witness string formats it
@@ -180,17 +205,6 @@ def test_units_format_no_witness_for_passing_cases():
     rep = check_units(op, 3, lambda k, rng: Counted(rng.randrange(9) for _ in range(k)), 5)
     assert rep.passed and rep.total == 45
     assert Counted.reprs == 0
-
-
-def test_graded_instance_requires_scale():
-    with pytest.raises(ValueError):
-        OperadInstance(
-            name="missing-scale",
-            compose=compose_i,
-            act=sigma_act,
-            arity=lambda x: x.arity,
-            degree=lambda x: 0,
-        )
 
 
 # The harness computes each composition once per sample; the oracles in
@@ -236,10 +250,7 @@ def test_harness_matches_the_oracle_on_the_model_instances(name):
     if name == "poisson":
         op, sample = operad_instance(), sampler
     elif name == "bv":
-        op = bv_operad_instance()
-
-        def sample(k, rng):
-            return random_bv_element(k, rng, terms=2, coeff_bound=2)
+        op, sample = bv_operad_instance(), bv_sampler
     else:
         op = cacti_operad_instance()
 

@@ -6,9 +6,13 @@ import os
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from operadkit.exact import Echelon
 from operadkit.stringbr import (
     BVAlgebraData,
+    _apply,
     bv_data_from_dict,
     check_m_bar_symmetry,
     check_nested_gravity,
@@ -24,6 +28,7 @@ from operadkit.stringbr import (
     validate_bv,
     verify_gravity_algebra,
 )
+from samplers import scalars
 from stringbr_wire import bv_data_to_dict, pair_to_dict
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "operadkit", "data")
@@ -187,6 +192,52 @@ def test_pair_from_presentation_invariants():
         for j, col in pair.tau.items():
             for r, c in col.items():
                 assert pair.A.degrees[r] == pair.b_degrees[j] + 1
+
+
+@st.composite
+def delta_columns(draw):
+    """(n, delta): sparse columns over 0..n-1 of small rationals, so they
+    meet non-unit int and Fraction pivots; some are absent, and some are a
+    combination of two earlier columns."""
+    n = draw(st.integers(1, 5))
+    delta = {}
+    for j in range(n):
+        earlier = list(delta.values())
+        if len(earlier) >= 2 and draw(st.booleans()):
+            a, b = draw(scalars), draw(scalars)
+            col = {r: a * earlier[-1].get(r, 0) + b * earlier[0].get(r, 0) for r in range(n)}
+        else:
+            col = {r: draw(scalars) for r in range(n)}
+        col = {r: v for r, v in col.items() if v}
+        if col:
+            delta[j] = col
+    return n, delta
+
+
+# a non-unit int pivot; a Fraction pivot whose coefficient is integral only
+# after normalising; a dependent image that combines two tags
+@example((2, {0: {0: 2, 1: 1}, 1: {0: 4, 1: 2}}))
+@example((2, {0: {0: Q(2, 3)}, 1: {0: Q(4, 3)}}))
+@example((3, {0: {0: 1}, 1: {1: Q(1, 2)}, 2: {0: -1, 1: 3}}))
+@given(delta_columns())
+def test_pair_from_presentation_projects_through_tau(case):
+    n, delta = case
+    names = tuple("e%d" % j for j in range(n))
+    pair = pair_from_presentation(BVAlgebraData(names, (0,) * n, {}, delta))
+    # B is spanned by the columns whose image leaves the span of the earlier ones
+    grows, ech = [], Echelon()
+    for j in sorted(delta):
+        if ech.add(delta[j]):
+            grows.append(j)
+    assert pair.b_names == tuple("t_e%d" % j for j in grows)
+    assert pair.tau == {m: delta[j] for m, j in enumerate(grows)}
+    assert list(pair.p) == sorted(delta)
+    for m, j in enumerate(grows):
+        assert pair.p[j] == {m: 1}
+    for j, coeffs in pair.p.items():
+        assert _apply(pair.tau, coeffs) == delta[j]
+        assert list(coeffs) == sorted(coeffs) and all(coeffs.values())
+        assert all(type(v) is int or v.denominator != 1 for v in coeffs.values())
 
 
 def test_pair_constructor_rejects_broken_invariants():

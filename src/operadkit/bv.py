@@ -25,9 +25,9 @@ is then a theorem checked by check_bv_relations, not an input, which pins
 the sign conventions of the underlying bracket engine.  Delta raises degree
 by the bracket degree b, squares to zero, and is a derivation of compose_i.
 check_bv_relations works on monomials, not elements, and reads four tables
-that live for one call: the Delta terms of each arity-k monomial and the c
-side of each letter split with its Delta, both from _delta_mono, and the
-bracket and the product of each monomial pair of the split, from
+that live for one call: the Delta terms of each arity-k monomial and the
+basis embedded into each letter set with its Delta, both from _delta_mono,
+and the bracket and the product of each monomial pair of the split, from
 poisson._bracket_terms and poisson.merge_monos; it enumerates the basis of
 each letter count once.
 
@@ -264,20 +264,22 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
     Four tables live for one call, beside the bases of 1..k letters, each
     enumerated once.  The Delta table maps each arity-k monomial, when
     first met, to its ``_delta_mono`` terms; Delta is linear, so
-    Delta(Delta x), Delta(a.c) and Delta([a, c]) are sums of its rows.  For
-    each split of the letters into (aset, cset), every (cmono, c, Delta c)
-    is made once, before the loop over a, with c = ``_embed(cmono, cset)``.
-    Per split, the pair table maps each monomial pair to
-    poisson._bracket_terms, and the product table to {monomial: sign} from
-    poisson.merge_monos: the terms of a.c, Delta(a).c, a.Delta(c), [a, c],
-    [Delta a, c] and [a, Delta c] are all read there.  b enters only
-    through the parity of |a|, which for odd b is that of b = 1, so the
-    b = 3 battery repeats the b = 1 arithmetic."""
+    Delta(Delta x), Delta(a.c) and Delta([a, c]) are sums of its rows.  The
+    letter table maps a letter set to [(mono, x, Delta x)] over its basis,
+    with x = ``_embed(mono, letters)``.  Each set is aset in one split of
+    the letters into (aset, cset) and cset in its complement's, so it is
+    embedded once and let go at its second use.  Per split, the pair table
+    maps each monomial pair to poisson._bracket_terms, and the product
+    table to {monomial: sign} from poisson.merge_monos: the terms of a.c,
+    Delta(a).c, a.Delta(c), [a, c], [Delta a, c] and [a, Delta c] are all
+    read there.  b enters only through the parity of |a|, which for odd b
+    is that of b = 1, so the b = 3 battery repeats the b = 1 arithmetic."""
     require_at_least("arity", k, 2)  # arity 1 has no products and no pairs
     check_bracket_degree(b)
     signed = not _corrupt_delta
     bases = {s: enumerate_basis(s) for s in range(1, k + 1)}
     images = {}  # the Delta table
+    embedded = {}  # the letter table
     pairs, products = {}, {}  # the pair and product tables of the current split
 
     def delta_of(terms):
@@ -288,6 +290,15 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
                 row = images[m] = _delta_mono(m, signed)
             add_into(out, row, c)
         return out
+
+    def embedded_basis(letters):
+        rows = embedded.pop(letters, None)  # the second use lets it go
+        if rows is None:
+            rows = embedded[letters] = []
+            for mono in bases[len(letters)]:
+                x = _embed(mono, letters)
+                rows.append((mono, x, _delta_mono(x, signed)))
+        return rows
 
     def bracket_of(m1, m2):
         row = pairs.get((m1, m2))
@@ -325,15 +336,10 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
     for asize in range(1, k):
         for aset in itertools.combinations(range(1, k + 1), asize):
             cset = tuple(sorted(set(range(1, k + 1)) - set(aset)))
-            cs = []
-            for cmono in bases[len(cset)]:
-                mc = _embed(cmono, cset)
-                cs.append((cmono, mc, _delta_mono(mc, signed)))
+            cs = embedded_basis(cset)
             pairs.clear()
             products.clear()
-            for amono in bases[asize]:
-                ma = _embed(amono, aset)
-                da = _delta_mono(ma, signed)
+            for amono, ma, da in embedded_basis(aset):
                 # (-1)^{|a|}; the derivation law's (-1)^{|a|+b} is -sign, b odd
                 sign = -1 if mono_degree(amono, b) % 2 else 1
                 for cmono, mc, dc in cs:

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from .exact import GradedDims
 from .operads import require_at_least, require_at_most
 
 # Largest arity each command accepts, refused above before any enumeration:
@@ -50,7 +49,7 @@ def _emit(reports):
 
 
 def _cmd_dims(args):
-    from .gravity import gravity_basis, moduli_dimension_oracle
+    from .gravity import gravity_dims, moduli_dimension_oracle
     from .poisson import poincare_polynomial
 
     require_at_most("arity", args.arity, ARITY_BUDGET["dims " + args.table])
@@ -58,7 +57,7 @@ def _cmd_dims(args):
     if args.table == "e2":
         dims = poincare_polynomial(args.arity, b)
     elif args.table == "grav":
-        dims = GradedDims.of_bases(gravity_basis(args.arity, b))
+        dims = gravity_dims(args.arity, b)
     else:
         dims = moduli_dimension_oracle(args.arity, b)
     print(_dims_table(dims))

@@ -50,11 +50,6 @@ class GradedDims(dict):
             if n:
                 self[int(d)] = int(n)
 
-    @classmethod
-    def of_bases(cls, bases):
-        """Dimensions of a mapping degree -> list of basis vectors."""
-        return cls({d: len(v) for d, v in bases.items()})
-
     def shifted(self, by):
         """Same table with every degree translated by ``by``."""
         return GradedDims({d + by: n for d, n in self.items()})

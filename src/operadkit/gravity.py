@@ -12,13 +12,15 @@ family, the embedded bracket suboperad of dimension (k-1)!, and the
 agreement of the b=3 and b=1 dimension tables under degree tripling.
 
 One basis pass buckets the basis by degree, and each Delta matrix is built
-once per degree, a single ``delta_apply`` per basis monomial giving its
-column image; the image's terms are entered into the rows through the next
-slice's row index.  ``gravity_basis`` gives the kernel as {degree:
-[PoissonElement]}, each vector certified: the sum of those column images
-weighted by its coefficients, Delta of the vector by linearity, must be
-exactly zero.  ``check_free_module`` needs only ranks, so each slice's
-images are let go before its rows are eliminated.
+once per degree, a single ``delta_apply`` per basis monomial whose terms
+are written once, into the rows, through the next slice's row index.  Most
+questions need only dimensions, and ``_slice_ranks`` gives each slice's
+column count and rank: ``check_free_module`` compares kernels with images,
+and ``gravity_dims`` is ker Delta's table, columns minus rank.  Only
+``gravity_basis`` builds the vectors, as {degree: [PoissonElement]}, and it
+alone keeps each column's image beside the rows, for the certificate: the
+sum of the images weighted by a vector's coefficients, Delta of the vector
+by linearity, must be exactly zero.
 
 Generated sub-sequences are grown, not recomputed: each (arity, degree)
 keeps one incremental ``Echelon``, a candidate is eliminated once when it
@@ -70,24 +72,38 @@ def _degree_slices(k, b=1):
     return slices
 
 
-def _delta_slice(k, slices, degree, b=1):
-    """(cols, images, matrix) of Delta from ``slices[degree]`` into the next
-    slice.  ``cols`` is the slice's basis, ``images[c]`` is
-    delta_apply(cols[c]) as a dict row -> coefficient, and the matrix has
-    one row per target monomial in enumeration order.  Rows and images are
-    separate dicts, so eliminating the rows leaves the images as they are."""
+def _delta_slice(k, slices, degree, b=1, images=None):
+    """Matrix of Delta from ``slices[degree]`` into the next slice: one
+    column per monomial of the slice and one row per target monomial, both
+    in enumeration order.  Each column's ``delta_apply`` terms are written
+    into the rows and nowhere else, unless ``images`` is a list: then each
+    column's image, a dict row -> coefficient, is appended to it too.  The
+    images are dicts apart from the rows, so eliminating the rows leaves
+    them as they are."""
     cols = slices[degree]
     index = {mono: r for r, mono in enumerate(slices.get(degree + b, []))}
     rows = [{} for _ in index]
     support = frozenset(range(1, k + 1))
-    images = []
     for c, mono in enumerate(cols):
-        image = {}
-        for m, v in delta_apply(PoissonElement._of(support, {mono: 1})).terms.items():
-            r = index[m]
-            image[r] = rows[r][c] = v
-        images.append(image)
-    return cols, images, SparseMatrix(len(cols), rows)
+        terms = delta_apply(PoissonElement._of(support, {mono: 1})).terms
+        if images is None:
+            for m, v in terms.items():
+                rows[index[m]][c] = v
+        else:
+            image = {}
+            for m, v in terms.items():
+                r = index[m]
+                image[r] = rows[r][c] = v
+            images.append(image)
+    return SparseMatrix(len(cols), rows)
+
+
+def _slice_ranks(k, b=1):
+    """{degree: (columns, rank)} of Delta on each degree slice of arity k,
+    in degree order.  Each slice's matrix is let go once its rank is
+    known."""
+    slices = _degree_slices(k, b)
+    return {d: (len(cols), _delta_slice(k, slices, d, b).rank()) for d, cols in slices.items()}
 
 
 def _require_arity(k):
@@ -101,15 +117,17 @@ def gravity_basis(k, b=1):
     """Exact kernel of Delta in arity k as {degree: [PoissonElement]}, in
     degree order, over the degrees where it is nonzero; rejects the unary
     arity.  Each element is certified when it is built: its coefficients,
-    applied to the Delta images of the basis monomials, sum to exactly
-    zero, or an AssertionError is raised."""
+    applied to the Delta images of the basis monomials, which
+    ``_delta_slice`` hands over beside the rows, sum to exactly zero, or an
+    AssertionError is raised.  For dimensions alone, ``gravity_dims``."""
     _require_arity(k)
     check_bracket_degree(b)
     support = frozenset(range(1, k + 1))
     slices = _degree_slices(k, b)
     elements = {}
-    for degree in slices:
-        cols, images, matrix = _delta_slice(k, slices, degree, b)
+    for degree, cols in slices.items():
+        images = []
+        matrix = _delta_slice(k, slices, degree, b, images)
         span = []
         for vec in matrix.kernel_basis():
             image = {}
@@ -123,6 +141,15 @@ def gravity_basis(k, b=1):
     return elements
 
 
+def gravity_dims(k, b=1):
+    """Dimensions of ker Delta in arity k, from ranks alone: each degree's
+    columns minus its rank, with the zero degrees dropped.  The same table
+    as counting ``gravity_basis``'s vectors."""
+    _require_arity(k)
+    check_bracket_degree(b)
+    return GradedDims({d: n - rank for d, (n, rank) in _slice_ranks(k, b).items()})
+
+
 def moduli_dimension_oracle(k, b=1):
     """Independent per-degree dimension table: coefficients of
     t^b prod_{j=2}^{k-1}(1 + j t^b), multiplied out in u = t^b so that no
@@ -133,9 +160,8 @@ def moduli_dimension_oracle(k, b=1):
 
 
 def check_free_module(k, b=1):
-    """ker Delta = im Delta per degree, and total kernel dimension k!/2.
-    Only the ranks are kept: each slice's images go with its tuple, before
-    its rows are eliminated."""
+    """ker Delta = im Delta per degree, and total kernel dimension k!/2,
+    from each slice's column count and rank (``_slice_ranks``)."""
     _require_arity(k)
     check_bracket_degree(b)
     rep = CheckReport(
@@ -143,12 +169,9 @@ def check_free_module(k, b=1):
         "ker Delta equals im Delta in every degree and has total dimension k!/2",
         {"arity": k, "bracket_degree": b},
     )
-    slices = _degree_slices(k, b)
-    ranks = {d: _delta_slice(k, slices, d, b)[2].rank() for d in slices}
-    total = 0
-    for degree, cols in slices.items():
-        ker_dim = len(cols) - ranks[degree]
-        im_dim = ranks.get(degree - b, 0)
+    total = im_dim = 0
+    for degree, (cols, rank) in _slice_ranks(k, b).items():
+        ker_dim = cols - rank
         total += ker_dim
         ok = ker_dim == im_dim
         rep.count(
@@ -157,6 +180,7 @@ def check_free_module(k, b=1):
             if ok
             else "degree %d: dim ker = %d, dim im = %d" % (degree, ker_dim, im_dim),
         )
+        im_dim = rank  # Delta of this slice lands in the next
     expected = factorial(k) // 2
     rep.count(
         total == expected,
@@ -369,7 +393,7 @@ def check_generation(max_arity, b=1):
     gens = [(m, bracket_generator(m, b)) for m in range(2, max_arity + 1)]
     dims = _closure_dims(gens, max_arity, b)
     for k in range(2, max_arity + 1):
-        target = GradedDims.of_bases(gravity_basis(k, b))
+        target = gravity_dims(k, b)
         ok = dims[k] == target
         rep.count(
             ok,
@@ -387,8 +411,8 @@ def grav4_table(max_arity):
         {"max_arity": max_arity},
     )
     for k in range(2, max_arity + 1):
-        d1 = GradedDims.of_bases(gravity_basis(k, 1))
-        d3 = GradedDims.of_bases(gravity_basis(k, 3))
+        d1 = gravity_dims(k, 1)
+        d3 = gravity_dims(k, 3)
         ok = d3 == d1.scaled_degrees(3)
         rep.count(
             ok,

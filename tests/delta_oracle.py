@@ -171,5 +171,5 @@ def borel_homology(k, b=1):
     slices = _degree_slices(k, b)
     for degree, cols in slices.items():
         out[degree] = len(cols) - prev_rank
-        prev_rank = _delta_slice(k, slices, degree, b)[2].rank()
+        prev_rank = _delta_slice(k, slices, degree, b).rank()
     return GradedDims(out)

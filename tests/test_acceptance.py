@@ -25,7 +25,8 @@ def grav(k, b=1):
     """Dimensions of the gravity basis in arity k, computed once."""
     key = (k, b)
     if key not in _GRAV:
-        _GRAV[key] = GradedDims.of_bases(gravity.gravity_basis(k, b))
+        basis = gravity.gravity_basis(k, b)
+        _GRAV[key] = GradedDims({d: len(xs) for d, xs in basis.items()})
     return _GRAV[key]
 
 

@@ -2,6 +2,7 @@
 composition, the relation suite and its negative control."""
 
 import json
+import math
 import random
 from fractions import Fraction as Q
 from pathlib import Path
@@ -249,6 +250,25 @@ def test_relation_suite_negative_control():
             assert [len(rep.failures) for rep in reps] == failures, (k, b)
             honest = check_bv_relations(k, b)
             assert [rep.total for rep in reps] == [rep.total for rep in honest]
+
+
+def test_relation_suite_embeds_each_letter_set_once(monkeypatch):
+    # every nonempty proper letter set is aset of one split and cset of its
+    # complement's; its s! basis monomials are embedded once, not per side
+    calls = []
+    real = bv._embed
+
+    def counted(mono, letters):
+        calls.append(letters)
+        return real(mono, letters)
+
+    monkeypatch.setattr(bv, "_embed", counted)
+    for k in (3, 4, 5):
+        calls.clear()
+        reps = check_bv_relations(k)
+        assert all(rep.passed for rep in reps)
+        assert len(calls) == sum(math.comb(k, s) * math.factorial(s) for s in range(1, k)), k
+        assert len(set(calls)) == 2 ** k - 2
 
 
 def _bracket_without_e(real):

@@ -67,6 +67,15 @@ def test_dims_tables(capsys):
     assert out.strip() == "{3: 1, 6: 5, 9: 6}"
 
 
+@pytest.mark.parametrize("b", ["1", "3"])
+def test_dims_grav_prints_the_moduli_table(capsys, b):
+    # the kernel's table, from slice ranks, is the oracle's, degree for degree
+    for k in range(2, 8):
+        got = run(capsys, "dims", "grav", "--arity", str(k), "--bracket-degree", b)
+        want = run(capsys, "dims", "moduli", "--arity", str(k), "--bracket-degree", b)
+        assert got == want and got[0] == 0, k
+
+
 def test_dims_moduli_at_a_large_bracket_degree_stays_small():
     # the oracle multiplies out in u = t^b, so no list is as long as b; the
     # child's address space is capped so that a dense list of length b

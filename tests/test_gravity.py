@@ -21,6 +21,7 @@ from operadkit.gravity import (
     check_suboperad_closure,
     grav4_table,
     gravity_basis,
+    gravity_dims,
     moduli_dimension_oracle,
     verify_generalized_jacobi,
 )
@@ -37,6 +38,11 @@ from operadkit.reports import check_e2_dims
 import delta_oracle
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def _counts(basis):
+    """Dimensions of a basis {degree: [vectors]}: its vectors, counted."""
+    return GradedDims({d: len(xs) for d, xs in basis.items()})
 
 
 def test_arity_two_kernel_is_the_bracket():
@@ -58,6 +64,7 @@ def test_gravity_rejects_unary():
     "check",
     [
         lambda b: check_free_module(4, b),
+        lambda b: gravity_dims(4, b),
         lambda b: check_lie_embedding(4, b),
         lambda b: check_generation(4, b),
         lambda b: verify_generalized_jacobi(3, 1, b),
@@ -66,7 +73,7 @@ def test_gravity_rejects_unary():
         lambda b: check_suboperad_closure(2, b),
     ],
     ids=[
-        "free-module", "lie-embedding", "generation", "jacobi", "generator", "e2-dims",
+        "free-module", "dims", "lie-embedding", "generation", "jacobi", "generator", "e2-dims",
         "closure",
     ],
 )
@@ -82,9 +89,10 @@ def test_out_of_domain_bracket_degree_is_refused_before_any_work(monkeypatch, ch
 
 
 def test_kernel_dimensions_match_oracle():
-    for k in range(2, 6):
-        dims = GradedDims.of_bases(gravity_basis(k))
-        assert dims == moduli_dimension_oracle(k)
+    # the dimensions from slice ranks count the kernel vectors
+    for k in range(2, 8):
+        dims = gravity_dims(k)
+        assert dims == _counts(gravity_basis(k)) == moduli_dimension_oracle(k), k
         assert sum(dims.values()) == math.factorial(k) // 2
 
 
@@ -121,7 +129,8 @@ def test_engine_and_delta_eliminations_stay_integral():
     for b, k in itertools.product((1, 3), range(2, 7)):
         slices = _degree_slices(k, b)
         for degree in slices:
-            _, images, matrix = _delta_slice(k, slices, degree, b)
+            images = []
+            matrix = _delta_slice(k, slices, degree, b, images)
             assert all(_integral(image) for image in images), (b, k, degree)
             ech = matrix._echelon()
             assert all(_integral(row) for row in ech.rows.values()), (b, k, degree)
@@ -130,22 +139,25 @@ def test_engine_and_delta_eliminations_stay_integral():
 
 def test_borel_table_is_shifted_kernel_table():
     for k in (2, 3, 4, 5):
-        assert delta_oracle.borel_homology(k) == GradedDims.of_bases(gravity_basis(k)).shifted(-1)
+        assert delta_oracle.borel_homology(k) == _counts(gravity_basis(k)).shifted(-1)
 
 
 def test_delta_slices_match_the_per_degree_matrices():
     # one basis pass gives the per-degree enumerations, and the rows of each
-    # slice are the entries of the (row, col)-keyed matrix, row by row
+    # slice are the entries of the (row, col)-keyed matrix, row by row, with
+    # or without the column images, which hold the same entries by column
     for b, k in itertools.product((1, 3), range(2, 7)):
         slices = _degree_slices(k, b)
         assert list(slices) == [b * j for j in range(k)]
         for degree in slices:
-            cols, images, matrix = _delta_slice(k, slices, degree, b)
+            images = []
+            matrix = _delta_slice(k, slices, degree, b, images)
             want, want_cols, want_rows = delta_oracle.delta_matrix(k, degree, b)
-            assert cols == want_cols and matrix.cols == len(want_cols)
+            assert slices[degree] == want_cols and matrix.cols == len(want_cols)
             assert len(matrix.rows) == len(want_rows)
             entries = {(r, c): v for r, row in enumerate(matrix.rows) for c, v in row.items()}
             assert entries == want.entries
+            assert _delta_slice(k, slices, degree, b).rows == matrix.rows
             by_column = {(r, c): v for c, image in enumerate(images) for r, v in image.items()}
             assert by_column == want.entries
 
@@ -167,12 +179,12 @@ def test_gravity_basis_refuses_a_kernel_vector_that_fails_its_certificate(monkey
     # the certificate reads stay those of Delta
     real = _delta_slice
 
-    def skewed(k, slices, degree, b=1):
-        cols, images, matrix = real(k, slices, degree, b)
+    def skewed(k, slices, degree, b=1, images=None):
+        matrix = real(k, slices, degree, b, images)
         if matrix.rows:
             row = matrix.rows[0]
             row[min(row)] *= 2
-        return cols, images, matrix
+        return matrix
 
     monkeypatch.setattr("operadkit.gravity._delta_slice", skewed)
     with pytest.raises(AssertionError, match="certificate"):
@@ -262,8 +274,9 @@ def test_degree_tripling_table():
 
 
 def test_scaled_degree_kernel_tables():
-    for k in (2, 3, 4):
-        assert GradedDims.of_bases(gravity_basis(k, b=3)) == moduli_dimension_oracle(k, b=3)
+    for k in range(2, 7):
+        dims = gravity_dims(k, b=3)
+        assert dims == _counts(gravity_basis(k, b=3)) == moduli_dimension_oracle(k, b=3), k
 
 
 def _closure_dims_oracle(generators, max_arity, b=1):

@@ -112,10 +112,6 @@ def _delta_mono(mono, signed):
 # decorated elements
 
 
-def _norm_marking(marking):
-    return frozenset(int(i) for i in marking)
-
-
 class BVElement(LinComb):
     """Finitely supported map (normal monomial, marked-slot subset) ->
     scalar, an int when integral, else a Fraction."""
@@ -126,7 +122,7 @@ class BVElement(LinComb):
         self.support = frozenset(support)
         self.terms = {}
         for (mono, marking), c in (terms or {}).items():
-            marking = _norm_marking(marking)
+            marking = frozenset(int(i) for i in marking)
             if not marking <= self.support:
                 raise ValueError(
                     "marked slots %s outside the arity range" % sorted(marking)

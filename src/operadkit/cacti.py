@@ -600,12 +600,12 @@ def cacti_operad_instance():
 # seeded verification batches
 
 
-def _sampled_batch(name, claim, max_arity, samples, seed, max_denominator, least_arity=1):
+def _sampled_batch(name, claim, max_arity, samples, seed, max_denominator):
     """The report and seeded generator of one battery.  A batch outside the
     domain is refused before any sample is drawn: every arity up to
     max_arity needs max_denominator >= arity for positive lengths on the
     1/D grid."""
-    require_at_least("max arity", max_arity, least_arity)
+    require_at_least("max arity", max_arity, 1)
     require_at_least("sample count", samples, 0)
     require_at_least("max denominator", max_denominator, max_arity)
     rep = CheckReport(
@@ -617,12 +617,6 @@ def _sampled_batch(name, claim, max_arity, samples, seed, max_denominator, least
     return rep, random.Random(seed)
 
 
-def _breakpoint_times(dg):
-    """The breakpoint times of a diagonal as rational circle parameters,
-    for the lemmas that take theta at the boundary."""
-    return [Q(t, dg.period) for t in dg.breaks]
-
-
 def _sample_theta(rng, max_denominator):
     den = rng.randint(1, max_denominator)
     return Q(rng.randrange(den), den)
@@ -631,10 +625,11 @@ def _sample_theta(rng, max_denominator):
 def check_associativity_batch(max_arity=5, samples=1000, seed=0, max_denominator=64):
     """Nested and disjoint associativity on seeded random cacti; two cases
     per sampled triple."""
+    require_at_least("max arity", max_arity, 2)
     rep, rng = _sampled_batch(
         "cacti-associativity",
         "the splice composition satisfies both operad associativity shapes",
-        max_arity, samples, seed, max_denominator, least_arity=2,
+        max_arity, samples, seed, max_denominator,
     )
     triples = [
         (k, l, m)
@@ -680,8 +675,8 @@ def check_cocycle(max_arity=5, samples=1000, seed=0, max_denominator=64):
         ok = verify_cocycle(c, theta, phi)
         rep.count(ok, None if ok else "c=%r theta=%s phi=%s" % (c, theta, phi))
     c = random_cactus(max_arity, seed, max_denominator)
-    for theta in _breakpoint_times(homotopy_diagonal(c)):
-        for phi in _breakpoint_times(homotopy_diagonal(rotate(c, theta))):
+    for theta in homotopy_diagonal(c).times:
+        for phi in homotopy_diagonal(rotate(c, theta)).times:
             ok = verify_cocycle(c, theta, phi)
             rep.count(ok, None if ok else "boundary c=%r theta=%s phi=%s" % (c, theta, phi))
     return rep

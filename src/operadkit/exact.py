@@ -58,9 +58,11 @@ class GradedDims(dict):
         """Same table with every degree multiplied by ``factor``."""
         return GradedDims({d * factor: n for d, n in self.items()})
 
+    def __str__(self):
+        return "{%s}" % ", ".join("%d: %d" % (d, self[d]) for d in sorted(self))
+
     def __repr__(self):
-        inner = ", ".join("%d: %d" % (d, self[d]) for d in sorted(self))
-        return "GradedDims({%s})" % inner
+        return "GradedDims(%s)" % self
 
 
 def poly_coeffs_product(factors):

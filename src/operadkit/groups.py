@@ -9,19 +9,19 @@ grouped into conjugacy classes, each carrying its centralizer C(H) and the
 Weyl group order |N(H)/H|.
 
 Group tables are verified against the group axioms at construction; only
-then are a conjugation table g x g^-1 (read by ``conj``) and a greedy
-generating set built from the verified multiplication table.  Composition,
-conjugation and the center read those tables directly: a composite maps the
-inserted tuple through one row of the multiplication table, and z is
-central exactly when its row of the table equals its column.  The fixed
-tuples are found by a scan over the rows of that table: for each generator
-s the product stream of row s is the diagonal conjugate by s of the product
-stream of G, so the whole of G^k is compared tuple by tuple with its images
-inside itertools.  A bundled library provides every group of order at most
-16 (42 tables built from cyclic, dihedral, dicyclic and symmetric blocks,
-direct and semidirect products, and the central product C4 o D4) plus S4;
-the order-16 census is sanity-checked by pairwise separation of elementary
-invariants.
+then are a conjugation table g x g^-1 (read by ``conjugation_act``) and a
+greedy generating set built from the verified multiplication table.
+Composition, conjugation and the center read those tables directly: a
+composite maps the inserted tuple through one row of the multiplication
+table, and z is central exactly when its row of the table equals its
+column.  The fixed tuples are found by a scan over the rows of that table:
+for each generator s the product stream of row s is the diagonal conjugate
+by s of the product stream of G, so the whole of G^k is compared tuple by
+tuple with its images inside itertools.  A bundled library provides every
+group of order at most 16 (42 tables built from cyclic, dihedral, dicyclic
+and symmetric blocks, direct and semidirect products, and the central
+product C4 o D4) plus S4; the order-16 census is sanity-checked by pairwise
+separation of elementary invariants.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import random
 from .exact import koszul_sign
 from .operads import CheckReport, OperadInstance, require_at_least
 
+TOM_DIECK_MAX_ORDER = 64  # the largest group order tom_dieck_summands accepts
+
 
 class FiniteGroupTable:
     """Multiplication table with verified group axioms.
@@ -42,7 +44,7 @@ class FiniteGroupTable:
     closure of the earlier ones under the table's product is added).
     Associativity is checked by Light's test against it, (x s) y = x (s y)
     for s in ``generators`` only: n^2 |S| products instead of n^3.  Once the
-    axioms hold, ``_conj[g][x]`` = g x g^-1 is built, read by ``conj`` and
+    axioms hold, ``_conj[g][x]`` = g x g^-1 is built, read by
     ``conjugation_act``.  ``center`` compares rows of the table with its
     columns (z g = g z for all g), not ``mul`` products."""
 
@@ -106,9 +108,6 @@ class FiniteGroupTable:
 
     def inv(self, a):
         return self._inv[a]
-
-    def conj(self, g, x):
-        return self._conj[g][x]
 
     def element_order(self, a):
         n, x = 1, a
@@ -296,16 +295,16 @@ class SubgroupRecord:
         )
 
 
-def tom_dieck_summands(G, max_order=64):
+def tom_dieck_summands(G):
     """Subgroups grouped into conjugacy classes with centralizer and Weyl
-    data; index data only."""
-    if G.order > max_order:
-        raise ValueError("group order %d exceeds bound %d" % (G.order, max_order))
+    data; index data only.  Refuses orders above ``TOM_DIECK_MAX_ORDER``."""
+    if G.order > TOM_DIECK_MAX_ORDER:
+        raise ValueError("group order %d exceeds bound %d" % (G.order, TOM_DIECK_MAX_ORDER))
     subs = subgroups(G)
     seen = set()
     records = []
     for H in subs:
-        orbit = {frozenset(G.conj(g, x) for x in H) for g in range(G.order)}
+        orbit = {frozenset(conjugation_act(G, g, H)) for g in range(G.order)}
         rep = H not in seen
         seen.update(orbit)
         cent = [
@@ -313,7 +312,7 @@ def tom_dieck_summands(G, max_order=64):
             for g in range(G.order)
             if all(G.mul(g, h) == G.mul(h, g) for h in H)
         ]
-        norm = sum(1 for g in range(G.order) if frozenset(G.conj(g, x) for x in H) == H)
+        norm = sum(1 for g in range(G.order) if frozenset(conjugation_act(G, g, H)) == H)
         records.append(SubgroupRecord(H, rep, cent, norm // len(H)))
     return records
 
@@ -365,14 +364,14 @@ def _permutation_group(name, perms):
     return FiniteGroupTable(name, table, identity=index[tuple(range(len(perms[0])))])
 
 
-def direct_product(G, H, name=None):
+def direct_product(G, H):
     n, m = G.order, H.order
 
     def mul(a, b):
         return (G.mul(a // m, b // m)) * m + H.mul(a % m, b % m)
 
     return FiniteGroupTable(
-        name or "%sx%s" % (G.name, H.name),
+        "%sx%s" % (G.name, H.name),
         [[mul(a, b) for b in range(n * m)] for a in range(n * m)],
         identity=G.identity * m + H.identity,
     )
@@ -449,35 +448,32 @@ def bundled_groups():
 
     for n in range(1, 17):
         add(cyclic(n))
-    add(direct_product(cyclic(2), cyclic(2), "C2xC2"))
+    add(direct_product(cyclic(2), cyclic(2)))
     add(_permutation_group("S3", itertools.permutations(range(3))))
     add(dihedral(4))
     add(dicyclic(2, "Q8"))
-    add(direct_product(cyclic(4), cyclic(2), "C4xC2"))
-    add(direct_product(cyclic(2), direct_product(cyclic(2), cyclic(2), "C2xC2"), "C2xC2xC2"))
-    add(direct_product(cyclic(3), cyclic(3), "C3xC3"))
+    add(direct_product(cyclic(4), cyclic(2)))
+    add(direct_product(cyclic(2), direct_product(cyclic(2), cyclic(2))))
+    add(direct_product(cyclic(3), cyclic(3)))
     add(dihedral(5))
-    add(direct_product(cyclic(6), cyclic(2), "C6xC2"))
+    add(direct_product(cyclic(6), cyclic(2)))
     add(dihedral(6))
     add(cyclic_semidirect(3, 4, 2, "C3:C4"))  # dicyclic of order 12
     s4 = list(itertools.permutations(range(4)))
     add(_permutation_group("A4", [p for p in s4 if koszul_sign(p, (1,) * 4) > 0]))
     add(dihedral(7))
     # order 16
-    add(direct_product(cyclic(4), cyclic(4), "C4xC4"))
-    add(direct_product(cyclic(8), cyclic(2), "C8xC2"))
-    add(direct_product(direct_product(cyclic(4), cyclic(2), "C4xC2"), cyclic(2), "C4xC2xC2"))
-    add(direct_product(
-        direct_product(cyclic(2), cyclic(2), "C2xC2"),
-        direct_product(cyclic(2), cyclic(2), "C2xC2"),
-        "C2xC2xC2xC2",
-    ))
+    add(direct_product(cyclic(4), cyclic(4)))
+    add(direct_product(cyclic(8), cyclic(2)))
+    add(direct_product(direct_product(cyclic(4), cyclic(2)), cyclic(2)))
+    add(direct_product(direct_product(cyclic(2), cyclic(2)),
+                       direct_product(cyclic(2), cyclic(2))))
     add(dihedral(8))
     add(cyclic_semidirect(8, 2, 3, "SD16"))
     add(cyclic_semidirect(8, 2, 5, "M4(2)"))
     add(dicyclic(4, "Q16"))
-    add(direct_product(dihedral(4), cyclic(2), "D4xC2"))
-    add(direct_product(dicyclic(2, "Q8"), cyclic(2), "Q8xC2"))
+    add(direct_product(dihedral(4), cyclic(2)))
+    add(direct_product(dicyclic(2, "Q8"), cyclic(2)))
     add(cyclic_semidirect(4, 4, 3, "C4:C4"))  # b a b^-1 = a^-1
     add(c4xc2_rtimes_c2())
     add(central_product_c4_d4())

@@ -38,7 +38,7 @@ from samplers import random_bv_element, random_element
 
 def poisson_part(x, marking=()):
     """Poisson element collecting the terms with the given marking."""
-    marking = bv._norm_marking(marking)
+    marking = frozenset(int(i) for i in marking)
     return PoissonElement(
         x.support, {m: c for (m, s), c in x.terms.items() if s == marking}
     )

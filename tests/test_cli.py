@@ -236,7 +236,7 @@ def test_cacti_verify_and_compose(tmp_path, capsys):
     # slot out of range is an input error
     code, _, err = run(capsys, "cacti", "compose", str(f1), str(f2), "--at", "9")
     assert code == 2
-    assert "out of range" in err
+    assert err == "error: slot 9 out of range 1..2\n"
 
 
 @pytest.mark.parametrize(

@@ -4,16 +4,20 @@ read as an attribute, or imported) outside its own body, so a second copy
 of a job cannot linger once its last caller is gone, even if it calls
 itself.  Dunder methods are called by Python itself and are not counted.
 Every name in ``operadkit.__all__`` must also exist, so a star import
-cannot fail on an export whose code has moved.  And no option is dead:
-every defaulted parameter of a function or ``__init__`` in the package is
-set by some call in ``src``, ``tests`` or ``perfbench``."""
+cannot fail on an export whose code has moved; the exports are the model
+classes, ``Q`` and ``__version__``.  And no option is dead: every defaulted
+parameter of a function or ``__init__`` in the package is set by some call
+in ``src`` or ``perfbench``, so an option only a test sets is found too."""
 
 import ast
 import os
+import subprocess
+import sys
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SRC = os.path.join(ROOT, "src", "operadkit")
-CALLERS = [SRC, os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")]
+# The folders whose calls keep an option alive; a call in tests does not.
+CALLERS = [os.path.join("src", "operadkit"), "perfbench"]
 
 # Used from outside the package only: the operad harness adapters the tests
 # drive, and the rational boundary views of a cactus.
@@ -24,6 +28,17 @@ ALLOWED = {
     "eval",
     "perimeter",
     "lobe_length",
+}
+
+# Options no call in src or perfbench sets: the bracket degree of the gravity
+# checks, which the reports run at b = 1 and the tier-1 tests alone run at
+# b = 3 to verify the odd-b claims.
+OPTIONS_SET_BY_TESTS = {
+    "gravity.py:check_free_module(b)",
+    "gravity.py:verify_generalized_jacobi(b)",
+    "gravity.py:check_suboperad_closure(b)",
+    "gravity.py:check_lie_embedding(b)",
+    "gravity.py:check_generation(b)",
 }
 
 
@@ -104,6 +119,10 @@ def _calls(trees):
     return calls
 
 
+def _calling(root=ROOT):
+    return [tree for folder in CALLERS for tree in _trees(os.path.join(root, folder))]
+
+
 def _unset_options(defining, calling):
     calls = _calls(calling)
     unset = []
@@ -149,6 +168,20 @@ def test_every_exported_name_is_an_attribute_of_the_package():
     missing = [name for name in operadkit.__all__ if not hasattr(operadkit, name)]
     assert not missing, "named in operadkit.__all__ but not defined: %s" % ", ".join(missing)
     assert set(operadkit.__all__) <= set(star)
+    functions = [
+        name
+        for name in operadkit.__all__
+        if name not in ("__version__", "Q") and not isinstance(getattr(operadkit, name), type)
+    ]
+    assert not functions, "exported but not a class: %s" % ", ".join(functions)
+    # A fresh interpreter, since this one has long imported every layer.
+    layers = ["bv", "cacti", "exact", "gravity", "groups", "operads", "poisson", "stringbr"]
+    probe = "import sys, operadkit; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert [name for name in layers if "operadkit." + name not in out] == []
 
 
 def test_the_allowlist_names_only_defined_unreferenced_names():
@@ -158,14 +191,17 @@ def test_the_allowlist_names_only_defined_unreferenced_names():
 
 
 def test_every_option_in_src_is_set_by_some_call():
-    calling = [tree for folder in CALLERS for tree in _trees(folder)]
     assert len(list(_options(_trees()))) > 50
-    unset = _unset_options(_trees(), calling)
-    assert not unset, "defaulted but set by no call: %s" % ", ".join(unset)
+    unset = _unset_options(_trees(), _calling())
+    assert OPTIONS_SET_BY_TESTS <= set(unset)
+    unset = [option for option in unset if option not in OPTIONS_SET_BY_TESTS]
+    assert not unset, "defaulted but set by no call in src or perfbench: %s" % ", ".join(unset)
 
 
-def test_an_option_no_call_sets_is_found():
+def test_an_option_no_call_sets_is_found(tmp_path):
     defining = (
+        "def tom_dieck_summands(G, max_order=64):\n"
+        "    pass\n"
         "def gravity_basis(k, b=1, renormalize=False):\n"
         "    return gravity_basis(k, b)\n"
         "class OperadInstance:\n"
@@ -178,10 +214,16 @@ def test_an_option_no_call_sets_is_found():
         "OperadInstance('e', compose_i, degree=len, unit=1).check([], 1)\n"
         "gravity_basis(4, 3)\n"
     )
-    unset = _unset_options(
-        [("m.py", ast.parse(defining))], [("t.py", ast.parse(calling))]
-    )
+    for folder, source in [
+        (CALLERS[0], calling),
+        (CALLERS[1], ""),
+        ("tests", "tom_dieck_summands(symmetric(4), max_order=16)\n"),
+    ]:
+        (tmp_path / folder).mkdir(parents=True)
+        (tmp_path / folder / "t.py").write_text(source)
+    unset = _unset_options([("m.py", ast.parse(defining))], _calling(tmp_path))
     assert unset == [
+        "m.py:tom_dieck_summands(max_order)",
         "m.py:gravity_basis(renormalize)",
         "m.py:OperadInstance(scale)",
         "m.py:check(strict)",

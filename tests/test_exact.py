@@ -54,6 +54,12 @@ def test_graded_dims_drops_zeros_and_totals():
     assert d.scaled_degrees(3) == GradedDims({0: 1, 3: 3})
 
 
+def test_graded_dims_prints_its_table_in_degree_order():
+    d = GradedDims({2: 1, 0: 3})
+    assert str(d) == "{0: 3, 2: 1}"
+    assert repr(d) == "GradedDims({0: 3, 2: 1})"
+
+
 def test_graded_dims_rejects_negative():
     with pytest.raises(ValueError):
         GradedDims({0: -1})

@@ -251,8 +251,10 @@ def test_tom_dieck_small_tables():
 
 
 def test_tom_dieck_respects_order_bound():
-    with pytest.raises(ValueError):
-        tom_dieck_summands(symmetric(4), max_order=16)
+    assert groups.TOM_DIECK_MAX_ORDER == 64
+    with pytest.raises(ValueError, match="^group order 65 exceeds bound 64$"):
+        tom_dieck_summands(cyclic(65))
+    assert len(tom_dieck_summands(cyclic(64))) == 7
 
 
 def test_subgroup_counts_match_references():
@@ -370,7 +372,7 @@ def test_conjugation_table_matches_mul_and_inv():
     for G in bundled_groups().values():
         for g in range(G.order):
             for x in range(G.order):
-                assert G.conj(g, x) == G.mul(G.mul(g, x), G.inv(g))
+                assert G._conj[g][x] == G.mul(G.mul(g, x), G.inv(g))
 
 
 def test_generator_fixed_tuples_match_the_all_elements_oracle():

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 
@@ -199,27 +200,30 @@ def validate(c):
     return errors
 
 
+def _recut(word, cut):
+    """The cyclic int arc word re-read from ``cut``, 0 <= cut < its sum, the
+    arc holding ``cut`` split in two; a cut at 0 gives the word unchanged."""
+    pos = 0
+    for j, (lab, n) in enumerate(word):
+        end = pos + n
+        if end > cut:
+            out = [(lab, end - cut), *word[j + 1 :], *word[:j]]
+            if cut > pos:
+                out.append((lab, cut - pos))
+            return out
+        pos = end
+    raise AssertionError("cut point beyond perimeter")
+
+
 def rotate(c, theta):
     """Move the outer marked point by theta = p/q of the acting circle:
-    scale the lengths by q and re-cut the cyclic word at p * S."""
+    scale the lengths by q and ``_recut`` the word at p * S."""
     q = theta.denominator
     p = theta.numerator % q
     if p == 0:
         return c
-    word = c.word
-    cut = p * sum(n for _, n in word)
-    pos = 0
-    for j, (lab, n) in enumerate(word):
-        end = pos + n * q
-        if end > cut:
-            out = [(lab, end - cut)]
-            out += [(b, m * q) for b, m in word[j + 1 :]]
-            out += [(b, m * q) for b, m in word[:j]]
-            if cut > pos:
-                out.append((lab, cut - pos))
-            return _cactus(c.arity, c.den * q, out)
-        pos = end
-    raise AssertionError("cut point beyond perimeter")
+    word = [(lab, n * q) for lab, n in c.word]
+    return _cactus(c.arity, c.den * q, _recut(word, p * sum(n for _, n in c.word)))
 
 
 def compose_i(c, d, i):
@@ -417,13 +421,19 @@ def _diagonal(arity, period, moduli, breaks, levels, rates):
     return dg
 
 
+@lru_cache(maxsize=None)
+def _unit_rows(k):
+    """The k unit rate rows of arity k, as one tuple shared by its diagonals."""
+    return tuple(tuple(int(m == lab) for m in range(k)) for lab in range(k))
+
+
 def homotopy_diagonal(c):
     """The pinching loop of a cactus, with breakpoints at arc boundaries:
     time modulus S, coordinate moduli the lobe lengths, rates 0 or 1."""
     k = c.arity
     lobes = _lobe_units(c)
     moduli = [lobes[m] for m in range(1, k + 1)]
-    unit = [tuple(int(m == lab) for m in range(k)) for lab in range(k)]
+    unit = _unit_rows(k)
     breaks, levels, rates = [], [], []
     t = 0
     current = [0] * k
@@ -551,12 +561,13 @@ def random_cactus(k, seed, max_denominator=64):
     """Deterministic random cactus of arity k and perimeter 1: a random
     recursive lobe tree, DFS traversal, and arc lengths on the 1/D grid with
     D = max_denominator.  Lobes with children are visited more than once
-    whenever an interior stretch is positive, so multi-arc labels occur."""
+    whenever an interior stretch is positive, so multi-arc labels occur.
+    The int word of perimeter D is then cut at a random grid point and
+    normalized, once, with no ``rotate``."""
     require_at_least("arity", k, 1)
+    require_at_least("max denominator", max_denominator, k)
     rng = random.Random("cactus-%d-%d-%d" % (k, seed, max_denominator))
     D = max_denominator
-    if D < k:
-        raise ValueError("need max_denominator >= arity for positive lengths")
     order = list(range(1, k + 1))
     rng.shuffle(order)
     children = {v: [] for v in order}
@@ -582,8 +593,7 @@ def random_cactus(k, seed, max_denominator=64):
             word.append((v, parts[m]))
         return word
 
-    c = _cactus(k, D, emit(order[0]))
-    return rotate(c, Q(rng.randrange(D), D))
+    return _cactus(k, D, _recut(emit(order[0]), rng.randrange(D)))
 
 
 def cacti_operad_instance():

@@ -223,6 +223,16 @@ def test_random_cactus_is_valid_and_deterministic():
     assert all(8 % ln.denominator == 0 for _, ln in c.arcs)
 
 
+def test_random_cactus_refuses_a_grid_coarser_than_its_arity(monkeypatch):
+    # the batteries' text, and no generator is seeded before the refusal
+    message = "^max denominator must be at least 3, got 2$"
+    with pytest.raises(ValueError, match=message):
+        check_cocycle(3, 1, 0, 2)
+    monkeypatch.setattr(cacti.random, "Random", None)
+    with pytest.raises(ValueError, match=message):
+        random_cactus(3, 5, 2)
+
+
 def test_batched_checks_pass():
     for check in (
         check_cocycle,

@@ -3,7 +3,7 @@ data, and negative controls that pin the witness text of the batches."""
 
 from fractions import Fraction as Q
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cacti_oracle as oracle
@@ -49,12 +49,27 @@ def same_diagonal(got, want, theta):
     assert got.eval(theta) == want.eval(theta)
 
 
+# (3, 3, 16) cuts its drawn word (3,3)(1,2)(2,4)(3,7) at 0, so the word stays
+# as drawn, first and last arcs of lobe 3 unmerged; (4, 2, 16) cuts
+# (3,3)(2,1)(1,1)(2,2)(3,5)(4,2)(3,2) at 7, the boundary before (3,5), so no
+# arc is split and the two arcs of lobe 3 across the old basepoint merge.
 @given(arities, seeds, denominators)
+@example(3, 3, 16)
+@example(4, 2, 16)
 def test_random_cactus_matches_the_oracle(k, seed, D):
     c = random_cactus(k, seed, D)
     want = oracle.random_cactus(k, seed, D)
     assert c.arity == want.arity
     assert c.arcs == want.arcs
+
+
+def test_random_cactus_draws_without_rotate(monkeypatch):
+    def refuse(c, theta):
+        raise AssertionError("random_cactus called rotate")
+
+    monkeypatch.setattr(cacti, "rotate", refuse)
+    for k, seed, D in [(1, 0, 5), (2, 7, 8), (3, 3, 16), (4, 2, 16), (5, 11, 64), (8, 4, 97)]:
+        assert random_cactus(k, seed, D).arcs == oracle.random_cactus(k, seed, D).arcs
 
 
 @given(arities, seeds, denominators, thetas)
@@ -210,17 +225,19 @@ def test_batches_catch_a_composition_that_reverses_labels(monkeypatch):
 
 
 def test_batches_catch_a_rotation_by_twice_the_angle(monkeypatch):
+    # random_cactus does not rotate, so the mutant corrupts only the law
+    # under test, and the batteries draw the same cacti as unpatched
     monkeypatch.setattr(cacti, "rotate", rotated_twice(cacti.rotate))
     rep = cacti.check_cocycle(4, 60, seed=3)
-    assert (len(rep.failures), rep.total) == (49, 95)
+    assert (len(rep.failures), rep.total) == (51, 96)
     assert rep.failures[0] == (
-        "c=<cactus 2: (1,3/4)(2,3/32)(1,5/32)> theta=19/24 phi=40/61"
+        "c=<cactus 2: (1,13/64)(2,3/32)(1,45/64)> theta=19/24 phi=40/61"
     )
     rep = cacti.check_rotation_equivariance(4, 60, seed=3)
-    assert (len(rep.failures), rep.total) == (18, 60)
+    assert (len(rep.failures), rep.total) == (16, 60)
     assert rep.failures[0] == (
-        "c=<cactus 2: (1,15/64)(2,3/4)(1,1/64)> "
-        "d=<cactus 2: (1,1/2)(2,5/16)(1,3/16)> i=1 theta=1/2"
+        "c=<cactus 2: (2,9/32)(1,43/64)(2,3/64)> "
+        "d=<cactus 2: (1,7/32)(2,1/2)(1,9/32)> i=1 theta=2/9"
     )
 
 

@@ -315,8 +315,7 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
         {"arity": k, "bracket_degree": b},
     )
     for mono in bases[k]:
-        ok = not delta_of(delta_of({mono: 1}))
-        rep_sq.count(ok, None if ok else repr(mono))
+        rep_sq.count(not delta_of(delta_of({mono: 1})), "%r", mono)
 
     rep_dev = CheckReport(
         "bv-deviation-%d-b%d" % (k, b),
@@ -347,15 +346,13 @@ def check_bv_relations(k, b=1, _corrupt_delta=False):
                     for m, v in dc.items():
                         add_into(dev, product_of(ma, m), -sign * v)
                     add_into(dev, ac, -sign)
-                    witness = "a=%r c=%r" % (amono, cmono) if dev else None
-                    rep_dev.count(not dev, witness)
+                    rep_dev.count(not dev, "a=%r c=%r", amono, cmono)
                     der = delta_of(ac)
                     for m, v in da.items():
                         add_into(der, bracket_of(m, mc), -v)
                     for m, v in dc.items():
                         add_into(der, bracket_of(ma, m), sign * v)
-                    witness = "a=%r c=%r" % (amono, cmono) if der else None
-                    rep_der.count(not der, witness)
+                    rep_der.count(not der, "a=%r c=%r", amono, cmono)
 
     return [rep_sq, rep_dev, rep_der]
 

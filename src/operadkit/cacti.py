@@ -34,8 +34,9 @@ Verified exactly (pointwise and as full PL data where stated): the cocycle
 law  diag(c)(theta+phi) = diag(rotate(c,theta))(phi) + diag(c)(theta),
 equivariance of composition under rotation, and the coEnd law identifying
 diag(c o_i d) with the composite of diag(c) and diag(d).  Values are
-compared by cross-multiplication.  Each seeded battery draws its samples
-from one ``random.Random(seed)`` after its domain check.
+compared by cross-multiplication.  Each seeded battery takes its report and
+generator from ``operads.sampled_report``, the one place where a sampled
+check is seeded, and refuses a domain error before it draws a sample.
 
 The boundary is rational: the constructors take rational lengths, times,
 values and slopes; ``arcs``, ``perimeter``, ``lobe_length(s)``, ``times``,
@@ -57,7 +58,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .exact import Q, format_rational, parse_rational
-from .operads import CheckReport, OperadInstance, require_at_least, require_permutation
+from .operads import OperadInstance, require_at_least, require_permutation, sampled_report
 
 
 def circle_point(q):
@@ -616,15 +617,12 @@ def _sampled_batch(name, claim, max_arity, samples, seed, max_denominator):
     max_arity needs max_denominator >= arity for positive lengths on the
     1/D grid."""
     require_at_least("max arity", max_arity, 1)
-    require_at_least("sample count", samples, 0)
-    require_at_least("max denominator", max_denominator, max_arity)
-    rep = CheckReport(
-        "%s-%d" % (name, max_arity),
-        claim,
-        {"max_arity": max_arity, "samples": samples, "seed": seed,
-         "max_denominator": max_denominator},
+    rep, rng = sampled_report(
+        "%s-%d" % (name, max_arity), claim, {"max_arity": max_arity}, samples, seed
     )
-    return rep, random.Random(seed)
+    require_at_least("max denominator", max_denominator, max_arity)
+    rep.params["max_denominator"] = max_denominator
+    return rep, rng
 
 
 def _sample_theta(rng, max_denominator):
@@ -657,14 +655,12 @@ def check_associativity_batch(max_arity=5, samples=1000, seed=0, max_denominator
         j = rng.randint(1, l)
         lhs = compose_i(compose_i(c, d, i), e, i + j - 1)
         rhs = compose_i(c, compose_i(d, e, j), i)
-        rep.count(lhs == rhs, None if lhs == rhs else
-                  "nested n=%d %r %r %r i=%d j=%d" % (n, c, d, e, i, j))
+        rep.count(lhs == rhs, "nested n=%d %r %r %r i=%d j=%d", n, c, d, e, i, j)
         if k >= 2:
             i2, j2 = sorted(rng.sample(range(1, k + 1), 2))
             lhs = compose_i(compose_i(c, d, i2), e, j2 + l - 1)
             rhs = compose_i(compose_i(c, e, j2), d, i2)
-            rep.count(lhs == rhs, None if lhs == rhs else
-                      "disjoint n=%d %r %r %r i=%d j=%d" % (n, c, d, e, i2, j2))
+            rep.count(lhs == rhs, "disjoint n=%d %r %r %r i=%d j=%d", n, c, d, e, i2, j2)
         else:
             rep.count(True)
     return rep
@@ -683,12 +679,12 @@ def check_cocycle(max_arity=5, samples=1000, seed=0, max_denominator=64):
         theta = _sample_theta(rng, max_denominator)
         phi = _sample_theta(rng, max_denominator)
         ok = verify_cocycle(c, theta, phi)
-        rep.count(ok, None if ok else "c=%r theta=%s phi=%s" % (c, theta, phi))
+        rep.count(ok, "c=%r theta=%s phi=%s", c, theta, phi)
     c = random_cactus(max_arity, seed, max_denominator)
     for theta in homotopy_diagonal(c).times:
         for phi in homotopy_diagonal(rotate(c, theta)).times:
             ok = verify_cocycle(c, theta, phi)
-            rep.count(ok, None if ok else "boundary c=%r theta=%s phi=%s" % (c, theta, phi))
+            rep.count(ok, "boundary c=%r theta=%s phi=%s", c, theta, phi)
     return rep
 
 
@@ -707,7 +703,7 @@ def check_rotation_equivariance(max_arity=4, samples=1000, seed=0, max_denominat
         i = rng.randint(1, k)
         theta = _sample_theta(rng, max_denominator)
         ok = verify_equivariance(c, d, i, theta)
-        rep.count(ok, None if ok else "c=%r d=%r i=%d theta=%s" % (c, d, i, theta))
+        rep.count(ok, "c=%r d=%r i=%d theta=%s", c, d, i, theta)
     return rep
 
 
@@ -727,7 +723,7 @@ def check_coend(max_arity=4, samples=1000, seed=0, max_denominator=64):
         i = rng.randint(1, k)
         theta = _sample_theta(rng, max_denominator)
         ok = verify_coend(c, d, i, theta)
-        rep.count(ok, None if ok else "c=%r d=%r i=%d theta=%s" % (c, d, i, theta))
+        rep.count(ok, "c=%r d=%r i=%d theta=%s", c, d, i, theta)
         if n % 100 == 0:
             # verify_coend at every breakpoint of diag(c o_i d), with the
             # diagonals, the composite and the PL comparison made once
@@ -736,7 +732,7 @@ def check_coend(max_arity=4, samples=1000, seed=0, max_denominator=64):
             boundary = left == coend_composite(dc, dd, i) and all(
                 _coend_at(left, dc, dd, i, t, left.period) for t in left.breaks
             )
-            rep.count(boundary, None if boundary else "boundary c=%r d=%r i=%d" % (c, d, i))
+            rep.count(boundary, "boundary c=%r d=%r i=%d", c, d, i)
     return rep
 
 
@@ -757,14 +753,14 @@ def check_rotation_action(max_arity=5, samples=500, seed=0, max_denominator=64):
             and rotate(rotate(c, a), b) == rotate(c, circle_point(a + b))
             and rotate(rotate(c, a), 1 - a if a else Q(0)) == c
         )
-        rep.count(ok, None if ok else "c=%r a=%s b=%s" % (c, a, b))
+        rep.count(ok, "c=%r a=%s b=%s", c, a, b)
         if n % 50 == 0:
             S = sum(m for _, m in c.word)
             bnd = all(
                 rotate(rotate(c, Q(t, S)), Q(-t % S, S)) == c
                 for t in accumulate((m for _, m in c.word[:-1]), initial=0)
             )
-            rep.count(bnd, None if bnd else "boundary orbit c=%r" % (c,))
+            rep.count(bnd, "boundary orbit c=%r", c)
     return rep
 
 
@@ -782,9 +778,9 @@ def check_winding(max_arity=5, samples=200, seed=0, max_denominator=64):
         c = random_cactus(k, rng.randrange(2**30), max_denominator)
         try:
             homotopy_diagonal(c)
-            rep.count(True, None)
+            rep.count(True)
         except ValueError as err:
-            rep.count(False, "c=%r: %s" % (c, err))
+            rep.count(False, "c=%r: %s", c, err)
     return rep
 
 

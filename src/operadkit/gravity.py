@@ -174,18 +174,10 @@ def check_free_module(k, b=1):
         ker_dim = cols - rank
         total += ker_dim
         ok = ker_dim == im_dim
-        rep.count(
-            ok,
-            None
-            if ok
-            else "degree %d: dim ker = %d, dim im = %d" % (degree, ker_dim, im_dim),
-        )
+        rep.count(ok, "degree %d: dim ker = %d, dim im = %d", degree, ker_dim, im_dim)
         im_dim = rank  # Delta of this slice lands in the next
     expected = factorial(k) // 2
-    rep.count(
-        total == expected,
-        None if total == expected else "total %d != %d" % (total, expected),
-    )
+    rep.count(total == expected, "total %d != %d", total, expected)
     return rep
 
 
@@ -243,7 +235,7 @@ def verify_generalized_jacobi(k, l, b=1):
     if l == 0:
         sign = 0 if rhs.is_zero() else None
         rep.params["relation_sign"] = sign
-        rep.count(sign == 0, None if sign == 0 else "l=0: sum of pair terms is nonzero")
+        rep.count(sign == 0, "l=0: sum of pair terms is nonzero")
         return rep
     if lhs == rhs:
         sign = 1
@@ -252,7 +244,7 @@ def verify_generalized_jacobi(k, l, b=1):
     else:
         sign = None
     rep.params["relation_sign"] = sign
-    rep.count(sign is not None, None if sign is not None else "no global sign matches")
+    rep.count(sign is not None, "no global sign matches")
     return rep
 
 
@@ -278,12 +270,7 @@ def check_suboperad_closure(max_arity, b=1):
                     for i in range(1, k + 1):
                         z = compose_i(x, y, i)
                         ok = delta_apply(z).is_zero()
-                        rep.count(
-                            ok,
-                            None
-                            if ok
-                            else "k=%d l=%d i=%d x=%r y=%r" % (k, l, i, x, y),
-                        )
+                        rep.count(ok, "k=%d l=%d i=%d x=%r y=%r", k, l, i, x, y)
     return rep
 
 
@@ -373,11 +360,7 @@ def check_lie_embedding(max_arity, b=1):
         expected = factorial(k - 1)
         got = dims[k]
         ok = got == GradedDims({b * (k - 1): expected})
-        rep.count(
-            ok,
-            None if ok else "arity %d: got %r, expected {%d: %d}"
-            % (k, got, b * (k - 1), expected),
-        )
+        rep.count(ok, "arity %d: got %r, expected {%d: %d}", k, got, b * (k - 1), expected)
     return rep
 
 
@@ -394,11 +377,7 @@ def check_generation(max_arity, b=1):
     dims = _closure_dims(gens, max_arity, b)
     for k in range(2, max_arity + 1):
         target = gravity_dims(k, b)
-        ok = dims[k] == target
-        rep.count(
-            ok,
-            None if ok else "arity %d: generated %r != kernel %r" % (k, dims[k], target),
-        )
+        rep.count(dims[k] == target, "arity %d: generated %r != kernel %r", k, dims[k], target)
     return rep
 
 
@@ -413,9 +392,5 @@ def grav4_table(max_arity):
     for k in range(2, max_arity + 1):
         d1 = gravity_dims(k, 1)
         d3 = gravity_dims(k, 3)
-        ok = d3 == d1.scaled_degrees(3)
-        rep.count(
-            ok,
-            None if ok else "arity %d: %r vs scaled %r" % (k, d3, d1),
-        )
+        rep.count(d3 == d1.scaled_degrees(3), "arity %d: %r vs scaled %r", k, d3, d1)
     return rep

@@ -29,10 +29,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import random
 
 from .exact import koszul_sign
-from .operads import CheckReport, OperadInstance, require_at_least
+from .operads import (
+    CheckReport, OperadInstance, check_associativity, check_equivariance, check_units,
+    require_at_least, sampled_report,
+)
 
 TOM_DIECK_MAX_ORDER = 64  # the largest group order tom_dieck_summands accepts
 
@@ -509,21 +511,18 @@ def check_fixed_points(G, max_arity=3):
     for k in range(1, max_arity + 1):
         try:
             fixed = _verified_fixed(G, k, center, pairs)
-            ok = len(fixed) == zn**k
-            rep.count(ok, None if ok else "k=%d count %d" % (k, len(fixed)))
+            rep.count(len(fixed) == zn**k, "k=%d count %d", k, len(fixed))
         except AssertionError as err:
-            rep.count(False, "k=%d: %s" % (k, err))
+            rep.count(False, "k=%d: %s", k, err)
     return rep
 
 
 def check_conjugation_equivariance(G, samples=200, seed=0):
-    require_at_least("sample count", samples, 0)
-    rep = CheckReport(
+    rep, rng = sampled_report(
         "group-conjugation-equivariance-%s" % G.name,
         "conjugation commutes with blockwise substitution",
-        {"group": G.name, "samples": samples, "seed": seed},
+        {"group": G.name}, samples, seed,
     )
-    rng = random.Random(seed)
     for _ in range(samples):
         k = rng.randint(1, 3)
         g = rng.randrange(G.order)
@@ -533,15 +532,12 @@ def check_conjugation_equivariance(G, samples=200, seed=0):
         rhs = substitute(
             G, conjugation_act(G, g, t), [conjugation_act(G, g, h) for h in hs]
         )
-        ok = lhs == rhs
-        rep.count(ok, None if ok else "g=%d t=%r hs=%r" % (g, t, hs))
+        rep.count(lhs == rhs, "g=%d t=%r hs=%r", g, t, hs)
     return rep
 
 
 def check_group_harness(G, seed=0):
     """Associativity, equivariance and units of the tuple operad."""
-    from .operads import check_associativity, check_equivariance, check_units
-
     op = group_operad_instance(G)
     sampler = functools.partial(random_tuple, G)
     reports = []

@@ -18,8 +18,11 @@ with sigma o_i tau the block insertion of permutations, and the unit laws
 when a unit exists.  Operads may be ungraded (degree is None; no Koszul
 signs) and non-unital (unit is None; check_units then refuses the operad).
 
-Sampling is deterministic from an explicit seed and counterexamples are
-recorded as replayable witness strings.
+Every sampled check is seeded in one place, ``sampled_report``: it refuses
+a negative sample count, records the samples and the seed in the report's
+params, and hands back the report with the one ``random.Random(seed)`` the
+check draws from.  Counterexamples are recorded as replayable witness
+strings, formatted only for a failing case.
 
 Each value that does not depend on the inner loop index is computed once
 per sample, not once per case, since compose and act are pure functions
@@ -102,10 +105,12 @@ class CheckReport:
             return ["no cases were checked"]
         return self.failures[:3]
 
-    def count(self, ok, witness=None):
+    def count(self, ok, witness="unspecified witness", *args):
+        """One case; a failing case records ``witness % args``, so a passing
+        case never formats its witness."""
         self.total += 1
         if not ok:
-            self.failures.append(witness or "unspecified witness")
+            self.failures.append(witness % args if args else witness)
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -125,6 +130,14 @@ class CheckReport:
         return out
 
 
+def sampled_report(check_id, claim, params, samples, seed):
+    """The report of a sampled check, with samples and seed in its params,
+    and the seeded generator its samples are drawn from."""
+    require_at_least("sample count", samples, 0)
+    rep = CheckReport(check_id, claim, dict(params, samples=samples, seed=seed))
+    return rep, random.Random(seed)
+
+
 def _sign_between(op, y, z):
     if op.degree is None:
         return 1
@@ -134,12 +147,11 @@ def _sign_between(op, y, z):
 def check_associativity(op, arities, sampler, sample_count, seed=0):
     """Both associativity shapes on sampled (x, y, z) over all slot choices."""
     k, l, m = arities
-    rep = CheckReport(
+    rep, rng = sampled_report(
         "%s-associativity-%d-%d-%d" % (op.name, k, l, m),
         "partial compositions satisfy the nested and disjoint associativity shapes",
-        {"arities": [k, l, m], "samples": sample_count, "seed": seed},
+        {"arities": [k, l, m]}, sample_count, seed,
     )
-    rng = random.Random(seed)
     compose, failures = op.compose, rep.failures
     slots_x, slots_y = range(1, k + 1), range(1, l + 1)
     disjoint = list(itertools.combinations(slots_x, 2))
@@ -188,12 +200,11 @@ def check_equivariance(op, arities, sampler, sample_count, seed=0):
     """Sigma-compatibility of compose for generating permutations plus one
     random permutation on each side."""
     k, l = arities
-    rep = CheckReport(
+    rep, rng = sampled_report(
         "%s-equivariance-%d-%d" % (op.name, k, l),
         "partial compositions are equivariant for the block insertion of permutations",
-        {"arities": [k, l], "samples": sample_count, "seed": seed},
+        {"arities": [k, l]}, sample_count, seed,
     )
-    rng = random.Random(seed)
     compose, act, failures = op.compose, op.act, rep.failures
     slots = range(1, k + 1)
     sigmas, taus = _fixed_perms(k), _fixed_perms(l)
@@ -224,14 +235,13 @@ def check_equivariance(op, arities, sampler, sample_count, seed=0):
 
 def check_units(op, max_arity, sampler, sample_count, seed=0):
     """unit o_1 x = x and x o_i unit = x on sampled elements."""
-    rep = CheckReport(
+    rep, rng = sampled_report(
         "%s-units" % op.name,
         "the arity-1 unit is neutral for partial composition on both sides",
-        {"max_arity": max_arity, "samples": sample_count, "seed": seed},
+        {"max_arity": max_arity}, sample_count, seed,
     )
     if op.unit is None:
         raise ValueError("operad %s is non-unital" % op.name)
-    rng = random.Random(seed)
     compose, unit, failures = op.compose, op.unit, rep.failures
     for n in range(sample_count):
         for k in range(1, max_arity + 1):

@@ -545,7 +545,7 @@ def verify_gravity_algebra(pair, k, l, check_id=None):
         if _vec_eq(lhs, rhs):
             rep.count(True)
         else:
-            rep.count(False, "args=%r" % (tuple(pair.b_names[a] for a in tup),))
+            rep.count(False, "args=%r", tuple(pair.b_names[a] for a in tup))
     return rep
 
 
@@ -568,10 +568,7 @@ def check_transfer_lie(pair, check_id="string-transfer-lie"):
     for a in range(pair.b_dim):
         for b in range(pair.b_dim):
             ok = transfer_lie_check(pair, a, b)
-            rep.count(
-                ok,
-                None if ok else "(%s, %s)" % (pair.b_names[a], pair.b_names[b]),
-            )
+            rep.count(ok, "(%s, %s)", pair.b_names[a], pair.b_names[b])
     return rep
 
 
@@ -589,7 +586,7 @@ def check_m_bar_symmetry(pair, k=2, check_id=None):
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
             sign = koszul_sign((2, 1), [pair.b_degrees[a] + 1 for a in tup[i : i + 2]])
             ok = _vec_eq(base, m_bar(pair, k, swapped), sign)
-            rep.count(ok, None if ok else "swap %d in %r" % (i, tup))
+            rep.count(ok, "swap %d in %r", i, tup)
     return rep
 
 
@@ -743,8 +740,9 @@ def check_nested_gravity(k, l):
         ok = lhs.is_zero()
     else:
         ok = lhs == delta_apply(delta_apply(ordered_product(a_s)).mul(ordered_product(b_s)))
-    rep.count(ok and nonzero_terms > 0, None if ok else "relation fails")
     rep.params["nonzero_terms"] = nonzero_terms
-    if nonzero_terms == 0:
+    if nonzero_terms:
+        rep.count(ok, "relation fails")
+    else:
         rep.count(False, "all nested terms vanished; check is vacuous")
     return rep

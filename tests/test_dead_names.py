@@ -7,7 +7,11 @@ Every name in ``operadkit.__all__`` must also exist, so a star import
 cannot fail on an export whose code has moved; the exports are the model
 classes, ``Q`` and ``__version__``.  And no option is dead: every defaulted
 parameter of a function or ``__init__`` in the package is set by some call
-in ``src`` or ``perfbench``, so an option only a test sets is found too."""
+in ``src`` or ``perfbench``, so an option only a test sets is found too.
+Last, every ``.count(ok, witness, *args)`` in the package passes its witness
+as a format string and its args, which ``CheckReport.count`` formats only
+for a failing case: a conditional or a literal None as the witness is the
+hand-rolled form that formatted it eagerly or left it unnamed."""
 
 import ast
 import os
@@ -228,3 +232,38 @@ def test_an_option_no_call_sets_is_found(tmp_path):
         "m.py:OperadInstance(scale)",
         "m.py:check(strict)",
     ]
+
+
+def _hand_rolled_witnesses(trees):
+    """``module:line`` of each ``.count(...)`` call whose witness, the second
+    positional or the ``witness`` keyword, is a conditional or a literal
+    None."""
+    found = []
+    for module, tree in trees:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "count"):
+                continue
+            witnesses = node.args[1:2] + [k.value for k in node.keywords if k.arg == "witness"]
+            if any(
+                isinstance(w, ast.IfExp) or (isinstance(w, ast.Constant) and w.value is None)
+                for w in witnesses
+            ):
+                found.append("%s:%d" % (module, node.lineno))
+    return found
+
+
+def test_every_witness_in_src_is_a_lazy_format():
+    found = _hand_rolled_witnesses(_trees())
+    assert not found, "witness is a conditional or None: %s" % ", ".join(found)
+
+
+def test_a_hand_rolled_witness_is_found():
+    source = (
+        "rep.count(ok, None if ok else 'x=%r' % (x,))\n"
+        "rep.count(True, None)\n"
+        "rep.count(ok, witness='a' if ok else 'b')\n"
+        "rep.count(ok, 'x=%r', x)\n"
+        "rep.count(True)\n"
+        "names.count(None)\n"
+    )
+    assert _hand_rolled_witnesses([("m.py", ast.parse(source))]) == ["m.py:1", "m.py:2", "m.py:3"]

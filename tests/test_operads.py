@@ -86,6 +86,31 @@ def test_check_with_no_cases_fails():
     assert d["witnesses"] == ["no cases were checked"]
 
 
+def test_count_formats_its_witness_only_for_a_failing_case():
+    class Unprintable:
+        def __repr__(self):
+            raise AssertionError("a passing case formatted its witness")
+
+    rep = CheckReport("lazy", "a claim")
+    rep.count(True, "x=%r", Unprintable())
+    rep.count(False, "x=%r i=%d", (1, 2), 3)
+    rep.count(False, "100% literal")
+    rep.count(False)
+    assert rep.total == 4
+    assert rep.failures == ["x=(1, 2) i=3", "100% literal", "unspecified witness"]
+
+
+@pytest.mark.parametrize(
+    "check, shape",
+    [(check_associativity, (1, 1, 1)), (check_equivariance, (1, 1)), (check_units, 2)],
+    ids=["associativity", "equivariance", "units"],
+)
+def test_harness_checks_refuse_a_negative_sample_count(check, shape):
+    # refused before any sample is drawn, not a zero-case FAIL
+    with pytest.raises(ValueError, match="^sample count must be at least 0, got -1$"):
+        check(operad_instance(), shape, sampler, sample_count=-1)
+
+
 def test_full_gamma_insertion_orders_agree():
     op = operad_instance()
     rng = random.Random(4)

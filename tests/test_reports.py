@@ -121,6 +121,24 @@ def test_tom_dieck_and_bundled_data_checks():
     assert rep.total == 6
 
 
+def test_bundled_blocks_row_names_its_findings(monkeypatch):
+    # the blocks algebra accepted with a finding: the row's witness names it
+    import operadkit.stringbr as stringbr
+
+    blocks = json.loads((Path(stringbr.__file__).parent / "data/bv_free_blocks.json").read_text())
+    real = stringbr.validate_bv
+
+    def validate_bv(data):
+        val = real(data)
+        if data == blocks:
+            val.findings.append(("leibniz", "(x1, x2, x3)"))
+        return val
+
+    monkeypatch.setattr(stringbr, "validate_bv", validate_bv)
+    rep = check_bundled_string_data()
+    assert (rep.total, rep.failures) == (6, ["blocks: [] [('leibniz', '(x1, x2, x3)')]"])
+
+
 def test_fast_suite_passes_and_is_deterministic(monkeypatch):
     import operadkit.groups as groups
 

@@ -302,6 +302,18 @@ def test_nested_gravity_is_nonvacuous():
         check_nested_gravity(2, 0)
 
 
+@pytest.mark.parametrize("l", [0, 1])
+def test_nested_gravity_with_a_vanishing_delta_fails_as_vacuous(monkeypatch, l):
+    # every nested term vanishes, so the relation holds trivially: one
+    # failing case that says why, not a pass or an unnamed failure
+    from operadkit import bv
+
+    monkeypatch.setattr(bv, "delta_apply", lambda x: x.scale(0))
+    rep = check_nested_gravity(3, l)
+    assert rep.params["nonzero_terms"] == 0
+    assert (rep.total, rep.failures) == (1, ["all nested terms vanished; check is vacuous"])
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

@@ -7,7 +7,8 @@ rotation circle), groups (finite group tuple operads), stringbr
 (data-driven finite BV presentations).  Everything computes over exact
 rationals; `reports` and `cli` assemble the seeded verification batteries.
 The package exports the model classes and ``Q``; each function is reached
-through its layer, and every layer is imported here, eagerly.
+through its layer, and every layer is imported here, eagerly, so every
+module imports the layers it uses once, at its top, and no function does.
 """
 
 __version__ = "0.1.0"

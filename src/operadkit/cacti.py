@@ -808,6 +808,10 @@ def cactus_from_dict(data):
         raise ValueError("arity must be an int, got %r" % (arity,))
     if not isinstance(arcs, list) or not arcs:
         raise ValueError("arcs must be a non-empty list of [label, length] pairs")
+    if arity > len(arcs):
+        raise ValueError(
+            "arity %d exceeds the arc count %d: every label needs an arc" % (arity, len(arcs))
+        )
     word = []
     for n, arc in enumerate(arcs, 1):
         if not (isinstance(arc, list) and len(arc) == 2):

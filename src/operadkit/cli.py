@@ -11,7 +11,10 @@ import argparse
 import json
 import sys
 
+from . import bv, cacti, gravity, groups, stringbr
 from .operads import require_at_least, require_at_most
+from .poisson import poincare_polynomial
+from .reports import default_suite
 
 # Largest arity each command accepts, refused above before any enumeration:
 # bases grow like k! (|G|^k for groups).  Times at each limit are in CHANGES.md.
@@ -32,6 +35,11 @@ GROUP_TUPLE_BUDGET = 24**5
 # blocks pair at k = 4, l = 1 (about 5.4 s on a 2-vCPU x86-64 host, since
 # terms with a zero head are skipped).
 STRING_GRAVITY_BUDGET = 6 * 14**5
+# Every `string` action first builds tables with a key per pair of basis
+# entries, so each basis list is bounded too: 256 entries, with no product,
+# take about 0.2 s and 32 MB to validate and 0.5 s to check transfer-lie on a
+# 256 x 256 pair, on a 2-vCPU x86-64 host.  The bundled bases have at most 28.
+STRING_BASIS_BUDGET = 256
 
 
 def _emit(reports):
@@ -44,24 +52,19 @@ def _emit(reports):
 
 
 def _cmd_dims(args):
-    from .gravity import gravity_dims, moduli_dimension_oracle
-    from .poisson import poincare_polynomial
-
     require_at_most("arity", args.arity, ARITY_BUDGET["dims " + args.table])
     b = args.bracket_degree
     if args.table == "e2":
         dims = poincare_polynomial(args.arity, b)
     elif args.table == "grav":
-        dims = gravity_dims(args.arity, b)
+        dims = gravity.gravity_dims(args.arity, b)
     else:
-        dims = moduli_dimension_oracle(args.arity, b)
+        dims = gravity.moduli_dimension_oracle(args.arity, b)
     print(dims)
     return 0
 
 
 def _cmd_verify(args):
-    from . import bv, gravity
-
     law = args.law
     if law == "jacobi":
         require_at_most("arity k+l", args.k + args.l, ARITY_BUDGET["verify jacobi"])
@@ -82,8 +85,6 @@ def _cmd_verify(args):
 
 
 def _cmd_cacti_verify(args):
-    from . import cacti
-
     require_at_most("max arity", args.max_arity, ARITY_BUDGET["cacti verify"])
     fn = {
         "cocycle": cacti.check_cocycle,
@@ -95,35 +96,29 @@ def _cmd_cacti_verify(args):
 
 
 def _cmd_cacti_compose(args):
-    from .cacti import cactus_from_dict, cactus_to_dict, compose_i
-
     loaded = []
     for path in (args.file1, args.file2):
         try:
             with open(path) as fh:
-                loaded.append(cactus_from_dict(json.load(fh)))
+                loaded.append(cacti.cactus_from_dict(json.load(fh)))
         except (OSError, ValueError) as err:
             print("cannot load cactus %r: %s" % (path, err), file=sys.stderr)
             return 2
     c, d = loaded
-    out = compose_i(c, d, args.at)
-    print(json.dumps(cactus_to_dict(out), sort_keys=True))
+    out = cacti.compose_i(c, d, args.at)
+    print(json.dumps(cacti.cactus_to_dict(out), sort_keys=True))
     return 0
 
 
 def _load_group(spec):
-    from .groups import bundled_groups, group_from_dict
-
-    lib = bundled_groups()
+    lib = groups.bundled_groups()
     if spec in lib:
         return lib[spec]
     with open(spec) as fh:
-        return group_from_dict(json.load(fh), name=spec)
+        return groups.group_from_dict(json.load(fh), name=spec)
 
 
 def _cmd_group(args):
-    from . import groups
-
     if args.action != "tomdieck":
         require_at_most("arity", args.arity, ARITY_BUDGET["group " + args.action])
     try:
@@ -156,14 +151,16 @@ def _cmd_group(args):
 
 
 def _cmd_string(args):
-    from . import stringbr
-
     try:
         with open(args.data) as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as err:
         print("cannot read data file %r: %s" % (args.data, err), file=sys.stderr)
         return 2
+    parts = [raw, raw.get("B")] if isinstance(raw, dict) else []
+    for field, part in zip(("basis", "B.basis"), parts):
+        if isinstance(part, dict) and isinstance(part.get("basis"), list):
+            require_at_most(field + " entries", len(part["basis"]), STRING_BASIS_BUDGET)
     if args.action == "validate":
         val = stringbr.validate_bv(raw)
         for line in val.lines():
@@ -201,8 +198,6 @@ def _cmd_string(args):
 
 
 def _cmd_report(args):
-    from .reports import default_suite
-
     doc = default_suite(seed=args.seed, fast=(args.suite == "fast"))
     text = doc.to_json() if args.format == "json" else doc.to_markdown()
     if args.out == "-":

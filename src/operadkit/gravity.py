@@ -106,11 +106,13 @@ def _slice_ranks(k, b=1):
     return {d: (len(cols), _delta_slice(k, slices, d, b).rank()) for d, cols in slices.items()}
 
 
-def _require_arity(k):
-    """Refuse an arity below 2, naming it; see the module docstring."""
+def _require_arity(k, b):
+    """Refuse an arity below 2, naming it (see the module docstring), then
+    a bracket degree outside the model's domain."""
     why = ": Delta = 0 there, so the kernel is not the image" if k == 1 else ""
     if k < 2:
         raise ValueError("arity must be at least 2, got %r%s" % (k, why))
+    check_bracket_degree(b)
 
 
 def gravity_basis(k, b=1):
@@ -120,8 +122,7 @@ def gravity_basis(k, b=1):
     applied to the Delta images of the basis monomials, which
     ``_delta_slice`` hands over beside the rows, sum to exactly zero, or an
     AssertionError is raised.  For dimensions alone, ``gravity_dims``."""
-    _require_arity(k)
-    check_bracket_degree(b)
+    _require_arity(k, b)
     support = frozenset(range(1, k + 1))
     slices = _degree_slices(k, b)
     elements = {}
@@ -145,8 +146,7 @@ def gravity_dims(k, b=1):
     """Dimensions of ker Delta in arity k, from ranks alone: each degree's
     columns minus its rank, with the zero degrees dropped.  The same table
     as counting ``gravity_basis``'s vectors."""
-    _require_arity(k)
-    check_bracket_degree(b)
+    _require_arity(k, b)
     return GradedDims({d: n - rank for d, (n, rank) in _slice_ranks(k, b).items()})
 
 
@@ -154,16 +154,14 @@ def moduli_dimension_oracle(k, b=1):
     """Independent per-degree dimension table: coefficients of
     t^b prod_{j=2}^{k-1}(1 + j t^b), multiplied out in u = t^b so that no
     list is as long as b."""
-    _require_arity(k)
-    check_bracket_degree(b)
+    _require_arity(k, b)
     return poly_coeffs_product([1, j] for j in range(2, k)).scaled_degrees(b).shifted(b)
 
 
 def check_free_module(k, b=1):
     """ker Delta = im Delta per degree, and total kernel dimension k!/2,
     from each slice's column count and rank (``_slice_ranks``)."""
-    _require_arity(k)
-    check_bracket_degree(b)
+    _require_arity(k, b)
     rep = CheckReport(
         "gravity-free-module-%d-b%d" % (k, b),
         "ker Delta equals im Delta in every degree and has total dimension k!/2",
@@ -192,29 +190,19 @@ def bracket_generator(k, b=1):
     return iota
 
 
-def _routed_bracket(k, l, pair, b=1):
-    """sigma-routed copy of iota_{k+l-1} o_1 iota_2 whose bracket pair is
-    (i, j) and whose remaining slots stay ascending.  The unary circle
-    class is outside this finite model and is taken to act as zero, the
-    same convention that sets the l = 0 left side to zero."""
-    i, j = pair
-    if k + l - 1 < 2:
-        return PoissonElement(range(1, k + l + 1))
-    base = compose_i(bracket_generator(k + l - 1, b), bracket_generator(2, b), 1)
-    rest = [m for m in range(1, k + l + 1) if m not in (i, j)]
-    perm = tuple([i, j] + rest)
-    return sigma_act(perm, base)
-
-
 def verify_generalized_jacobi(k, l, b=1):
-    """The bracket family's quadratic relation in arity k+l.
+    """The bracket family's quadratic relation in arity n = k+l.
 
     LHS = iota_{l+1} o_1 iota_k (zero when l = 0 by convention); RHS is the
-    sum over pairs i < j <= k of the routed iota_{k+l-1} o_1 iota_2.  Dummy
-    slots are degree 0, so the Koszul prefactors reduce to the engine's own
-    routing signs.  The report records the single global sign at which the
-    identity holds; acceptance asserts that sign is consistent across all
-    checked (k, l), not any termwise convention.
+    sum over pairs i < j <= k of the composite iota_{n-1} o_1 iota_2, built
+    once and sigma-routed so that its bracket pair is (i, j) and its
+    remaining slots stay ascending.  At n = 2 that composite would hold the
+    unary circle class, which is outside this finite model and is taken to
+    act as zero, the same convention that sets the l = 0 left side to zero.
+    Dummy slots are degree 0, so the Koszul prefactors reduce to the
+    engine's own routing signs.  The report records the single global sign
+    at which the identity holds; acceptance asserts that sign is consistent
+    across all checked (k, l), not any termwise convention.
     """
     require_at_least("k", k, 2)
     require_at_least("l", l, 0)
@@ -224,19 +212,19 @@ def verify_generalized_jacobi(k, l, b=1):
         "the bracket family satisfies the quadratic relation in arity k+l",
         {"k": k, "l": l, "bracket_degree": b},
     )
-    if l == 0:
-        lhs = PoissonElement(range(1, k + 1))
-    else:
-        lhs = compose_i(bracket_generator(l + 1, b), bracket_generator(k, b), 1)
-    rhs = None
-    for i, j in itertools.combinations(range(1, k + 1), 2):
-        term = _routed_bracket(k, l, (i, j), b)
-        rhs = term if rhs is None else rhs + term
+    n = k + l
+    rhs = PoissonElement(range(1, n + 1))
+    if n > 2:
+        base = compose_i(bracket_generator(n - 1, b), bracket_generator(2, b), 1)
+        for i, j in itertools.combinations(range(1, k + 1), 2):
+            rest = [m for m in range(1, n + 1) if m not in (i, j)]
+            rhs.add_scaled(sigma_act(tuple([i, j] + rest), base))
     if l == 0:
         sign = 0 if rhs.is_zero() else None
         rep.params["relation_sign"] = sign
         rep.count(sign == 0, "l=0: sum of pair terms is nonzero")
         return rep
+    lhs = compose_i(bracket_generator(l + 1, b), bracket_generator(k, b), 1)
     if lhs == rhs:
         sign = 1
     elif lhs == rhs.scale(-1):

@@ -9,11 +9,13 @@ humans (wall times included).  Verdicts agree between renderings.
 from __future__ import annotations
 
 import json
+import os
 import time
 from math import factorial
 
-from . import __version__
-from .exact import GradedDims, poly_coeffs_product
+from . import __version__, bv, cacti, gravity, groups, poisson, stringbr
+from .exact import GradedDims, Q, poly_coeffs_product
+from .operads import CheckReport
 
 
 class ReportDocument:
@@ -92,10 +94,7 @@ class ReportDocument:
 def check_e2_dims(max_arity=7, b=1):
     """Basis enumeration counts match the generating function
     prod_{j<k} (1 + j t^b) and total k!."""
-    from .operads import CheckReport
-    from .poisson import check_bracket_degree, enumerate_basis, mono_degree
-
-    check_bracket_degree(b)
+    poisson.check_bracket_degree(b)
     rep = CheckReport(
         "e2-dimension-table-%d-b%d" % (max_arity, b),
         "normal-form counts per degree match prod (1 + j t^b) and total k!",
@@ -103,8 +102,8 @@ def check_e2_dims(max_arity=7, b=1):
     )
     for k in range(1, max_arity + 1):
         got = {}
-        for mono in enumerate_basis(k, b=b):
-            d = mono_degree(mono, b)
+        for mono in poisson.enumerate_basis(k, b=b):
+            d = poisson.mono_degree(mono, b)
             got[d] = got.get(d, 0) + 1
         want = poly_coeffs_product([1, j] for j in range(1, k)).scaled_degrees(b)
         ok = GradedDims(got) == want and sum(got.values()) == factorial(k)
@@ -115,8 +114,6 @@ def check_e2_dims(max_arity=7, b=1):
 def default_suite(seed=0, fast=False):
     """The full verification battery.  fast=True trims the slowest sweeps
     (generation, large bases) for interactive runs."""
-    from . import bv, cacti, gravity, groups, stringbr
-
     doc = ReportDocument("default" if not fast else "fast", seed)
     doc.run(lambda: check_e2_dims(7 if not fast else 5))
     doc.run(lambda: check_e2_dims(4, b=3))
@@ -189,19 +186,16 @@ def default_suite(seed=0, fast=False):
 def check_tom_dieck_examples(lib):
     """The index tables for the order-2 group and the size-6 symmetric
     group match their hand derivations; ``lib`` is ``bundled_groups()``."""
-    from .groups import tom_dieck_summands
-    from .operads import CheckReport
-
     rep = CheckReport(
         "group-tom-dieck-examples",
         "subgroup class records carry the derived centralizers and Weyl orders",
         {},
     )
-    recs = tom_dieck_summands(lib["C2"])
+    recs = groups.tom_dieck_summands(lib["C2"])
     got = [(r.elements, r.centralizer, r.weyl_order) for r in recs]
     want = [((0,), (0, 1), 2), ((0, 1), (0, 1), 1)]
     rep.count(got == want, "C2: %r", got)
-    recs = [r for r in tom_dieck_summands(lib["S3"]) if r.is_representative]
+    recs = [r for r in groups.tom_dieck_summands(lib["S3"]) if r.is_representative]
     got = [(len(r.elements), len(r.centralizer), r.weyl_order) for r in recs]
     want = [(1, 6, 6), (2, 2, 1), (3, 3, 2), (6, 1, 1)]
     rep.count(got == want, "S3: %r", got)
@@ -212,12 +206,6 @@ def check_bundled_string_data():
     """Bundled presentations load with the expected verdicts: the 2-dim
     example derives [e,e] = -u with exactly the known Leibniz finding, the
     zero-operator family is clean, and the block pair validates."""
-    import os
-
-    from .exact import Q
-    from .operads import CheckReport
-    from .stringbr import pair_from_dict, validate_bv
-
     rep = CheckReport(
         "string-bundled-data",
         "bundled presentations validate with their derived verdicts",
@@ -230,35 +218,31 @@ def check_bundled_string_data():
             return json.load(fh)
 
     two = load("bv_two_dim.json")
-    val = validate_bv(two)
+    val = stringbr.validate_bv(two)
     ok = (
         val.accepted
         and val.bracket_table[(0, 0)] == {1: Q(-1)}
         and val.findings == [("leibniz", "(e, e, e)")]
     )
     rep.count(ok, "two-dim: %r %r", val.errors, val.findings)
-    pair = pair_from_dict(two)
-    from .stringbr import m_bar, transfer_lie_check
-
-    ok = m_bar(pair, 2, [0, 0]) == {} and transfer_lie_check(pair, 0, 0)
+    pair = stringbr.pair_from_dict(two)
+    ok = stringbr.m_bar(pair, 2, [0, 0]) == {} and stringbr.transfer_lie_check(pair, 0, 0)
     rep.count(ok, "two-dim pair operations")
 
-    val = validate_bv(load("bv_delta_zero.json"))
+    val = stringbr.validate_bv(load("bv_delta_zero.json"))
     ok = val.accepted and not val.findings and all(
         not v for v in val.bracket_table.values()
     )
     rep.count(ok, "delta-zero: %r", val.findings)
 
     blocks = load("bv_free_blocks.json")
-    val = validate_bv(blocks)
+    val = stringbr.validate_bv(blocks)
     rep.count(val.accepted and not val.findings, "blocks: %r %r", val.errors[:2], val.findings)
-    pair = pair_from_dict(blocks)
-    from .stringbr import m_bar_table
-
-    rep.count(len(m_bar_table(pair, 2)) > 0, "block pair has no nonzero m_bar_2")
+    pair = stringbr.pair_from_dict(blocks)
+    rep.count(len(stringbr.m_bar_table(pair, 2)) > 0, "block pair has no nonzero m_bar_2")
 
     corrupted = json.loads(json.dumps(two))
     corrupted["product"][3] = [1, 1, ["1", "0"]]  # u*u = e breaks grading
-    val = validate_bv(corrupted)
+    val = stringbr.validate_bv(corrupted)
     rep.count(not val.accepted, "corrupted data was accepted")
     return rep

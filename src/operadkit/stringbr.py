@@ -49,10 +49,12 @@ from __future__ import annotations
 
 import itertools
 
+from . import bv
 from .exact import (
     Echelon, add_into, format_rational, koszul_sign, parse_rational, perm_inverse, scalar
 )
 from .operads import CheckReport, require_at_least
+from .poisson import PoissonElement, enumerate_basis, gen, mono_degree
 
 
 def _vec_eq(u, v, c=1):
@@ -614,9 +616,6 @@ def free_bv_presentation(k, supports=None):
     be closed under disjoint unions so that it spans a subalgebra.  The
     wire format pins the operator degree at +1, so only the degree-1
     bracket model is generated here."""
-    from .bv import _embed, delta_apply
-    from .poisson import PoissonElement, enumerate_basis, mono_degree
-
     require_at_least("k", k, 1)
     if supports is None:
         family = [
@@ -640,7 +639,7 @@ def free_bv_presentation(k, supports=None):
     for support in family:
         sub = tuple(sorted(support))
         for x in enumerate_basis(len(sub)):
-            basis.append((support, _embed(x, sub)))
+            basis.append((support, bv._embed(x, sub)))
     index = {key: n for n, key in enumerate(basis)}
     names = tuple("m%d" % n for n in range(len(basis)))
     degrees = tuple(mono_degree(mono) for _, mono in basis)
@@ -664,7 +663,7 @@ def free_bv_presentation(k, supports=None):
                 product[(i, j)] = entry
     delta = {}
     for j in range(len(basis)):
-        col = to_vec(delta_apply(as_element(j)))
+        col = to_vec(bv.delta_apply(as_element(j)))
         if col:
             delta[j] = col
     return BVAlgebraData(names, degrees, product, delta)
@@ -703,9 +702,6 @@ def check_nested_gravity(k, l):
     relation is checked after applying tau, where every m_bar composite
     becomes an exact bracket-calculus expression.  It needs k >= 3, since
     for k = 2 the relation is a tautology, and l >= 0."""
-    from .bv import delta_apply
-    from .poisson import PoissonElement, gen
-
     require_at_least("k", k, 3)
     require_at_least("l", l, 0)
     rep = CheckReport(
@@ -730,16 +726,16 @@ def check_nested_gravity(k, l):
         for j in range(i + 1, k):
             order = [i, j] + [m for m in range(k) if m not in (i, j)]
             sign = koszul_sign(perm_inverse([m + 1 for m in order]), shifted)
-            head = delta_apply(a_s[i].mul(a_s[j]))
+            head = bv.delta_apply(a_s[i].mul(a_s[j]))
             rest = [a_s[m] for m in order[2:]]
-            term = delta_apply(ordered_product([head] + rest + b_s))
+            term = bv.delta_apply(ordered_product([head] + rest + b_s))
             if not term.is_zero():
                 nonzero_terms += 1
             lhs.add_scaled(term, sign)
     if l == 0:
         ok = lhs.is_zero()
     else:
-        ok = lhs == delta_apply(delta_apply(ordered_product(a_s)).mul(ordered_product(b_s)))
+        ok = lhs == bv.delta_apply(bv.delta_apply(ordered_product(a_s)).mul(ordered_product(b_s)))
     rep.params["nonzero_terms"] = nonzero_terms
     if nonzero_terms:
         rep.count(ok, "relation fails")

@@ -246,8 +246,11 @@ def test_cacti_verify_and_compose(tmp_path, capsys):
         ([[1, "1"]], "cactus data must be a JSON object"),
         ({"arity": 1, "arcs": [[1, "1/0"]]}, "arc 1 length must be a rational p/q, got '1/0'"),
         ({"arity": 1, "arcs": [[1, True]]}, "arc 1 length must be a rational p/q, got True"),
+        # refused before any label is looked for, so the message stays short
+        ({"arity": 2000000, "arcs": [[1, "1"]]},
+         "arity 2000000 exceeds the arc count 1: every label needs an arc"),
     ],
-    ids=["missing-arcs", "not-an-object", "zero-denominator", "bool-length"],
+    ids=["missing-arcs", "not-an-object", "zero-denominator", "bool-length", "arity-over-arcs"],
 )
 def test_cacti_compose_rejects_malformed_files(tmp_path, capsys, data, bad):
     good = tmp_path / "good.json"
@@ -562,6 +565,33 @@ def test_string_gravity_refuses_work_over_budget(capsys, k, l, bad):
     assert code == 2
     assert out == ""
     assert bad in err
+
+
+@pytest.mark.parametrize(
+    "action, field",
+    [("validate", "basis"), ("transfer-lie", "basis"), ("transfer-lie", "B.basis")],
+)
+def test_string_commands_refuse_a_basis_over_budget(tmp_path, capsys, monkeypatch, action, field):
+    # one entry over the bound, refused before any table is built
+    from operadkit import stringbr
+    from operadkit.cli import STRING_BASIS_BUDGET
+
+    def no_work(raw):
+        raise AssertionError("the data was loaded before the refusal")
+
+    monkeypatch.setattr(stringbr, "validate_bv", no_work)
+    monkeypatch.setattr(stringbr, "pair_from_dict", no_work)
+    with open(os.path.join(DATA, "bv_two_dim.json")) as fh:
+        raw = json.load(fh)
+    n = STRING_BASIS_BUDGET + 1
+    basis = [{"name": "e%d" % i, "degree": 0} for i in range(n)]
+    _set_path(raw, tuple(field.split(".")), basis)
+    data = tmp_path / "big.json"
+    data.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "string", action, "--data", str(data))
+    assert (code, out) == (2, "")
+    assert err == "error: %s entries must be at most %d, got %d\n" % (
+        field, STRING_BASIS_BUDGET, n)
 
 
 def test_usage_errors(capsys):

@@ -11,7 +11,9 @@ in ``src`` or ``perfbench``, so an option only a test sets is found too.
 Last, every ``.count(ok, witness, *args)`` in the package passes its witness
 as a format string and its args, which ``CheckReport.count`` formats only
 for a failing case: a conditional or a literal None as the witness is the
-hand-rolled form that formatted it eagerly or left it unnamed."""
+hand-rolled form that formatted it eagerly or left it unnamed.  And no
+function body imports: ``operadkit`` loads every layer eagerly, so each
+module imports what it uses once, at its top."""
 
 import ast
 import os
@@ -267,3 +269,42 @@ def test_a_hand_rolled_witness_is_found():
         "names.count(None)\n"
     )
     assert _hand_rolled_witnesses([("m.py", ast.parse(source))]) == ["m.py:1", "m.py:2", "m.py:3"]
+
+
+def _function_local_imports(trees):
+    """``module:line`` of each ``import`` or ``from ... import`` inside a
+    function body, methods and nested functions included."""
+    found = []
+    for module, tree in trees:
+        lines = {
+            inner.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+            if isinstance(inner, (ast.Import, ast.ImportFrom))
+        }
+        found.extend("%s:%d" % (module, line) for line in sorted(lines))
+    return found
+
+
+def test_no_function_in_src_imports():
+    found = _function_local_imports(_trees())
+    assert not found, "import inside a function body: %s" % ", ".join(found)
+
+
+def test_a_function_local_import_is_found():
+    source = (
+        "import os\n"
+        "from . import bv\n"
+        "def f():\n"
+        "    from .poisson import gen\n"
+        "    return gen\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        def inner():\n"
+        "            import json\n"
+        "        return inner\n"
+        "if os:\n"
+        "    import sys\n"
+    )
+    assert _function_local_imports([("m.py", ast.parse(source))]) == ["m.py:4", "m.py:9"]

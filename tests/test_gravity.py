@@ -59,6 +59,14 @@ def test_gravity_rejects_unary():
         moduli_dimension_oracle(1)
 
 
+@pytest.mark.parametrize(
+    "entry", [gravity_basis, gravity_dims, moduli_dimension_oracle, check_free_module]
+)
+def test_the_arity_is_refused_before_the_bracket_degree(entry):
+    with pytest.raises(ValueError, match=r"^arity must be at least 2, got 1: Delta = 0 there"):
+        entry(1, 2)
+
+
 @pytest.mark.parametrize("b", [2, 0, -1])
 @pytest.mark.parametrize(
     "check",
@@ -71,10 +79,12 @@ def test_gravity_rejects_unary():
         lambda b: bracket_generator(3, b),
         lambda b: check_e2_dims(4, b),
         lambda b: check_suboperad_closure(2, b),
+        lambda b: gravity_basis(4, b),
+        lambda b: moduli_dimension_oracle(4, b),
     ],
     ids=[
         "free-module", "dims", "lie-embedding", "generation", "jacobi", "generator", "e2-dims",
-        "closure",
+        "closure", "basis", "moduli",
     ],
 )
 def test_out_of_domain_bracket_degree_is_refused_before_any_work(monkeypatch, check, b):
@@ -218,6 +228,22 @@ def test_generalized_jacobi_scaled_degree():
     for k, l in [(2, 0), (2, 1), (3, 0), (2, 2), (3, 1)]:
         rep = verify_generalized_jacobi(k, l, b=3)
         assert rep.passed, rep.line()
+
+
+def test_generalized_jacobi_builds_its_composites_once(monkeypatch):
+    # one routed composite for all six pairs of k = 4, and one left side
+    import operadkit.gravity as gravity
+
+    calls = {"compose_i": 0, "bracket_generator": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(gravity, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(gravity, name, counted)
+    rep = verify_generalized_jacobi(4, 1)
+    assert rep.passed, rep.line()
+    assert calls == {"compose_i": 2, "bracket_generator": 4}
 
 
 def test_closure_under_partial_composition():

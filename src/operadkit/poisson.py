@@ -39,7 +39,12 @@ tree_bracket builds is interned in one table, which lives as long as the
 tree_bracket cache: equal trees are one object, stored once, so equal
 monomials compare block by block by identity, not leaf by leaf (the row
 index of a Delta slice, the bracket cache).  Relabelled, composed and
-transposed trees are not interned.
+transposed trees are not interned.  The monomial kernels _bracket_terms and
+merge_monos each keep their last 1024 results (an arity-5 check_bv_relations
+meets 480 pairs), so a pair met again, at another b or by another caller, is
+read back.  Neither reads b, so a kept result is exact for every caller, and
+no caller mutates one: merge_monos returns a tuple, and a _bracket_terms dict
+is only read (add_into's rule).
 
 Composition.  compose_i is a monomial kernel too: on each monomial of the
 host it rebuilds the block holding the slot from the terms of the inserted
@@ -204,6 +209,7 @@ def _block_odd(t):
     return (tree_nleaves(t) - 1) % 2
 
 
+@lru_cache(maxsize=1024)
 def merge_monos(m1, m2):
     """Merge two sorted block tuples; Koszul sign from odd-degree swaps.
 
@@ -342,6 +348,7 @@ def _bracket_sum(u, v):
     return out
 
 
+@lru_cache(maxsize=1024)
 def _bracket_terms(m1, m2):
     """[M, N] for monomials M = B1...Bp, N = C1...Cq with disjoint letters,
     as a terms dict.  The bracket is a biderivation, so

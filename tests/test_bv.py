@@ -23,7 +23,12 @@ from operadkit.bv import (
 import bv_relations_oracle
 from grammar import eval_ast, normalize, normalize_bv, parse_expr
 from operadkit.exact import add_into
-from operadkit.gravity import check_free_module
+from operadkit.gravity import (
+    check_free_module,
+    check_lie_embedding,
+    check_suboperad_closure,
+    verify_generalized_jacobi,
+)
 from operadkit.operads import check_associativity, check_equivariance, check_units
 from operadkit.poisson import (
     PoissonElement,
@@ -324,6 +329,49 @@ def test_relation_suite_sees_products_without_their_sign(monkeypatch):
     monkeypatch.setattr(PoissonElement, "mul", no_mul)
     for rep in check_bv_relations(4, 1):
         assert rep.passed, rep.line()
+
+
+KERNELS = (poisson._bracket_terms, poisson.merge_monos)
+
+
+def test_the_b3_sweep_reads_back_the_b1_brackets_and_products():
+    # neither kernel reads b, so a bounded cache of each serves b = 3 from
+    # what b = 1 built, with no miss
+    assert [type(kernel.cache_info().maxsize) for kernel in KERNELS] == [int, int]
+    for kernel in KERNELS:
+        kernel.cache_clear()
+    assert all(rep.passed for rep in check_bv_relations(4, 1))
+    misses = [kernel.cache_info().misses for kernel in KERNELS]
+    assert min(misses) > 0
+    assert all(rep.passed for rep in check_bv_relations(4, 3))
+    assert [kernel.cache_info().misses for kernel in KERNELS] == misses
+
+
+def test_no_caller_mutates_a_kept_bracket(monkeypatch):
+    # the bv sweep, and compose_i through _bracket_sum, read the dicts the
+    # cache keeps; each must still equal a fresh computation, item for item.
+    # The closure check sums brackets of several terms, so a _bracket_sum
+    # that took over its first kept dict and added into it is caught.
+    kept = poisson._bracket_terms
+    kept.cache_clear()
+    used = []
+
+    def recorded(m1, m2):
+        used.append((m1, m2))
+        return kept(m1, m2)
+
+    with monkeypatch.context() as m:
+        m.setattr(poisson, "_bracket_terms", recorded)
+        assert all(rep.passed for rep in check_bv_relations(4, 1))
+        hits = kept.cache_info().hits
+        assert verify_generalized_jacobi(3, 1).passed
+        assert check_lie_embedding(4).passed
+        assert check_suboperad_closure(4).passed
+    assert kept.cache_info().hits > hits  # the gravity checks read kept dicts
+    misses = kept.cache_info().misses
+    for m1, m2 in dict.fromkeys(used):
+        assert list(kept(m1, m2).items()) == list(kept.__wrapped__(m1, m2).items())
+    assert kept.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("corrupt", [False, True])

@@ -3,6 +3,7 @@ diagonal and its cocycle, coEnd, and equivariance certificates."""
 
 import itertools
 import re
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -72,6 +73,25 @@ def test_validate_flags_each_defect():
             SpinelessCactus(k, [(1, 1)])
         with pytest.raises(ValueError, match="^arity must be at least 1, got %d$" % k):
             random_cactus(k, 5)
+
+
+def test_validate_names_three_missing_labels_and_counts_the_rest():
+    with pytest.raises(ValueError, match="^label 2 missing; label 3 missing$"):
+        SpinelessCactus(3, [(1, 1)])
+    with pytest.raises(ValueError) as err:
+        SpinelessCactus(6, [(5, 1), (2, 1)])
+    assert str(err.value) == (
+        "label 1 missing; label 3 missing; label 4 missing; and 1 more labels missing"
+    )
+    # found without a pass over 1..arity, so a huge arity is refused at once
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        SpinelessCactus(10**9, [(1, 1)])
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == (
+        "label 2 missing; label 3 missing; label 4 missing; and 999999996 more labels missing"
+    )
+    assert len(str(err.value)) < 200
 
 
 def _reads_abab(word, pair):

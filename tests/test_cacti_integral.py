@@ -224,6 +224,25 @@ def test_batches_catch_a_composition_that_reverses_labels(monkeypatch):
     )
 
 
+def test_check_coend_builds_each_boundary_composite_once(monkeypatch):
+    # every 100th sample also sweeps the breakpoints, from the composite and
+    # diagonals its own verdict built: one build per sample, not two
+    calls = {"compose_i": 0, "homotopy_diagonal": 0, "coend_composite": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cacti, name, counted(name, getattr(cacti, name)))
+    rep = cacti.check_coend(4, 200, 0, 64)
+    assert (rep.passed, rep.total) == (True, 202)
+    assert calls == {"compose_i": 200, "homotopy_diagonal": 600, "coend_composite": 200}
+
+
 def test_batches_catch_a_rotation_by_twice_the_angle(monkeypatch):
     # random_cactus does not rotate, so the mutant corrupts only the law
     # under test, and the batteries draw the same cacti as unpatched

@@ -8,12 +8,14 @@ cannot fail on an export whose code has moved; the exports are the model
 classes, ``Q`` and ``__version__``.  And no option is dead: every defaulted
 parameter of a function or ``__init__`` in the package is set by some call
 in ``src`` or ``perfbench``, so an option only a test sets is found too.
-Last, every ``.count(ok, witness, *args)`` in the package passes its witness
+Then every ``.count(ok, witness, *args)`` in the package passes its witness
 as a format string and its args, which ``CheckReport.count`` formats only
 for a failing case: a conditional or a literal None as the witness is the
 hand-rolled form that formatted it eagerly or left it unnamed.  And no
 function body imports: ``operadkit`` loads every layer eagerly, so each
-module imports what it uses once, at its top."""
+module imports what it uses once, at its top.  Last, every ``lru_cache`` in
+the package has an int maxsize, so no cache grows with its input for the
+life of the process, but for the few allowlisted with their reasons."""
 
 import ast
 import os
@@ -45,6 +47,15 @@ OPTIONS_SET_BY_TESTS = {
     "gravity.py:check_suboperad_closure(b)",
     "gravity.py:check_lie_embedding(b)",
     "gravity.py:check_generation(b)",
+}
+
+# Caches with no int maxsize, each with its reason.
+UNBOUNDED_CACHES = {
+    "poisson.py:tree_nleaves": "one int per tree, read for the degree of every block",
+    "poisson.py:tree_min": "one int per tree, read by every sort of blocks",
+    "poisson.py:tree_bracket": "its recursion shares sub-brackets, and the intern table "
+    "lives as long as it",
+    "cacti.py:_unit_rows": "one k x k table per arity met, no larger than one diagonal",
 }
 
 
@@ -308,3 +319,61 @@ def test_a_function_local_import_is_found():
         "    import sys\n"
     )
     assert _function_local_imports([("m.py", ast.parse(source))]) == ["m.py:4", "m.py:9"]
+
+
+def _unbounded_caches(trees):
+    """``module:function`` of each function under an ``lru_cache`` or
+    ``cache`` decorator whose maxsize is not an int literal: ``cache``, a
+    bare ``lru_cache``, None or a computed size."""
+    found = []
+    for module, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                target = call.func if call else decorator
+                name = getattr(target, "id", None) or getattr(target, "attr", None)
+                if name not in ("lru_cache", "cache"):
+                    continue
+                sizes = []
+                if call:
+                    sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+                if not any(isinstance(v, ast.Constant) and type(v.value) is int for v in sizes):
+                    found.append("%s:%s" % (module, node.name))
+    return found
+
+
+def test_every_cache_in_src_is_bounded():
+    found = set(_unbounded_caches(_trees()))
+    unbounded = sorted(found - set(UNBOUNDED_CACHES))
+    assert not unbounded, "lru_cache with no int maxsize: %s" % ", ".join(unbounded)
+    stale = sorted(set(UNBOUNDED_CACHES) - found)
+    assert not stale, "allowlisted but not an unbounded cache: %s" % ", ".join(stale)
+
+
+def test_an_unbounded_cache_is_found():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(t): pass\n"
+        "@functools.lru_cache\n"
+        "def b(t): pass\n"
+        "@cache\n"
+        "def c(t): pass\n"
+        "@lru_cache(maxsize=1024)\n"
+        "def d(t): pass\n"
+        "@functools.lru_cache(256, typed=True)\n"
+        "def e(t): pass\n"
+        "@lru_cache(maxsize=LIMIT)\n"
+        "def f(t): pass\n"
+        "class K:\n"
+        "    @staticmethod\n"
+        "    @lru_cache(maxsize=True)\n"
+        "    def g(t): pass\n"
+        "@staticmethod\n"
+        "def h(t): pass\n"
+    )
+    found = _unbounded_caches([("m.py", ast.parse(source))])
+    assert found == ["m.py:a", "m.py:b", "m.py:c", "m.py:f", "m.py:g"]

@@ -14,20 +14,23 @@ one sparse axpy, ``add_into(acc, terms, c)``, adds ``c * terms`` into ``acc``
 in place, dropping keys that cancel.  ``LinComb`` holds such a dict over a
 letter set and carries the vector-space operations shared by poisson and BV
 elements; the same ``add_into`` serves the plain dict vectors of the string
-bracket presentations and the rows of the elimination.
+bracket presentations.
 
 All exact linear algebra goes through one incremental kernel, ``Echelon``,
-which keeps only a fully reduced row echelon form: vectors are admitted one
-at a time, so a span is grown and tested without eliminating anything twice
-(the rank of a list of vectors is ``rank`` after admitting them), and null
-spaces come out of the unique reduced form, identical for identical inputs,
-as sparse dicts.  ``SparseMatrix`` stores a matrix as its row dicts and
-admits them last row first: the order changes the work, not the reduced form.
+which keeps only a fully reduced row echelon form, in primitive int rows:
+vectors are admitted one at a time, so a span is grown and tested without
+eliminating anything twice (the rank of a list of vectors is ``rank`` after
+admitting them), and null spaces come out of the unique reduced form,
+identical for identical inputs, as sparse dicts.  The elimination subtracts
+rows in its own loops, not through ``add_into``.  ``SparseMatrix`` stores a
+matrix as its row dicts and admits them last row first: the order changes
+the work, not the reduced form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Q = Fraction
 
@@ -240,6 +243,46 @@ class LinComb:
         return hash((self.support, frozenset(self.terms.items())))
 
 
+def _clear_denominators(vec):
+    """Scale vec in place by the lcm of its entries' denominators, to ints;
+    returns the lcm."""
+    den = lcm(*(v.denominator for v in vec.values()))
+    for c, v in vec.items():
+        vec[c] = v.numerator * (den // v.denominator)
+    return den
+
+
+def _primitive(row, p):
+    """Divide the int row in place by its content (the gcd of its entries),
+    signed to make its entry at p positive; returns that entry."""
+    g = gcd(*row.values())
+    if row[p] < 0:
+        g = -g
+    if g != 1:
+        for c in row:
+            row[c] //= g
+    return row[p]
+
+
+def _eliminate(vec, row, p, a):
+    """vec <- (a/g).vec - (f/g).row in place, where row has the entry a at
+    its pivot p, the int vec holds f there, and g = gcd(a, f); returns a/g."""
+    f = vec[p]
+    g = gcd(a, f)
+    m, f = a // g, f // g
+    if m != 1:
+        for c in vec:
+            vec[c] *= m
+    get = vec.get
+    for c, v in row.items():
+        nv = get(c, 0) - f * v
+        if nv:
+            vec[c] = nv
+        else:
+            del vec[c]
+    return m
+
+
 class SparseMatrix:
     """Sparse matrix over the rationals, stored as ``rows``: a list of dicts
     col -> nonzero scalar, 0-indexed, which the matrix keeps as given.
@@ -274,55 +317,93 @@ class SparseMatrix:
 
 
 class Echelon:
-    """Incremental fully reduced row echelon form over the rationals.
+    """Incremental fully reduced row echelon form over the rationals, in int
+    rows: Bareiss's integer-preserving elimination ("Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", Math. Comp.
+    1968), without the determinant bookkeeping.
 
     Vectors are sparse dicts col -> scalar (int when integral, else
-    Fraction).  An int pivot of +-1 is its own inverse, so a row is scaled
-    to 1 there without a Fraction, and int vectors whose pivots are +-1
-    keep int rows; any other pivot is inverted as a Fraction.  ``rows`` maps
-    each pivot column to its row: the row is 1 at its pivot, which is its
-    smallest column, and 0 at every other pivot column.  So subtracting one
-    row from a vector never brings in another pivot column, and ``reduce``
-    visits only the pivot columns present in the vector, not every row.  A
-    new pivot p is back-substituted into the rows only when some row has
-    ever held column p.  The rows are the unique reduced echelon form of
-    the span, whatever the order of ``add``, and all that is kept.
+    Fraction).  ``rows`` maps each pivot column to its row: a primitive int
+    dict with a positive entry at the pivot, its smallest column, and 0 at
+    every other pivot column, so ``reduce`` visits only the pivot columns
+    present in the vector.  A row with pivot entry 1 is subtracted in one
+    loop.  At a pivot entry a != 1, listed in ``scaled`` (empty while the
+    pivots met are +-1), a vector holding f there, its Fractions cleared,
+    becomes (a/g).vec - (f/g).row with g = gcd(a, f).  A new pivot p is
+    back-substituted the same way, only when some row has ever held column
+    p, and each changed row is divided by its content, which is 1 when both
+    pivot entries are 1.  Each row divided by its pivot entry is the unique
+    reduced echelon form of the span, whatever the order of ``add``, and
+    the rows are all that is kept.
     """
 
     def __init__(self):
         self.rows = {}
+        self.scaled = {}  # pivot -> its entry, where that is not 1
         self.touched = set()  # every column any row has held
 
     @property
     def rank(self):
         return len(self.rows)
 
+    def _scaled_remainder(self, vec):
+        """(out, s): a new dict out = s times the remainder of vec against
+        the rows, for an int s >= 1."""
+        out = dict(vec) if all(vec.values()) else {c: v for c, v in vec.items() if v}
+        rows, scaled = self.rows, self.scaled
+        s = 1
+        # a Fraction entry makes the sum a Fraction; the Bareiss step takes ints
+        if scaled and type(sum(out.values())) is not int:
+            s = _clear_denominators(out)
+        get = out.get
+        for p in [p for p in out if p in rows]:
+            if p in scaled:
+                s *= _eliminate(out, rows[p], p, scaled[p])
+                continue
+            f = out[p]
+            for c, v in rows[p].items():
+                nv = get(c, 0) - f * v
+                if nv:
+                    out[c] = nv
+                else:
+                    del out[c]
+        return out, s
+
     def reduce(self, vec):
-        """The remainder of vec against the rows: a new dict, empty exactly
-        when vec lies in the span."""
-        out = {c: v for c, v in vec.items() if v}
-        rows = self.rows
-        for p, f in [(p, f) for p, f in out.items() if p in rows]:
-            add_into(out, rows[p], -f)
-        return out
+        """The remainder of vec against the rows, exact: a new dict, empty
+        exactly when vec lies in the span."""
+        out, s = self._scaled_remainder(vec)
+        return out if s == 1 else {c: scalar(Q(v, s)) for c, v in out.items()}
 
     def add(self, vec):
         """Admit vec unless it lies in the span; True when it was admitted."""
-        row = self.reduce(vec)
+        row = self._scaled_remainder(vec)[0]
         if not row:
             return False
         p = min(row)
-        inv = row[p]
-        if not (type(inv) is int and inv in (1, -1)):  # +-1 is its own inverse
-            inv = scalar(Q(1) / inv)
-        if inv != 1:
+        if type(sum(row.values())) is not int:
+            _clear_denominators(row)
+        a = row[p]
+        if a == -1:
             for c in row:
-                row[c] = scalar(row[c] * inv)
+                row[c] = -row[c]
+            a = 1
+        elif a != 1:
+            a = _primitive(row, p)
+            if a != 1:
+                self.scaled[p] = a
         if p in self.touched:
-            for other in self.rows.values():
-                f = other.get(p)
-                if f:
-                    add_into(other, row, -f)
+            scaled = self.scaled
+            for q, other in self.rows.items():
+                if p not in other:
+                    continue
+                _eliminate(other, row, p, a)
+                if a != 1 or q in scaled:
+                    b = _primitive(other, q)
+                    if b == 1:
+                        scaled.pop(q, None)
+                    else:
+                        scaled[q] = b
         self.touched.update(row)
         self.rows[p] = row
         return True
@@ -330,14 +411,14 @@ class Echelon:
     def kernel_basis(self, cols):
         """Basis of the vectors of length ``cols`` orthogonal to every row,
         as sparse dicts col -> scalar with ascending keys: one per free
-        column c, with 1 at c and -row[c] at each pivot whose row meets c.
-        Entries are ints when integral, whatever the pivots met on the way:
-        back-substitution can leave an integral ``Fraction`` in a row."""
+        column c, with 1 at c and -row[c]/row[p] at each pivot p whose row
+        meets c.  Entries are ints when integral."""
         basis = {c: {c: 1} for c in range(cols) if c not in self.rows}
         for p, row in self.rows.items():
+            a = row[p]
             for c, v in row.items():
                 if c != p:
-                    basis[c][p] = scalar(-v)
+                    basis[c][p] = -v if a == 1 else scalar(Q(-v, a))
         return [{c: vec[c] for c in sorted(vec)} for vec in basis.values()]
 
 

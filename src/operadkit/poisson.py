@@ -490,11 +490,15 @@ def compose_i(x, y, i):
     k, l = x.arity, y.arity
     if not 1 <= i <= k:
         raise ValueError("slot %d out of range 1..%d" % (i, k))
-    xmap = {j: (j if j <= i else j + l - 1) for j in range(1, k + 1)}
-    ys = relabel(y, {j: j + i - 1 for j in range(1, l + 1)}).terms
+    # the relabels are the identity for y at slot 1 and for x when y is unary
+    xs, ys = x.terms, y.terms
+    if l > 1:
+        xs = relabel(x, {j: (j if j <= i else j + l - 1) for j in range(1, k + 1)}).terms
+    if i > 1:
+        ys = relabel(y, {j: j + i - 1 for j in range(1, l + 1)}).terms
     twisted = {m: -c if mono_degree(m) % 2 else c for m, c in ys.items()}
     out = {}
-    for mono, c in relabel(x, xmap).terms.items():
+    for mono, c in xs.items():
         r = next(n for n, t in enumerate(mono) if i in tree_leaves(t))
         head, tail = comb_parts(mono[r])
         p = ((head,) + tail).index(i)

@@ -260,6 +260,20 @@ def test_batches_catch_a_rotation_by_twice_the_angle(monkeypatch):
     )
 
 
+def test_rotation_action_catches_a_recut_that_mishandles_cut_zero(monkeypatch):
+    # rotate(c, 0) is c itself, so only the re-cut at 0 can see this mutant,
+    # which re-reads the word from its second arc; rotate never cuts at 0
+    real = cacti._recut
+
+    def recut(word, cut):
+        return real(word, cut) if cut else [*word[1:], word[0]]
+
+    monkeypatch.setattr(cacti, "_recut", recut)
+    rep = cacti.check_rotation_action(4, 60, seed=3)
+    assert (len(rep.failures), rep.total) == (41, 62)
+    assert rep.failures[0] == "c=<cactus 2: (1,13/64)(2,3/32)(1,45/64)> a=19/24 b=40/61"
+
+
 def same_map(a, b):
     """a == b, which must agree with the canonical forms both ways round and
     give equal hashes when it holds."""

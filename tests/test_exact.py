@@ -2,6 +2,7 @@
 signs, sparse rank/kernel, rational parsing."""
 
 import itertools
+import math
 from fractions import Fraction as Q
 
 import random
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from operadkit import exact
 from operadkit.bv import BVElement, delta_apply
 from operadkit.exact import (
     Echelon,
@@ -277,16 +279,78 @@ def test_sparse_matrix_rejects_out_of_range():
         SparseMatrix(2, [{0: 1}, {-1: Q(1)}])
 
 
+def _by_pivot(row, p):
+    """A row divided by its entry at its pivot p: the unique reduced form."""
+    return {c: Q(v, row[p]) for c, v in row.items()}
+
+
+def _primitive_int_rows(ech):
+    """Every row is an int dict whose least column is its pivot, with a
+    positive entry there, and whose entries have gcd 1."""
+    return all(
+        min(row) == p
+        and row[p] > 0
+        and all(type(v) is int for v in row.values())
+        and math.gcd(*row.values()) == 1
+        for p, row in ech.rows.items()
+    )
+
+
 def test_kernel_entries_are_ints_when_integral_after_last_first_admission():
-    # admitted last row first, the pivot 2 of the second row leaves the
-    # back-substituted first row with Fraction(3, 1) at column 3
+    # admitted last row first, the pivot 2 of the second row is met by the
+    # first row, and back-substitution leaves that row 1 at its pivot and
+    # 3 at column 3
     m = SparseMatrix(5, [{0: -1, 3: -3}, {0: 2, 2: 1, 4: -1}])
     ech = m._echelon()
-    assert ech.rows[0] == {0: 1, 3: 3} and type(ech.rows[0][3]) is Q
+    assert _by_pivot(ech.rows[0], 0) == {0: 1, 3: 3}
     ker = m.kernel_basis()
     assert ker == [{1: 1}, {0: -3, 2: 6, 3: 1}, {2: 1, 4: 1}]
     assert all(type(v) is int for vec in ker for v in vec.values())
     assert [_mat_vec(m, _dense(vec, 5)) for vec in ker] == [[0, 0]] * 3
+
+
+def test_int_rows_stay_primitive_through_pivots_two_and_three():
+    # the first vector's pivot entry is 2; the second's is -3, so its row is
+    # negated, and back-substituting it scales the first row by 3
+    ech = Echelon()
+    for vec in [{0: 2, 1: 2, 2: 1, 4: 1}, {1: -3, 3: -1, 4: -3}]:
+        assert ech.add(vec)
+        assert _primitive_int_rows(ech)
+    assert ech.rows == {0: {0: 6, 2: 3, 3: -2, 4: -3}, 1: {1: 3, 3: 1, 4: 3}}
+    # ints exactly where an entry is integral, in the kernel and in the
+    # exact remainders that reduce returns
+    assert ech.kernel_basis(5) == [
+        {0: Q(-1, 2), 2: 1},
+        {0: Q(1, 3), 1: Q(-1, 3), 3: 1},
+        {0: Q(1, 2), 1: -1, 4: 1},
+    ]
+    assert ech.reduce({0: 1, 4: 1}) == {2: Q(-1, 2), 3: Q(1, 3), 4: Q(3, 2)}
+    assert ech.reduce({1: 1}) == {3: Q(-1, 3), 4: -1}
+    for got in ech.kernel_basis(5) + [ech.reduce({1: 1}), ech.reduce({0: 4, 3: 1})]:
+        assert all(type(v) is int or v.denominator != 1 for v in got.values())
+    # a dependent vector meets both pivots and leaves nothing
+    assert not ech.add({0: 4, 1: 1, 2: 2, 3: -1, 4: -1})
+    # last-first admission: the back-substituted first row is divided by
+    # its content 2, although the new row's pivot entry is 1
+    ech = SparseMatrix(5, [{0: -1, 3: -3}, {0: 2, 2: 1, 4: -1}])._echelon()
+    assert ech.rows == {0: {0: 1, 3: 3}, 2: {2: 1, 3: -6, 4: -1}}
+    assert _primitive_int_rows(ech)
+
+
+def test_skipping_the_content_division_fails_the_primitive_row_test(monkeypatch):
+    # the mutant divides a row by the sign of its pivot entry alone, so
+    # back-substitution keeps the first row as {0: 2, 3: 6}
+    def signed(row, p):
+        if row[p] < 0:
+            for c in row:
+                row[c] = -row[c]
+        return row[p]
+
+    monkeypatch.setattr(exact, "_primitive", signed)
+    ech = SparseMatrix(5, [{0: -1, 3: -3}, {0: 2, 2: 1, 4: -1}])._echelon()
+    assert ech.rows[0] == {0: 2, 3: 6}
+    with pytest.raises(AssertionError):
+        test_int_rows_stay_primitive_through_pivots_two_and_three()
 
 
 def _span_rank(vectors):
@@ -369,10 +433,13 @@ def matrices(draw):
     return rows, cols, data
 
 
-# Both sides of the pivot check in Echelon.add on every run: an int -1 pivot
-# is its own inverse, an integral Fraction(-1) pivot takes the Fraction path.
+# On every run: an int -1 pivot, negated; an integral Fraction(-1) pivot
+# beside a Fraction entry; a non-unit int pivot; Fraction rows that meet a
+# non-unit pivot, in both admission orders.
 @example((2, 3, [[-1, 2, 0], [0, -1, 3]]))
 @example((2, 3, [[Q(-1), Q(1, 2), 0], [0, Q(-1), 2]]))
+@example((1, 2, [[2, 1]]))
+@example((2, 3, [[2, 1, 0], [Q(1, 3), Q(1, 2), Q(1, 5)]]))
 @given(matrices())
 def test_echelon_matches_reference_elimination(case):
     rows, cols, data = case
@@ -401,7 +468,8 @@ def test_echelon_matches_reference_elimination(case):
         assert ech.add(d) == grows
         if integral:
             assert all(type(v) is int for row in ech.rows.values() for v in row.values())
-    assert ech.rows == dict(pivots)
+        assert _primitive_int_rows(ech)
+    assert {p: _by_pivot(row, p) for p, row in ech.rows.items()} == dict(pivots)
     if integral:
         assert all(type(v) is int for vec in kernel for v in vec.values())
 

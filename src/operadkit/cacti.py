@@ -36,7 +36,8 @@ equivariance of composition under rotation, and the coEnd law identifying
 diag(c o_i d) with the composite of diag(c) and diag(d).  Values are
 compared by cross-multiplication.  Each seeded battery takes its report and
 generator from ``operads.sampled_report``, the one place where a sampled
-check is seeded, and refuses a domain error before it draws a sample.
+check is seeded, draws through ``operads.randbelow``, and refuses a domain
+error before it draws a sample.
 
 The boundary is rational: the constructors take rational lengths, times,
 values and slopes; ``arcs``, ``perimeter``, ``lobe_length(s)``, ``times``,
@@ -58,7 +59,9 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .exact import Q, format_rational, parse_rational
-from .operads import OperadInstance, require_at_least, require_permutation, sampled_report
+from .operads import (
+    OperadInstance, _shuffled, randbelow, require_at_least, require_permutation, sampled_report,
+)
 
 
 def circle_point(q):
@@ -134,9 +137,9 @@ def _normal_word(den, word):
             merged[-1] = (lab, merged[-1][1] + n)
         else:
             merged.append((lab, n))
-    g = gcd(den, *(n for _, n in merged))
+    g = gcd(den, *[n for _, n in merged])
     if g > 1:
-        return den // g, tuple((lab, n // g) for lab, n in merged)
+        return den // g, tuple([(lab, n // g) for lab, n in merged])
     return den, tuple(merged)
 
 
@@ -571,16 +574,15 @@ def random_cactus(k, seed, max_denominator=64):
     D = max_denominator.  Lobes with children are visited more than once
     whenever an interior stretch is positive, so multi-arc labels occur.
     The int word of perimeter D is then cut at a random grid point and
-    normalized, once, with no ``rotate``."""
+    normalized, once, with no ``rotate``.  It draws through ``randbelow``."""
     require_at_least("arity", k, 1)
     require_at_least("max denominator", max_denominator, k)
     rng = random.Random("cactus-%d-%d-%d" % (k, seed, max_denominator))
     D = max_denominator
-    order = list(range(1, k + 1))
-    rng.shuffle(order)
+    order = _shuffled(k, rng)
     children = {v: [] for v in order}
     for n in range(1, k):
-        children[order[rng.randrange(n)]].append(order[n])
+        children[order[randbelow(rng, n)]].append(order[n])
     # lobe lengths: a composition of D grid units into k positive parts
     cuts = sorted(rng.sample(range(1, D), k - 1)) if k > 1 else []
     units = dict(zip(order, (b - a for a, b in zip([0] + cuts, cuts + [D]))))
@@ -590,7 +592,7 @@ def random_cactus(k, seed, max_denominator=64):
         m = len(kids)
         grid = units[v]
         # split the lobe into m+1 visit stretches, zeros allowed, sum > 0
-        bars = sorted(rng.randrange(grid + 1) for _ in range(m))
+        bars = sorted([randbelow(rng, grid + 1) for _ in range(m)])
         parts = [b - a for a, b in zip([0] + bars, bars + [grid])]
         word = []
         for n, kid in enumerate(kids):
@@ -601,7 +603,7 @@ def random_cactus(k, seed, max_denominator=64):
             word.append((v, parts[m]))
         return word
 
-    return _cactus(k, D, _recut(emit(order[0]), rng.randrange(D)))
+    return _cactus(k, D, _recut(emit(order[0]), randbelow(rng, D)))
 
 
 def cacti_operad_instance():
@@ -633,8 +635,8 @@ def _sampled_batch(name, claim, max_arity, samples, seed, max_denominator):
 
 
 def _sample_theta(rng, max_denominator):
-    den = rng.randint(1, max_denominator)
-    return Q(rng.randrange(den), den)
+    den = 1 + randbelow(rng, max_denominator)
+    return Q(randbelow(rng, den), den)
 
 
 def check_associativity_batch(max_arity=5, samples=1000, seed=0, max_denominator=64):
@@ -654,12 +656,12 @@ def check_associativity_batch(max_arity=5, samples=1000, seed=0, max_denominator
         if k + l + m - 2 <= max_arity and (k >= 2 or l >= 2 or m >= 2)
     ]
     for n in range(samples):
-        k, l, m = triples[rng.randrange(len(triples))]
-        c = random_cactus(k, rng.randrange(10**6), max_denominator)
-        d = random_cactus(l, rng.randrange(10**6), max_denominator)
-        e = random_cactus(m, rng.randrange(10**6), max_denominator)
-        i = rng.randint(1, k)
-        j = rng.randint(1, l)
+        k, l, m = triples[randbelow(rng, len(triples))]
+        c = random_cactus(k, randbelow(rng, 10**6), max_denominator)
+        d = random_cactus(l, randbelow(rng, 10**6), max_denominator)
+        e = random_cactus(m, randbelow(rng, 10**6), max_denominator)
+        i = 1 + randbelow(rng, k)
+        j = 1 + randbelow(rng, l)
         lhs = compose_i(compose_i(c, d, i), e, i + j - 1)
         rhs = compose_i(c, compose_i(d, e, j), i)
         rep.count(lhs == rhs, "nested n=%d %r %r %r i=%d j=%d", n, c, d, e, i, j)
@@ -681,8 +683,8 @@ def check_cocycle(max_arity=5, samples=1000, seed=0, max_denominator=64):
         max_arity, samples, seed, max_denominator,
     )
     for n in range(samples):
-        k = rng.randint(1, max_arity)
-        c = random_cactus(k, rng.randrange(2**30), max_denominator)
+        k = 1 + randbelow(rng, max_arity)
+        c = random_cactus(k, randbelow(rng, 2**30), max_denominator)
         theta = _sample_theta(rng, max_denominator)
         phi = _sample_theta(rng, max_denominator)
         ok = verify_cocycle(c, theta, phi)
@@ -703,11 +705,11 @@ def check_rotation_equivariance(max_arity=4, samples=1000, seed=0, max_denominat
         max_arity, samples, seed, max_denominator,
     )
     for n in range(samples):
-        k = rng.randint(1, max_arity)
-        l = rng.randint(1, max_arity)
-        c = random_cactus(k, rng.randrange(2**30), max_denominator)
-        d = random_cactus(l, rng.randrange(2**30), max_denominator)
-        i = rng.randint(1, k)
+        k = 1 + randbelow(rng, max_arity)
+        l = 1 + randbelow(rng, max_arity)
+        c = random_cactus(k, randbelow(rng, 2**30), max_denominator)
+        d = random_cactus(l, randbelow(rng, 2**30), max_denominator)
+        i = 1 + randbelow(rng, k)
         theta = _sample_theta(rng, max_denominator)
         ok = verify_equivariance(c, d, i, theta)
         rep.count(ok, "c=%r d=%r i=%d theta=%s", c, d, i, theta)
@@ -723,11 +725,11 @@ def check_coend(max_arity=4, samples=1000, seed=0, max_denominator=64):
         max_arity, samples, seed, max_denominator,
     )
     for n in range(samples):
-        k = rng.randint(1, max_arity)
-        l = rng.randint(1, max_arity)
-        c = random_cactus(k, rng.randrange(2**30), max_denominator)
-        d = random_cactus(l, rng.randrange(2**30), max_denominator)
-        i = rng.randint(1, k)
+        k = 1 + randbelow(rng, max_arity)
+        l = 1 + randbelow(rng, max_arity)
+        c = random_cactus(k, randbelow(rng, 2**30), max_denominator)
+        d = random_cactus(l, randbelow(rng, 2**30), max_denominator)
+        i = 1 + randbelow(rng, k)
         theta = _sample_theta(rng, max_denominator)
         if n % 100:
             ok = verify_coend(c, d, i, theta)
@@ -749,8 +751,8 @@ def check_rotation_action(max_arity=5, samples=500, seed=0, max_denominator=64):
         max_arity, samples, seed, max_denominator,
     )
     for n in range(samples):
-        k = rng.randint(1, max_arity)
-        c = random_cactus(k, rng.randrange(2**30), max_denominator)
+        k = 1 + randbelow(rng, max_arity)
+        c = random_cactus(k, randbelow(rng, 2**30), max_denominator)
         a = _sample_theta(rng, max_denominator)
         b = _sample_theta(rng, max_denominator)
         ok = (
@@ -779,8 +781,8 @@ def check_winding(max_arity=5, samples=200, seed=0, max_denominator=64):
     )
     del rep.params["max_denominator"]  # the pinned winding params omit it
     for n in range(samples):
-        k = rng.randint(1, max_arity)
-        c = random_cactus(k, rng.randrange(2**30), max_denominator)
+        k = 1 + randbelow(rng, max_arity)
+        c = random_cactus(k, randbelow(rng, 2**30), max_denominator)
         try:
             homotopy_diagonal(c)
             rep.count(True)

@@ -371,9 +371,11 @@ class Echelon:
 
     def reduce(self, vec):
         """The remainder of vec against the rows, exact: a new dict, empty
-        exactly when vec lies in the span."""
+        exactly when vec lies in the span, with ints where integral."""
         out, s = self._scaled_remainder(vec)
-        return out if s == 1 else {c: scalar(Q(v, s)) for c, v in out.items()}
+        if s == 1 and type(sum(out.values())) is int:
+            return out
+        return {c: scalar(Q(v, s)) for c, v in out.items()}
 
     def add(self, vec):
         """Admit vec unless it lies in the span; True when it was admitted."""

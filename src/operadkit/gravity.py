@@ -237,8 +237,9 @@ def verify_generalized_jacobi(k, l, b=1):
 
 
 def check_suboperad_closure(max_arity, b=1):
-    """Partial composition of Delta-closed elements stays Delta-closed."""
-    require_at_least("max arity", max_arity, 2)
+    """Partial composition of Delta-closed elements stays Delta-closed; below
+    max arity 3 there is no composite of two arities >= 2 to check."""
+    require_at_least("max arity", max_arity, 3)
     check_bracket_degree(b)
     rep = CheckReport(
         "gravity-closure-%d-b%d" % (max_arity, b),

@@ -33,7 +33,7 @@ import operator
 from .exact import koszul_sign
 from .operads import (
     CheckReport, OperadInstance, check_associativity, check_equivariance, check_units,
-    require_at_least, sampled_report,
+    randbelow, require_at_least, sampled_report,
 )
 
 TOM_DIECK_MAX_ORDER = 64  # the largest group order tom_dieck_summands accepts
@@ -155,7 +155,7 @@ def group_compose(G, g, h, i):
     if not 1 <= i <= len(g):
         raise ValueError("slot %d out of range 1..%d" % (i, len(g)))
     row = G.table[g[i - 1]]
-    return g[: i - 1] + tuple([row[x] for x in h]) + g[i:]
+    return (*g[: i - 1], *[row[x] for x in h], *g[i:])
 
 
 def conjugation_act(G, g, t):
@@ -235,7 +235,9 @@ def group_operad_instance(G):
 
 
 def random_tuple(G, k, rng):
-    return tuple(map(rng.randrange, itertools.repeat(G.order, k)))
+    """k entries of G, the draws of ``rng.randrange(G.order)`` through ``randbelow``."""
+    n = G.order
+    return tuple([randbelow(rng, n) for _ in range(k)])
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +526,10 @@ def check_conjugation_equivariance(G, samples=200, seed=0):
         {"group": G.name}, samples, seed,
     )
     for _ in range(samples):
-        k = rng.randint(1, 3)
-        g = rng.randrange(G.order)
+        k = 1 + randbelow(rng, 3)
+        g = randbelow(rng, G.order)
         t = random_tuple(G, k, rng)
-        hs = [random_tuple(G, rng.randint(1, 3), rng) for _ in range(k)]
+        hs = [random_tuple(G, 1 + randbelow(rng, 3), rng) for _ in range(k)]
         lhs = conjugation_act(G, g, substitute(G, t, hs))
         rhs = substitute(
             G, conjugation_act(G, g, t), [conjugation_act(G, g, h) for h in hs]

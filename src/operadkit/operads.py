@@ -21,8 +21,9 @@ signs) and non-unital (unit is None; check_units then refuses the operad).
 Every sampled check is seeded in one place, ``sampled_report``: it refuses
 a negative sample count, records the samples and the seed in the report's
 params, and hands back the report with the one ``random.Random(seed)`` the
-check draws from.  Counterexamples are recorded as replayable witness
-strings, formatted only for a failing case.
+check draws from; beside it, ``randbelow`` is the one bounded draw of the
+package, the draw of ``rng.randrange``.  Counterexamples are recorded as
+replayable witness strings, formatted only for a failing case.
 
 Each value that does not depend on the inner loop index is computed once
 per sample, not once per case, since compose and act are pure functions
@@ -30,12 +31,12 @@ of their arguments.  Associativity composes x o_i y for each i, y o_j z for
 each j and x o_j z for each j >= 2 once, into lists by slot, then one
 composite on each side of every case; the sign (-1)^{|y||z|} is read once.
 Equivariance acts by each sigma on x and by each tau on y once, composes
-x o_i y for each i once, and keeps the block insertions sigma o_i tau in a
-dict for the call.  The identity and the adjacent transpositions are built
-once per call, and only the shuffled permutation is drawn where the plain
-loops draw it.  A failing case appends its witness, and the case count
-grows once per block of cases.  The random draws and the order of the
-cases are those of the plain loops.
+x o_i y for each i once, and keeps the block insertions sigma o_i tau, one
+list by slot per (sigma, tau), in a dict for the call.  The identity and
+the adjacent transpositions are built once per call, and only the shuffled
+permutation is drawn where the plain loops draw it.  A failing case appends
+its witness, and the case count grows once per block of cases.  The random
+draws and the order of the cases are those of the plain loops.
 """
 
 from __future__ import annotations
@@ -138,6 +139,15 @@ def sampled_report(check_id, claim, params, samples, seed):
     return rep, random.Random(seed)
 
 
+def randbelow(rng, n):
+    """``rng.randrange(n)`` for an int n >= 1, in the same state: CPython's
+    rejection loop on ``getrandbits``; ``1 + randbelow(rng, n)`` is ``rng.randint(1, n)``."""
+    bits, r = n.bit_length(), n
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
+
+
 def _sign_between(op, y, z):
     if op.degree is None:
         return 1
@@ -190,9 +200,12 @@ def _fixed_perms(k):
 
 
 def _shuffled(k, rng):
-    """One random permutation of {1..k}, the last test permutation."""
+    """One random permutation of {1..k}, the last test permutation: the
+    Fisher-Yates loop of ``rng.shuffle``, drawn through ``randbelow``."""
     full = list(range(1, k + 1))
-    rng.shuffle(full)
+    for i in range(k - 1, 0, -1):
+        j = randbelow(rng, i + 1)
+        full[i], full[j] = full[j], full[i]
     return tuple(full)
 
 
@@ -220,12 +233,11 @@ def check_equivariance(op, arities, sampler, sample_count, seed=0):
                 if tau not in acted_y:
                     acted_y[tau] = act(tau, y)
                 ty = acted_y[tau]
-                for i in slots:
-                    lhs = compose(sx, ty, sigma[i - 1])
-                    block = blocks.get((sigma, i, tau))
-                    if block is None:
-                        block = blocks[sigma, i, tau] = perm_block_insert(sigma, i, tau)
-                    if lhs != act(block, xy[i - 1]):
+                row = blocks.get((sigma, tau))
+                if row is None:
+                    row = blocks[sigma, tau] = [perm_block_insert(sigma, i, tau) for i in slots]
+                for i, block, xy_i in zip(slots, row, xy):
+                    if compose(sx, ty, sigma[i - 1]) != act(block, xy_i):
                         failures.append(
                             "sample=%d sigma=%r tau=%r i=%d x=%r y=%r" % (n, sigma, tau, i, x, y)
                         )

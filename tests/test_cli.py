@@ -32,7 +32,8 @@ REFUSED_ARITIES = [
     (["dims", "grav", "--arity", "1"], UNARY),
     (["dims", "moduli", "--arity", "0"], "arity must be at least 2, got 0"),
     (["dims", "moduli", "--arity", "1"], UNARY),
-    (["verify", "closure", "--max-arity", "1"], "max arity must be at least 2, got 1"),
+    (["verify", "closure", "--max-arity", "1"], "max arity must be at least 3, got 1"),
+    (["verify", "closure", "--max-arity", "2"], "max arity must be at least 3, got 2"),
     (["verify", "generation", "--max-arity", "0"], "max arity must be at least 2, got 0"),
     (["verify", "lie", "--max-arity", "1"], "max arity must be at least 2, got 1"),
     (["verify", "grav4", "--max-arity", "1"], "max arity must be at least 2, got 1"),
@@ -205,9 +206,9 @@ def test_group_table_file_without_a_table_names_the_field(tmp_path, capsys):
 
 
 def test_verify_with_no_cases_fails(capsys):
-    code, out, _ = run(capsys, "verify", "closure", "--max-arity", "2")
+    code, out, _ = run(capsys, "cacti", "verify", "coend", "--samples", "0", "--max-arity", "3")
     assert code == 1
-    assert out.strip() == "FAIL gravity-closure-2-b1 (0 cases)  e.g. no cases were checked"
+    assert out.strip() == "FAIL cacti-coend-3 (0 cases)  e.g. no cases were checked"
 
 
 def test_verify_commands(capsys):

@@ -13,9 +13,11 @@ as a format string and its args, which ``CheckReport.count`` formats only
 for a failing case: a conditional or a literal None as the witness is the
 hand-rolled form that formatted it eagerly or left it unnamed.  And no
 function body imports: ``operadkit`` loads every layer eagerly, so each
-module imports what it uses once, at its top.  Last, every ``lru_cache`` in
-the package has an int maxsize, so no cache grows with its input for the
-life of the process, but for the few allowlisted with their reasons."""
+module imports what it uses once, at its top.  Every ``lru_cache`` in the
+package has an int maxsize, so no cache grows with its input for the life
+of the process, but for the few allowlisted with their reasons.  Last, no
+module reads ``randrange`` or ``randint``: every bounded draw goes through
+``operads.randbelow``, which draws what they draw, with no allowlist."""
 
 import ast
 import os
@@ -377,3 +379,41 @@ def test_an_unbounded_cache_is_found():
     )
     found = _unbounded_caches([("m.py", ast.parse(source))])
     assert found == ["m.py:a", "m.py:b", "m.py:c", "m.py:f", "m.py:g"]
+
+
+def _direct_draws(trees):
+    """``module:line`` of each ``randrange`` or ``randint`` read off an
+    object, called or passed on, or imported from ``random``."""
+    found = []
+    for module, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "random":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if {"randrange", "randint"}.intersection(names):
+                found.append((module, node.lineno))
+    return ["%s:%d" % pair for pair in sorted(found)]
+
+
+def test_every_bounded_draw_in_src_goes_through_randbelow():
+    found = _direct_draws(_trees())
+    assert not found, "draw outside operads.randbelow: %s" % ", ".join(found)
+
+
+def test_a_direct_draw_is_found():
+    source = (
+        "import random\n"
+        "x = rng.randrange(5)\n"
+        "y = random.randint(1, 2)\n"
+        "z = self.rng.randrange(3)\n"
+        "t = tuple(map(rng.randrange, sizes))\n"
+        "from random import randint, shuffle\n"
+        "u = randbelow(rng, 5)\n"
+        "v = 1 + randbelow(self.rng, 3)\n"
+        "w = rng.sample(range(4), 2)\n"
+    )
+    found = _direct_draws([("m.py", ast.parse(source))])
+    assert found == ["m.py:2", "m.py:3", "m.py:4", "m.py:5", "m.py:6"]

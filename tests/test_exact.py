@@ -337,6 +337,22 @@ def test_int_rows_stay_primitive_through_pivots_two_and_three():
     assert _primitive_int_rows(ech)
 
 
+def test_reduce_gives_an_int_for_every_integral_fraction_entry():
+    # the unit-pivot loop keeps Fraction arithmetic as it falls: -3/4 times
+    # the row {0: 1, 1: -8} leaves 3 - 6 = Fraction(-3, 1) at column 1
+    ech = Echelon()
+    assert ech.add({0: Q(-1, 2), 1: 4})
+    assert ech.rows == {0: {0: 1, 1: -8}}
+    got = ech.reduce({0: Q(-3, 4), 1: 3, 2: -5})
+    assert got == {1: -3, 2: -5}
+    assert all(type(v) is int for v in got.values())
+    # a non-integral entry stays a Fraction, and an int vector gives ints
+    assert ech.reduce({0: Q(1, 3), 1: Q(1, 2)}) == {1: Q(19, 6)}
+    got = ech.reduce({0: 2, 3: 1})
+    assert got == {1: 16, 3: 1}
+    assert all(type(v) is int for v in got.values())
+
+
 def test_skipping_the_content_division_fails_the_primitive_row_test(monkeypatch):
     # the mutant divides a row by the sign of its pivot entry alone, so
     # back-substitution keeps the first row as {0: 2, 3: 6}

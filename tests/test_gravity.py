@@ -78,7 +78,7 @@ def test_the_arity_is_refused_before_the_bracket_degree(entry):
         lambda b: verify_generalized_jacobi(3, 1, b),
         lambda b: bracket_generator(3, b),
         lambda b: check_e2_dims(4, b),
-        lambda b: check_suboperad_closure(2, b),
+        lambda b: check_suboperad_closure(3, b),
         lambda b: gravity_basis(4, b),
         lambda b: moduli_dimension_oracle(4, b),
     ],

@@ -25,6 +25,12 @@ ARITY_BUDGET = {
     "group fixed-points": 5, "group verify": 5, "cacti verify": 10,
     "string gravity": 16,
 }
+# The int options each verify law reads, with their defaults; each law has
+# its own subparser, so an option it does not read is refused.
+VERIFY_OPTIONS = {
+    "jacobi": {"--k": 2, "--l": 0}, "bv": {"--arity": 4}, "free-module": {"--arity": 4},
+    **{law: {"--max-arity": 5} for law in ("closure", "generation", "lie", "grav4")},
+}
 # The group commands enumerate |G|^k tuples, so |G|^k is bounded as well: by
 # S4 at arity 5, the largest request the bundled groups make
 # (`group fixed-points --table S4 --arity 5` takes about 2 s on a 2-vCPU
@@ -224,15 +230,12 @@ def build_parser():
     p.set_defaults(fn=_cmd_dims)
 
     p = sub.add_parser("verify", help="algebraic identity batteries")
-    p.add_argument(
-        "law",
-        choices=["jacobi", "bv", "free-module", "closure", "generation", "lie", "grav4"],
-    )
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--l", type=int, default=0)
-    p.add_argument("--arity", type=int, default=4)
-    p.add_argument("--max-arity", type=int, default=5)
-    p.set_defaults(fn=_cmd_verify)
+    laws = p.add_subparsers(dest="law", required=True)
+    for law, options in VERIFY_OPTIONS.items():
+        pl = laws.add_parser(law)
+        for flag, default in options.items():
+            pl.add_argument(flag, type=int, default=default)
+        pl.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("cacti", help="spineless cacti checks")
     csub = p.add_subparsers(dest="cacti_command", required=True)
@@ -252,14 +255,14 @@ def build_parser():
     pc.set_defaults(fn=_cmd_cacti_compose)
 
     p = sub.add_parser("group", help="finite group operads")
-    p.add_argument("action", choices=["fixed-points", "tomdieck", "verify"])
-    p.add_argument(
-        "--table",
-        required=True,
-        help="JSON table file, or the name of a bundled group (e.g. S3)",
-    )
-    p.add_argument("--arity", type=int, default=3)
-    p.set_defaults(fn=_cmd_group)
+    actions = p.add_subparsers(dest="action", required=True)
+    for action in ("fixed-points", "tomdieck", "verify"):
+        pa = actions.add_parser(action)
+        pa.add_argument("--table", required=True,
+                        help="JSON table file, or the name of a bundled group (e.g. S3)")
+        if action != "tomdieck":
+            pa.add_argument("--arity", type=int, default=3)
+        pa.set_defaults(fn=_cmd_group)
 
     p = sub.add_parser("string", help="data-driven string brackets")
     p.add_argument("action", choices=["validate", "mbar", "gravity", "transfer-lie"])

@@ -46,14 +46,20 @@ read back.  Neither reads b, so a kept result is exact for every caller, and
 no caller mutates one: merge_monos returns a tuple, and a _bracket_terms dict
 is only read (add_into's rule).
 
-Composition.  compose_i is a monomial kernel too: on each monomial of the
-host it rebuilds the block holding the slot from the terms of the inserted
-element with _bracket_terms, joins the other blocks with merge_monos, and
-applies a suspension sign that transports the inserted element past the odd
-bracket edges of the host monomial (see compose_i).  The sign convention is
-certified globally: both operad associativity shapes, Sigma-equivariance,
-and the downstream differential and bracket identities are verified over
-exact rationals by the test suite.
+Composition.  One kernel, _graft, makes every composite x o_S y, with y's
+letters on the ascending S and x's, in order, on {min S} + ([n] - S), so
+compose_i(x, y, i) is its case S = (i, ..., i+l-1).  x is relabelled once
+per letter set, beside a letter index (letter -> block, place, spine word),
+and y once per S, with a table of the host blocks rebuilt on it.  On each
+host monomial the kernel rebuilds the block holding the slot from y's terms
+with _bracket_sum, unless the table holds it, and joins the other blocks
+with merge_monos.  Substituting an element of odd degree for a degree-0
+letter transports it past the odd bracket edges of the host monomial, so
+y's terms of odd edge count are negated when the tail letters after the
+slot and the edges of the later blocks number an odd total: the unique
+convention under which both associativity shapes and equivariance hold,
+certified with the downstream identities over exact rationals by the test
+suite rather than asserted termwise.
 
 Action.  sigma_act applies a reduced word in the adjacent transpositions
 (a a+1), letter by letter, through the one monomial kernel _transposed.
@@ -106,18 +112,6 @@ def comb(head, tail):
     for x in tail:
         t = (t, x)
     return t
-
-
-def comb_parts(t):
-    """Inverse of comb: (head, tail tuple); requires a left-combed tree."""
-    tail = []
-    while not is_leaf(t):
-        t, x = t
-        if not is_leaf(x):
-            raise ValueError("not a left-combed tree")
-        tail.append(x)
-    tail.reverse()
-    return t, tuple(tail)
 
 
 def tree_key(t):
@@ -407,6 +401,15 @@ def relabel(x, mapping):
     return PoissonElement._of(support, terms)
 
 
+def _spine(t):
+    """The word [head, t1, ..., tq] of the left comb [[[head, t1], ...], tq]."""
+    word = []
+    while not isinstance(t, int):
+        t, x = t
+        word.append(x)
+    return [t] + word[::-1]
+
+
 def _transposed(mono, a):
     """The terms dict of (a a+1).mono.  With a in block P and a+1 in block Q:
     1. P != Q: the letters swap.  If both are heads, P and Q are adjacent
@@ -414,17 +417,10 @@ def _transposed(mono, a):
        no head lies between a and a+1, so the block order holds.
     2. P = Q, a not its head: the tail entries swap; the comb stays normal.
     3. P = Q with head a: P becomes lie_normal_form(comb(a+1, tail with
-       a+1 -> a)) in place, since its least letter is still a.
-    The gravity closure calls this k-1 times a monomial, so the letters are
-    read off each block's spine without comb_parts, until both are found."""
+       a+1 -> a)) in place, since its least letter is still a."""
     where = {}  # letter -> (block, place in its word, word), for a and a+1
     for n, t in enumerate(mono):
-        word = []
-        while not isinstance(t, int):
-            t, x = t
-            word.append(x)
-        word.append(t)
-        word.reverse()
+        word = _spine(t)
         for x in (a, a + 1):
             if x in word:
                 where[x] = n, word.index(x), word
@@ -468,53 +464,69 @@ def sigma_act(perm, x):
     return PoissonElement._of(x.support, terms)
 
 
-def compose_i(x, y, i):
-    """Partial composition: substitute y for letter i of x.
+def _host(x, letters):
+    """x's monomials, letter j moved to ``letters[j - 1]``, as (monomial,
+    coefficient, index), the index mapping each letter to (block, place,
+    spine word); a moved word is combed again (see Composition)."""
+    out = []
+    for mono, c in x.terms.items():
+        index, blocks = {}, []
+        for r, t in enumerate(mono):
+            word = _spine(t)
+            if letters[-1] != len(letters):
+                word = [letters[a - 1] for a in word]
+                t = comb(word[0], word[1:])
+            blocks.append(t)
+            index.update((a, (r, p, word)) for p, a in enumerate(word))
+        out.append((tuple(blocks), c, index))
+    return out
 
-    Letters of y become i..i+l-1 and letters of x above i shift up by l-1,
-    both order-preserving.  On each monomial of x, with i in the block
-    [[h, t1], ..., tq], the kernel rebuilds that block on the terms dict of
-    y: from y itself when i is the head h, from [comb(h, t1..tp-1), y] when
-    i = tp; then it brackets with each later tail letter through
-    _bracket_terms.  The blocks before it all sort first, and merge_monos
-    joins the blocks after it.
 
-    Substituting an element of odd degree for a degree-0 letter transports
-    it past the odd bracket edges of the host monomial, so y's terms of odd
-    edge count (degree/b) are negated when the tail letters after i and the
-    edges of the later blocks number an odd total.  This convention is the
-    unique one under which both associativity shapes and equivariance hold;
-    it is certified exhaustively over basis triples by the test suite
-    rather than asserted termwise.
-    """
-    k, l = x.arity, y.arity
-    if not 1 <= i <= k:
-        raise ValueError("slot %d out of range 1..%d" % (i, k))
-    # the relabels are the identity for y at slot 1 and for x when y is unary
-    xs, ys = x.terms, y.terms
-    if l > 1:
-        xs = relabel(x, {j: (j if j <= i else j + l - 1) for j in range(1, k + 1)}).terms
-    if i > 1:
-        ys = relabel(y, {j: j + i - 1 for j in range(1, l + 1)}).terms
-    twisted = {m: -c if mono_degree(m) % 2 else c for m, c in ys.items()}
+def _inserted(y, letters):
+    """y on the ascending ``letters``, to graft at the host letter min S =
+    ``letters[0]``: (that slot, y's terms, the same with the terms of odd
+    edge count negated, an empty table of host blocks rebuilt on them)."""
+    ys = y.terms if letters[-1] == len(letters) else relabel(y, dict(enumerate(letters, 1))).terms
+    return letters[0], ys, {m: -c if mono_degree(m) % 2 else c for m, c in ys.items()}, {}
+
+
+def _graft(hosted, ins):
+    """The terms dict of ``ins`` (from ``_inserted``) substituted for its
+    slot in ``hosted`` (from ``_host``), which holds none of its other
+    letters.  The slot's block [[h, t1], ..., tq], slot at place p, is
+    rebuilt from y when p = 0, else from [comb(h, t1..tp-1), y], then
+    bracketed with each later tail letter; blocks before it sort first."""
+    slot, ys, twisted, rebuilt = ins
     out = {}
-    for mono, c in xs.items():
-        r = next(n for n, t in enumerate(mono) if i in tree_leaves(t))
-        head, tail = comb_parts(mono[r])
-        p = ((head,) + tail).index(i)
+    for mono, c, index in hosted:
+        r, p, word = index[slot]
         before, after = mono[:r], mono[r + 1:]
-        edges = len(tail) - p + sum(tree_nleaves(t) - 1 for t in after)
-        terms = twisted if edges % 2 else ys
-        if p:
-            terms = _bracket_sum({(comb(head, tail[:p - 1]),): 1}, terms)
-        for t in tail[p:]:
-            terms = _bracket_sum(terms, {(t,): 1})
+        odd = (len(word) - 1 - p + sum(tree_nleaves(t) - 1 for t in after)) % 2
+        terms = rebuilt.get((mono[r], odd))
+        if terms is None:
+            terms = twisted if odd else ys
+            if p:
+                terms = _bracket_sum({(comb(word[0], word[1:p]),): 1}, terms)
+            for t in word[p + 1:]:
+                terms = _bracket_sum(terms, {(t,): 1})
+            rebuilt[mono[r], odd] = terms
         joined = {}
         for m, v in terms.items():
             sign, merged = merge_monos(m, after)
             joined[before + merged] = sign * v
         add_into(out, joined, c)
-    return PoissonElement._of(frozenset(range(1, k + l)), out)
+    return out
+
+
+def compose_i(x, y, i):
+    """Partial composition: substitute y for letter i of x.  y's letters
+    become i..i+l-1 and x's above i shift up by l-1: the contiguous graft."""
+    k, l = x.arity, y.arity
+    if not 1 <= i <= k:
+        raise ValueError("slot %d out of range 1..%d" % (i, k))
+    letters = tuple(j if j <= i else j + l - 1 for j in range(1, k + 1))
+    terms = _graft(_host(x, letters), _inserted(y, tuple(range(i, i + l))))
+    return PoissonElement._of(frozenset(range(1, k + l)), terms)
 
 
 # ---------------------------------------------------------------------------

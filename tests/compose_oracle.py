@@ -10,7 +10,6 @@ term."""
 from operadkit.exact import add_into
 from operadkit.poisson import (
     PoissonElement,
-    comb_parts,
     from_mono,
     gen,
     is_leaf,
@@ -27,9 +26,9 @@ def _slot_twist(mono, i):
     tail letter number j of its block with q edges, q when i is the head,
     plus all edges of later blocks."""
     r = next(idx for idx, t in enumerate(mono) if i in tree_leaves(t))
-    head, tail = comb_parts(mono[r])
-    q = len(tail)
-    a = q if i == head else q - (tail.index(i) + 1)
+    block, a = mono[r], 0
+    while not is_leaf(block) and block[1] != i:  # down the spine to i's edge
+        block, a = block[0], a + 1
     return a + sum(tree_nleaves(t) - 1 for t in mono[r + 1:])
 
 

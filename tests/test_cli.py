@@ -607,6 +607,24 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "jacobi", "--arity", "10"],
+        ["verify", "bv", "--max-arity", "-1"],
+        ["verify", "free-module", "--max-arity", "-1"],
+        ["group", "tomdieck", "--table", "C2", "--arity", "-1"],
+    ],
+    ids=["jacobi-arity", "bv-max-arity", "free-module-max-arity", "tomdieck-arity"],
+)
+def test_an_option_the_command_does_not_read_is_refused(capsys, argv):
+    # each verify law and group action parses only the options it reads
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ")
+    assert "error: unrecognized arguments: %s %s" % tuple(argv[-2:]) in err
+
+
 def test_failure_exit_code(capsys):
     # l = 0 passes; a corrupted battery is exercised through the string
     # rejection path above, so here check a pass-path round trip with params

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from operadkit import gravity
 from operadkit.bv import delta_apply
 from operadkit.exact import Echelon, GradedDims
 from operadkit.gravity import (
-    _closure_dims,
     _degree_slices,
     _delta_slice,
+    _generated,
     bracket_generator,
     check_free_module,
     check_generation,
@@ -26,6 +27,9 @@ from operadkit.gravity import (
     verify_generalized_jacobi,
 )
 from operadkit.poisson import (
+    _graft,
+    _host,
+    _inserted,
     compose_i,
     enumerate_basis,
     from_mono,
@@ -91,7 +95,7 @@ def test_out_of_domain_bracket_degree_is_refused_before_any_work(monkeypatch, ch
     def no_work(*args, **kwargs):
         raise AssertionError("work began before the refusal")
 
-    for name in ("_degree_slices", "_closure_dims", "delta_apply", "compose_i", "from_mono"):
+    for name in ("_degree_slices", "_generated", "delta_apply", "compose_i", "from_mono"):
         monkeypatch.setattr("operadkit.gravity." + name, no_work)
     monkeypatch.setattr("operadkit.poisson.enumerate_basis", no_work)
     with pytest.raises(ValueError, match=r"^bracket degree must be odd and positive, got %d$" % b):
@@ -271,22 +275,81 @@ def test_closure_workload_matches_the_benchmark_pins():
     assert [[r.check_id, "pass" if r.passed else "fail", r.total] for r in got] == pinned
 
 
-def test_closure_checks_fail_under_the_identity_action(monkeypatch):
-    # negative control: the transposition images must come from the kernel,
-    # so a kernel that moves nothing leaves arities 3..5 short
-    monkeypatch.setattr("operadkit.gravity._transposed", lambda m, a: {m: 1})
-    for rep in (check_lie_embedding(5), check_generation(5)):
-        assert (rep.total, len(rep.failures)) == (4, 3), rep.line()
-        assert rep.failures[0].startswith("arity 3: ")
+def test_generation_fails_on_composites_that_leave_the_kernel(monkeypatch):
+    # negative control: a kernel with the suspension twist dropped grafts
+    # vectors outside ker Delta, and the certificate names one of them
+    real = gravity._inserted
+
+    def untwisted(y, letters):
+        slot, ys, _, rebuilt = real(y, letters)
+        return slot, ys, ys, rebuilt
+
+    monkeypatch.setattr(gravity, "_inserted", untwisted)
+    rep = check_generation(5)
+    assert (rep.total, len(rep.failures)) == (4, 2), rep.line()
+    assert rep.failures[0].startswith(
+        "arity 4: generated GradedDims({1: 1, 2: 7, 3: 6}), kernel GradedDims({1: 1, 2: 5, 3: 6}), "
+        "2 admitted vectors with Delta != 0 [<x1*[[x2, x3], x4] + "
+    ), rep.failures[0]
+    # the stream under the same mutant lists every admitted vector that leaks
+    _, leaks = _generated({m: bracket_generator(m) for m in range(2, 6)}, 5)
+    assert {k: len(xs) for k, xs in leaks.items()} == {1: 0, 2: 0, 3: 0, 4: 2, 5: 30}
+    assert all(not delta_apply(x).is_zero() for xs in leaks.values() for x in xs)
+
+
+def test_generation_without_iota_4_falls_short_at_arity_4():
+    dims, leaks = _generated({m: bracket_generator(m) for m in (2, 3, 5)}, 5)
+    short = [k for k in range(2, 6) if dims[k] != gravity_dims(k)]
+    assert short == [4]
+    assert dims[4] == GradedDims({2: 5, 3: 6})
+    assert not any(leaks.values())
+
+
+def test_lie_embedding_fails_under_a_term_dropping_kernel(monkeypatch):
+    # negative control: a kernel that drops one term of every composite of
+    # two or more terms leaves the top degree short at arities 3..5
+    real = gravity._graft
+
+    def drop_one(hosted, ins):
+        terms = real(hosted, ins)
+        if len(terms) > 1:
+            del terms[next(iter(terms))]
+        return terms
+
+    monkeypatch.setattr(gravity, "_graft", drop_one)
+    rep = check_lie_embedding(5)
+    assert (rep.total, len(rep.failures)) == (4, 3), rep.line()
+    assert rep.failures[0] == "arity 3: got GradedDims({2: 1}), expected {2: 2}"
+
+
+def test_stream_offers_the_pinned_candidates(monkeypatch):
+    # the Lie check's (k-1)! anchored grafts are all independent, and the
+    # family's stream offers iota_n and every graft: 1 + (1 + 3) + (1 + 18 + 4)
+    # candidates through arity 4, of which 1 + 3 + 12 = sum k!/2 are admitted
+    adds = []
+    real = Echelon.add
+
+    def counted(self, vec):
+        adds.append(real(self, vec))
+        return adds[-1]
+
+    monkeypatch.setattr(Echelon, "add", counted)
+    check_lie_embedding(5)
+    assert (len(adds), sum(adds)) == (33, 33)
+    adds.clear()
+    gens = {m: bracket_generator(m) for m in range(2, 5)}
+    _generated(gens, 4)
+    assert (len(adds), sum(adds)) == (28, 16)
 
 
 def test_closure_checks_make_no_sigma_act_call(monkeypatch):
-    # the transposition table comes from the monomial kernel alone
-    def no_sigma_act(perm, x):
+    # the graft stream places letters by relabelling, never by the action
+    def no_sigma_act(*args):
         raise AssertionError("the closure sweep called sigma_act")
 
     monkeypatch.setattr("operadkit.poisson.sigma_act", no_sigma_act)
     monkeypatch.setattr("operadkit.gravity.sigma_act", no_sigma_act)
+    monkeypatch.setattr("operadkit.poisson._transposed", no_sigma_act)
     for rep in (check_lie_embedding(5), check_generation(4)):
         assert rep.passed, rep.line()
         assert rep.total > 0
@@ -360,11 +423,34 @@ def _closure_dims_oracle(generators, max_arity, b=1):
 
 
 @pytest.mark.parametrize("max_arity", [2, 3, 4])
-def test_closure_by_adjacent_transpositions_matches_full_orbits(max_arity):
+def test_graft_stream_matches_full_orbits(max_arity):
     for b in (1, 3):
-        lie = [(2, bracket_generator(2, b))]
-        family = [(m, bracket_generator(m, b)) for m in range(2, max_arity + 1)]
-        for gens in (lie, family):
-            assert _closure_dims(gens, max_arity, b) == _closure_dims_oracle(
-                gens, max_arity, b
-            )
+        lie = {2: bracket_generator(2, b)}
+        family = {m: bracket_generator(m, b) for m in range(2, max_arity + 1)}
+        for gens, anchored in ((lie, True), (lie, False), (family, False)):
+            dims, leaks = _generated(gens, max_arity, b, anchored)
+            assert dims == _closure_dims_oracle(list(gens.items()), max_arity, b)
+            assert not any(leaks.values())
+
+
+def test_each_graft_is_a_permuted_partial_composition():
+    # x o_S y puts y's letters on S and x's, in order, on {min S} + ([n] - S):
+    # sigma_act(perm, compose_i(x, y, min S)) for the perm that sends
+    # compose_i's letters there, on every basis pair with n <= 5
+    pairs = 0
+    for k in range(1, 6):
+        for l in range(1, 7 - k):
+            n = k + l - 1
+            xs = [from_mono(m) for m in enumerate_basis(k)]
+            ys = [from_mono(m) for m in enumerate_basis(l)]
+            for S in itertools.combinations(range(1, n + 1), l):
+                i = S[0]
+                letters = tuple(j for j in range(1, n + 1) if j == i or j not in S)
+                perm = tuple(range(1, i)) + S + tuple(j for j in letters if j > i)
+                for x in xs:
+                    hosted = _host(x, letters)
+                    for y in ys:
+                        got = _graft(hosted, _inserted(y, S))
+                        assert got == sigma_act(perm, compose_i(x, y, i)).terms, (x, y, S)
+                        pairs += 1
+    assert pairs == 2083

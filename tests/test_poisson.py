@@ -280,8 +280,8 @@ def test_sigma_act_matches_the_mul_chain_oracle_on_basis_transpositions():
 
 
 def test_transposition_kernel_equals_sigma_act_on_every_basis_monomial():
-    # sigma_act and the gravity closure's table both read the kernel, so the
-    # reference is the mul-chain oracle, with signs and coefficients
+    # sigma_act reads the kernel letter by letter, so the reference is the
+    # mul-chain oracle, with signs and coefficients
     pairs = 0
     for k in range(2, 7):
         for mono in enumerate_basis(k):
